@@ -1,8 +1,8 @@
 //! Functional/timing split microbenchmarks: the cost of one functional
 //! pass (Phase A, `System::record`) vs one timing replay (Phase B,
 //! `System::replay`) vs the fused `System::run`, the batched lockstep
-//! replay (`System::replay_batch`) against 11 per-technology replays,
-//! and the Figure 1-shaped matrix where 11 fixed-capacity technologies
+//! replay of 11 technologies (`System::replay_batch`), and the Figure
+//! 1-shaped matrix where 11 fixed-capacity technologies
 //! share a single geometry — the case the tape cache and the batched
 //! engine were built for. `cargo run -p nvm-llc-bench --bin tape_bench
 //! --release` dumps the headline numbers to `BENCH_tape.json`.
@@ -33,20 +33,12 @@ fn bench(c: &mut Criterion) {
     group.bench_function("fused_direct_run", |b| {
         b.iter(|| std::hint::black_box(system.run(&trace)))
     });
-    // The tentpole micro-comparison: all 11 fixed-capacity technologies
-    // replaying the one tape, per-technology (11 decodes) vs batched
-    // (one `DecodedTape`, 11 engines in lockstep).
+    // All 11 fixed-capacity technologies replaying the one tape, 11
+    // engines in lockstep.
     let family: Vec<System> = models
         .iter()
         .map(|m| System::new(ArchConfig::gainestown(m.clone())).with_warmup(0.25))
         .collect();
-    group.bench_function("replay_per_tech_11", |b| {
-        b.iter(|| {
-            for s in &family {
-                std::hint::black_box(s.replay(&tape));
-            }
-        })
-    });
     group.bench_function("replay_batch_11", |b| {
         let refs: Vec<&System> = family.iter().collect();
         b.iter(|| std::hint::black_box(System::replay_batch(&refs, &tape)))
@@ -56,7 +48,8 @@ fn bench(c: &mut Criterion) {
     // The matrix the split targets: every fixed-capacity technology
     // shares one LLC geometry, so a warm tape cache turns 11 functional
     // passes per workload into 1. `direct` re-simulates each cell the
-    // pre-split way; `warm_tape` measures `run_all` with tapes recorded.
+    // pre-split way; `warm_batched` measures `run_all` with tapes
+    // recorded.
     let ws = workloads::single_threaded();
     let eval = |techs: usize| {
         let baseline = reference::by_name(&models, "SRAM").unwrap();
@@ -105,11 +98,6 @@ fn bench(c: &mut Criterion) {
                     }
                 }
             })
-        });
-        group.bench_function(format!("warm_tape_{techs}_techs"), |b| {
-            let e = eval(techs).batched(false);
-            let _ = e.run_all(&ws); // record every tape once
-            b.iter(|| std::hint::black_box(e.run_all(&ws)))
         });
         group.bench_function(format!("warm_batched_{techs}_techs"), |b| {
             let e = eval(techs);

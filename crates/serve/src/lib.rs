@@ -1093,8 +1093,8 @@ fn phase_micros(spans: &[nvm_llc_obs::trace::SpanRecord]) -> PhaseMicros {
             "queue" => &mut phase.queue,
             "parse" => &mut phase.parse,
             "tape_fetch" => &mut phase.tape_fetch,
-            "tape_record" | "trace_generate" | "tape_decode" => &mut phase.functional,
-            "tape_replay" | "tape_replay_batch" => &mut phase.replay,
+            "tape_record" | "trace_generate" => &mut phase.functional,
+            "tape_replay_batch" => &mut phase.replay,
             "proxy_upstream" => &mut phase.proxy,
             name if name.starts_with("store_") => &mut phase.store,
             _ => continue,

@@ -46,9 +46,7 @@ pub use policy::{PolicyKind, ReplacementPolicy, POLICY_ENV};
 pub use result::{SimResult, SimStats};
 pub use runner::{Evaluator, MatrixEntry, MatrixRow, PolicyMatrix};
 pub use system::System;
-pub use tape::{
-    DecodedEvent, DecodedTape, EventRecord, Outcome, OutcomeTape, TapeKey, REPLAY_CHUNK_EVENTS,
-};
+pub use tape::{Outcome, OutcomeTape, TapeKey, REPLAY_CHUNK_EVENTS};
 pub use techniques::{DeadBlockPredictor, WriteMode};
 
 #[cfg(test)]

@@ -37,7 +37,7 @@ use nvm_llc_trace::Trace;
 use crate::endurance::EnduranceReport;
 use crate::result::{SimResult, SimStats};
 use crate::system::System;
-use crate::tape::{EventRecord, OutcomeTape, PackedBlocks, TapeKey};
+use crate::tape::{OutcomeTape, TapeEvent, TapeKey};
 
 /// Version of the simulator's observable model baked into every store
 /// key. Bump it whenever a change alters simulation outputs (timing,
@@ -227,59 +227,145 @@ pub fn decode_result(payload: &[u8]) -> Option<SimResult> {
     r.is_exhausted().then_some(result)
 }
 
-fn encode_packed(w: &mut Writer, blocks: &PackedBlocks) {
-    let (bytes, len, last) = blocks.parts();
-    w.bytes(bytes).u64(len as u64).u64(last);
+/// Appends a block-address stream in its store form: zigzag deltas from
+/// the previous address as LEB128 varints, then the address count and
+/// the last address. Both side streams are dominated by short hops
+/// inside a working set, so an address usually costs one or two bytes
+/// instead of eight.
+fn encode_blocks(w: &mut Writer, blocks: &[u64]) {
+    let mut bytes = Vec::with_capacity(blocks.len() * 2);
+    let mut last = 0u64;
+    for &block in blocks {
+        let delta = block.wrapping_sub(last) as i64;
+        last = block;
+        let mut zigzag = ((delta << 1) ^ (delta >> 63)) as u64;
+        while zigzag >= 0x80 {
+            bytes.push((zigzag & 0x7F) as u8 | 0x80);
+            zigzag >>= 7;
+        }
+        bytes.push(zigzag as u8);
+    }
+    w.bytes(&bytes).u64(blocks.len() as u64).u64(last);
 }
 
-fn decode_packed(r: &mut Reader<'_>) -> Result<PackedBlocks, WireError> {
-    let bytes = r.bytes()?.to_vec();
+/// Reads a stream written by [`encode_blocks`]. Rejects a varint longer
+/// than 64 bits, a count the bytes cannot hold, leftover bytes, and a
+/// last address that disagrees with the stream.
+fn decode_blocks(r: &mut Reader<'_>) -> Result<Vec<u64>, WireError> {
+    let bytes = r.bytes()?;
     let len = usize::try_from(r.u64()?).map_err(|_| WireError)?;
     let last = r.u64()?;
-    Ok(PackedBlocks::from_parts(bytes, len, last))
+    // Every address takes at least one byte.
+    if len > bytes.len() {
+        return Err(WireError);
+    }
+    let mut blocks = Vec::with_capacity(len);
+    let (mut pos, mut prev) = (0usize, 0u64);
+    for _ in 0..len {
+        let (mut zigzag, mut shift) = (0u64, 0u32);
+        loop {
+            let byte = *bytes.get(pos).ok_or(WireError)?;
+            pos += 1;
+            if shift > 63 {
+                return Err(WireError);
+            }
+            zigzag |= u64::from(byte & 0x7F) << shift;
+            if byte & 0x80 == 0 {
+                break;
+            }
+            shift += 7;
+        }
+        let delta = ((zigzag >> 1) as i64) ^ -((zigzag & 1) as i64);
+        prev = prev.wrapping_add(delta as u64);
+        blocks.push(prev);
+    }
+    if pos != bytes.len() || blocks.last().copied().unwrap_or(0) != last {
+        return Err(WireError);
+    }
+    Ok(blocks)
 }
 
-/// Encodes an outcome tape for the store: core count, the packed
-/// per-event records, both varint/delta side streams in their encoded
-/// form, and the functional counters.
+/// Bit layout of one packed event record: gap instructions in bits
+/// 0–31, the core in bits 32–39, the [`TapeEvent`] flag byte in bits
+/// 40–47, and zeros above.
+fn pack(event: TapeEvent) -> u64 {
+    u64::from(event.gap) | u64::from(event.core) << 32 | u64::from(event.flags) << 40
+}
+
+/// Inverse of [`pack`]; `None` when bits above 47 are set.
+fn unpack(bits: u64) -> Option<TapeEvent> {
+    (bits >> 48 == 0).then_some(TapeEvent {
+        gap: bits as u32,
+        core: (bits >> 32) as u8,
+        flags: (bits >> 40) as u8,
+    })
+}
+
+/// Encodes an outcome tape for the store: core count, one packed `u64`
+/// record per event ([`pack`]), both side streams varint-compressed
+/// ([`encode_blocks`]), and the functional counters.
 pub fn encode_tape(tape: &OutcomeTape) -> Vec<u8> {
     let mut w = Writer::new();
-    w.u32(tape.cores()).u64(tape.records().len() as u64);
-    for record in tape.records() {
-        w.u64(record.bits());
+    w.u32(tape.cores()).u64(tape.len() as u64);
+    for i in 0..tape.len() {
+        w.u64(pack(tape.event(i)));
     }
-    let (endurance, dram) = tape.packed_streams();
-    encode_packed(&mut w, endurance);
-    encode_packed(&mut w, dram);
+    encode_blocks(&mut w, tape.wear_blocks());
+    encode_blocks(&mut w, tape.dram_blocks());
     encode_stats(&mut w, tape.stats());
     w.into_bytes()
 }
 
 /// Decodes a tape payload, or `None` when it does not parse exactly —
 /// the caller falls back to re-recording the functional pass.
+///
+/// Total on arbitrary bytes, and the tape it returns replays without
+/// panicking: every record must name a core below the tape's core
+/// count, and the side-stream entries the records' flags claim must sum
+/// to exactly the decoded stream lengths.
 pub fn decode_tape(payload: &[u8]) -> Option<OutcomeTape> {
-    fn parse(r: &mut Reader<'_>) -> Result<OutcomeTape, WireError> {
+    fn parse(r: &mut Reader<'_>, max_events: usize) -> Result<OutcomeTape, WireError> {
         let cores = r.u32()?;
         let n = usize::try_from(r.u64()?).map_err(|_| WireError)?;
-        // Grow as records actually decode: a corrupt length then fails
-        // on its first missing byte instead of pre-allocating for it.
-        let mut records = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            records.push(EventRecord::from_bits(r.u64()?));
+        if n > max_events {
+            return Err(WireError);
         }
-        let endurance_blocks = decode_packed(r)?;
-        let dram_blocks = decode_packed(r)?;
+        let mut gaps = Vec::with_capacity(n);
+        let mut core_lane = Vec::with_capacity(n);
+        let mut flags = Vec::with_capacity(n);
+        let (mut wear_len, mut dram_len) = (0usize, 0usize);
+        for _ in 0..n {
+            let event = unpack(r.u64()?).ok_or(WireError)?;
+            if u32::from(event.core) >= cores {
+                return Err(WireError);
+            }
+            let (wear, dram) = event.side_counts();
+            wear_len += wear;
+            dram_len += dram;
+            gaps.push(event.gap);
+            core_lane.push(event.core);
+            flags.push(event.flags);
+        }
+        let wear_blocks = decode_blocks(r)?;
+        let dram_blocks = decode_blocks(r)?;
+        if wear_blocks.len() != wear_len || dram_blocks.len() != dram_len {
+            return Err(WireError);
+        }
         let stats = decode_stats(r)?;
-        Ok(OutcomeTape::from_parts(
-            records,
-            endurance_blocks,
+        Ok(OutcomeTape::from_lanes(
+            gaps,
+            core_lane,
+            flags,
+            wear_blocks,
             dram_blocks,
             stats,
             cores,
         ))
     }
     let mut r = Reader::new(payload);
-    let tape = parse(&mut r).ok()?;
+    // Each record takes eight bytes, which bounds the lane allocation by
+    // the payload size.
+    let tape = parse(&mut r, payload.len() / 8).ok()?;
     r.is_exhausted().then_some(tape)
 }
 
@@ -365,8 +451,13 @@ mod tests {
         assert_eq!(decoded.cores(), tape.cores());
         assert_eq!(decoded.stats(), tape.stats());
         assert_eq!(decoded.len(), tape.len());
-        assert!(decoded.endurance_blocks().eq(tape.endurance_blocks()));
-        assert!(decoded.dram_blocks().eq(tape.dram_blocks()));
+        assert_eq!(decoded.gaps(), tape.gaps());
+        assert_eq!(decoded.core_lane(), tape.core_lane());
+        assert_eq!(decoded.flags(), tape.flags());
+        assert_eq!(decoded.wear_blocks(), tape.wear_blocks());
+        assert_eq!(decoded.dram_blocks(), tape.dram_blocks());
+        assert_eq!(decoded.present_cores(), tape.present_cores());
+        assert_eq!(decoded.bytes(), tape.bytes());
         // The decisive check: replaying the decoded tape reproduces the
         // original run bit for bit.
         assert_eq!(system.replay(&decoded), system.run(&trace));
@@ -381,6 +472,134 @@ mod tests {
         padded.push(0);
         assert!(decode_tape(&padded).is_none());
         assert!(decode_tape(&[]).is_none());
+    }
+
+    #[test]
+    fn packed_records_round_trip_every_field() {
+        use crate::tape::Outcome;
+        let events = [
+            TapeEvent::new(0, 7, false),
+            TapeEvent::new(3, 0xDEAD_BEEF, true)
+                .with_outcome(Outcome::LlcMiss)
+                .with_l1_writeback_llc_write()
+                .with_l2_writeback_llc_write()
+                .with_prefetch_evict_llc_write()
+                .with_prefetch_llc_fill()
+                .with_llc_filled(),
+            TapeEvent::new(255, u32::MAX, true).with_outcome(Outcome::L2Hit),
+        ];
+        for event in events {
+            let bits = pack(event);
+            assert_eq!(bits as u32, event.gap_instructions());
+            assert_eq!((bits >> 32) as u8 as usize, event.core());
+            assert_eq!(unpack(bits), Some(event));
+        }
+        // Bits above the flag byte are never written, so never accepted.
+        assert_eq!(unpack(1 << 48), None);
+    }
+
+    fn blocks_round_trip(blocks: &[u64]) -> (Vec<u8>, Vec<u64>) {
+        let mut w = Writer::new();
+        encode_blocks(&mut w, blocks);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let back = decode_blocks(&mut r).unwrap();
+        assert!(r.is_exhausted());
+        (bytes, back)
+    }
+
+    #[test]
+    fn varint_streams_round_trip_adversarial_sequences() {
+        let sequences: [&[u64]; 5] = [
+            &[],
+            &[0],
+            &[u64::MAX, 0, u64::MAX, 1, u64::MAX - 1],
+            &[7, 7, 7, 7],
+            &[1 << 63, (1 << 63) - 1, 42, 0, u64::MAX],
+        ];
+        for seq in sequences {
+            assert_eq!(blocks_round_trip(seq).1, seq);
+        }
+    }
+
+    #[test]
+    fn varint_streams_compact_local_streams() {
+        // Block addresses hopping inside a working set: deltas fit one or
+        // two varint bytes instead of eight.
+        let blocks: Vec<u64> = (0..10_000u64)
+            .map(|i| (1 << 30) | ((i * 37) % 4096))
+            .collect();
+        let (bytes, back) = blocks_round_trip(&blocks);
+        assert!(bytes.len() * 3 < blocks.len() * 8);
+        assert_eq!(back, blocks);
+    }
+
+    #[test]
+    fn varint_stream_decode_rejects_malformed_streams() {
+        let malformed = |bytes: &[u8], len: u64, last: u64| {
+            let mut w = Writer::new();
+            w.bytes(bytes).u64(len).u64(last);
+            let payload = w.into_bytes();
+            decode_blocks(&mut Reader::new(&payload)).is_err()
+        };
+        // An eleven-byte varint overflows 64 bits.
+        assert!(malformed(&[0xFF; 11], 1, 0));
+        // A count the bytes cannot hold, and a continuation off the end.
+        assert!(malformed(&[1], 2, 0));
+        assert!(malformed(&[0x81], 1, 0));
+        // Leftover bytes, and a last address the stream disagrees with.
+        assert!(malformed(&[2, 2], 1, 1));
+        assert!(malformed(&[2], 1, 7));
+        assert!(!malformed(&[2], 1, 1));
+    }
+
+    /// Arbitrary store bytes must never panic a worker: every single-byte
+    /// mutation of a valid tape either fails to decode or replays through
+    /// a batch that mixes every kernel — the simple bank, an endurance
+    /// tracker, detailed DRAM with blocking writes, and port contention.
+    #[test]
+    fn mutated_tape_payloads_decode_to_none_or_replay_cleanly() {
+        use crate::config::LlcWritePolicy;
+        let trace = workloads::by_name("ft").unwrap().generate(11, 150);
+        let config = || {
+            ArchConfig::gainestown(nvm_llc_circuit::reference::sram_baseline()).with_l2_prefetch()
+        };
+        let systems = [
+            System::new(config()),
+            System::new(config()).with_endurance_tracking(WearPolicy::RotateXor { period: 7 }),
+            System::new(
+                config()
+                    .with_detailed_dram()
+                    .with_llc_write_policy(LlcWritePolicy::Blocking),
+            ),
+            System::new(config().with_llc_write_policy(LlcWritePolicy::PortContention)),
+        ];
+        let refs: Vec<&System> = systems.iter().collect();
+        let valid = encode_tape(&systems[0].record(&trace));
+        assert!(valid.len() > 1_000);
+        // splitmix64: a fixed seed, so any failure reproduces.
+        let mut state = 0x5EED_u64;
+        let mut next_byte = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % 255 + 1) as u8
+        };
+        let mut replayed = 0;
+        for i in 0..valid.len() {
+            let mut payload = valid.clone();
+            payload[i] ^= next_byte();
+            // A tape of another core count is rejected by the tape
+            // cache's own check before it reaches a replay.
+            if let Some(tape) = decode_tape(&payload).filter(|t| t.cores() == 4) {
+                assert_eq!(System::replay_batch(&refs, &tape).len(), systems.len());
+                replayed += 1;
+            }
+        }
+        // Gap and counter bytes carry no structure, so plenty of
+        // mutations still decode and must replay.
+        assert!(replayed > 0);
     }
 
     #[test]
@@ -473,6 +692,36 @@ mod tests {
                     result=dab4d6cc8671889ee5ce0488db612df7 \
                     route=0b7521ed755edbaa163a8b8fcbe26ef7";
         assert_eq!(got, want, "persistent key derivation moved");
+    }
+
+    /// Golden-payload regression pin: the store bytes of one fixed tape
+    /// and one fixed result, frozen at `MODEL_VERSION` 2. The tape is
+    /// recorded twice — the golden-key sample and a four-thread,
+    /// prefetching one, so every side-event flag and several cores reach
+    /// the wire. Stores written by earlier builds read back only while
+    /// these digests hold.
+    #[test]
+    fn golden_payloads_pin_model_version_2_wire_format() {
+        use crate::policy::PolicyKind;
+        let trace = sample_trace();
+        let system = sample_system().with_replacement(PolicyKind::Srrip);
+        let tape = system.record(&trace);
+        let threaded = workloads::by_name("ft").unwrap().generate(7, 600);
+        let prefetching = System::new(
+            ArchConfig::gainestown(nvm_llc_circuit::reference::sram_baseline()).with_l2_prefetch(),
+        )
+        .with_warmup(0.25);
+        let digest = |bytes: &[u8]| format!("{:016x}", nvm_llc_store::fnv1a64(bytes));
+        let got = format!(
+            "tape={} threaded_tape={} result={}",
+            digest(&encode_tape(&tape)),
+            digest(&encode_tape(&prefetching.record(&threaded))),
+            digest(&encode_result(&system.replay(&tape))),
+        );
+        let want = "tape=90c7f9832afd8800 \
+                    threaded_tape=b0771a32aa586843 \
+                    result=05afe9d1b810e006";
+        assert_eq!(got, want, "persistent payload format moved");
     }
 
     #[test]

@@ -16,13 +16,9 @@
 //! Cells share work at two levels. All technologies whose functional
 //! geometry matches (the whole fixed-capacity matrix, for instance) run
 //! Phase A once per workload via [`crate::tape::cache`]. On top of that,
-//! the **batched replay path** ([`System::replay_batch`], the default —
-//! see [`Evaluator::batched`]) decodes that shared tape once and drives
-//! every technology's timing engine over the single decoded stream, so a
-//! warm fixed-capacity matrix costs one decode + N cheap timing
-//! applications per workload instead of N full replays. Singleton groups
-//! (and `batched(false)` evaluators) take the per-technology
-//! [`System::run_cached`] reference path.
+//! every group — singletons included — replays in one
+//! [`System::replay_batch`] pass that drives all of its technologies'
+//! timing engines over the shared tape's lanes.
 //!
 //! With a persistent store attached ([`Evaluator::store`], or the
 //! process-wide [`crate::persist::set_global_store`]) two more tiers
@@ -205,7 +201,6 @@ pub struct Evaluator {
     cores: Option<u32>,
     warmup: f64,
     threads: Option<usize>,
-    batched: bool,
     tape_cache_bytes: Option<u64>,
     store: Option<Arc<Store>>,
     policy: Option<PolicyKind>,
@@ -222,7 +217,6 @@ impl Evaluator {
             cores: None,
             warmup: DEFAULT_WARMUP,
             threads: None,
-            batched: true,
             tape_cache_bytes: None,
             store: None,
             policy: None,
@@ -267,15 +261,6 @@ impl Evaluator {
     /// threads are spawned). Takes precedence over [`THREADS_ENV`].
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Enables or disables the batched replay path (default on). When
-    /// off, every cell takes the per-technology [`System::run_cached`]
-    /// reference path — useful for benchmarking the batching itself;
-    /// results are bit-identical either way.
-    pub fn batched(mut self, batched: bool) -> Self {
-        self.batched = batched;
         self
     }
 
@@ -375,7 +360,7 @@ impl Evaluator {
     /// technology) and are grouped by outcome-tape key — all
     /// technologies sharing a workload's functional geometry *and*
     /// policy form one group, replayed in a single batched pass over one
-    /// decoded tape ([`System::replay_batch`]) — and the groups are
+    /// tape ([`System::replay_batch`]) — and the groups are
     /// distributed over [`Evaluator::effective_threads`] scoped workers
     /// pulling group indices from an atomic queue. Distinct policies
     /// never share a tape (the policy is part of [`TapeKey`]), but their
@@ -384,8 +369,7 @@ impl Evaluator {
     /// independent deterministic computation over a shared
     /// [`Arc<Trace>`], and results land in a slot vector indexed by
     /// cell, so the output is bit-identical to the serial path
-    /// regardless of worker count, scheduling, or whether batching is
-    /// enabled.
+    /// regardless of worker count or scheduling.
     pub fn run_matrix(
         &self,
         workloads: &[WorkloadProfile],
@@ -451,49 +435,30 @@ impl Evaluator {
 
         // Work items: per (policy, workload), the still-unserved
         // technology columns grouped by tape key (insertion-ordered, so
-        // scheduling stays deterministic). With batching off every
-        // column is its own singleton group.
+        // scheduling stays deterministic).
         let mut groups: Vec<(usize, usize, Vec<usize>)> = Vec::new();
         for pi in 0..policies.len() {
             for (wi, trace) in traces.iter().enumerate() {
-                if self.batched {
-                    let mut by_key: Vec<(TapeKey, Vec<usize>)> = Vec::new();
-                    for mi in 0..width {
-                        if !pending(pi, wi, mi) {
-                            continue;
-                        }
-                        let key = system(pi, mi).tape_key(trace);
-                        match by_key.iter_mut().find(|(k, _)| *k == key) {
-                            Some((_, cols)) => cols.push(mi),
-                            None => by_key.push((key, vec![mi])),
-                        }
+                let mut by_key: Vec<(TapeKey, Vec<usize>)> = Vec::new();
+                for mi in 0..width {
+                    if !pending(pi, wi, mi) {
+                        continue;
                     }
-                    groups.extend(by_key.into_iter().map(|(_, cols)| (pi, wi, cols)));
-                } else {
-                    groups.extend(
-                        (0..width)
-                            .filter(|&mi| pending(pi, wi, mi))
-                            .map(|mi| (pi, wi, vec![mi])),
-                    );
+                    let key = system(pi, mi).tape_key(trace);
+                    match by_key.iter_mut().find(|(k, _)| *k == key) {
+                        Some((_, cols)) => cols.push(mi),
+                        None => by_key.push((key, vec![mi])),
+                    }
                 }
+                groups.extend(by_key.into_iter().map(|(_, cols)| (pi, wi, cols)));
             }
         }
 
-        // Singleton groups take the per-technology reference path;
-        // larger ones fetch the shared tape once and batch-replay it.
-        // Either way the tape fetch goes through the persistent middle
-        // tier when a store is attached, and freshly computed results
-        // are written back (best-effort — a full disk never fails a
-        // run).
+        // Each group fetches its shared tape once and batch-replays it.
+        // The tape fetch goes through the persistent middle tier when a
+        // store is attached, and freshly computed results are written
+        // back (best-effort — a full disk never fails a run).
         let run_group = |pi: usize, wi: usize, cols: &[usize]| -> Vec<SimResult> {
-            if let [mi] = cols {
-                let tape = crate::tape::cache::fetch_with_store(
-                    system(pi, *mi),
-                    &traces[wi],
-                    store.as_ref(),
-                );
-                return vec![system(pi, *mi).replay(&tape)];
-            }
             let group: Vec<&System> = cols.iter().map(|&mi| system(pi, mi)).collect();
             let tape = crate::tape::cache::fetch_with_store(group[0], &traces[wi], store.as_ref());
             System::replay_batch(&group, &tape)
@@ -645,6 +610,28 @@ mod tests {
         assert!(row.entries.iter().all(|e| e.speedup <= best_s.speedup));
     }
 
+    /// Every cell of `row` equals the fused [`System::run`] of its
+    /// technology on a freshly generated copy of the row's trace.
+    fn assert_row_matches_fused_runs(
+        row: &MatrixRow,
+        w: &WorkloadProfile,
+        models: &[LlcModel],
+        base_accesses: usize,
+    ) {
+        let trace = w.generate(DEFAULT_SEED, w.scaled_accesses(base_accesses));
+        for model in models {
+            let direct = System::new(ArchConfig::gainestown(model.clone()))
+                .with_warmup(DEFAULT_WARMUP)
+                .run(&trace);
+            let cell = if model.name == "SRAM" {
+                &row.baseline
+            } else {
+                &row.entry(&model.name).expect("row covers model").result
+            };
+            assert_eq!(&direct, cell, "{} on {}", model.name, row.workload);
+        }
+    }
+
     #[test]
     fn batched_and_per_technology_paths_are_bit_identical() {
         let ws: Vec<_> = ["tonto", "leela"]
@@ -652,8 +639,9 @@ mod tests {
             .map(|n| workloads::by_name(n).unwrap())
             .collect();
         let batched = small_evaluator().run_all(&ws);
-        let per_tech = small_evaluator().batched(false).run_all(&ws);
-        assert_eq!(batched, per_tech);
+        for (row, w) in batched.iter().zip(&ws) {
+            assert_row_matches_fused_runs(row, w, &reference::fixed_capacity(), 8_000);
+        }
     }
 
     #[test]
@@ -663,13 +651,16 @@ mod tests {
         // result must not depend on that split.
         let models = reference::fixed_area();
         let baseline = reference::by_name(&models, "SRAM").unwrap();
-        let nvms: Vec<_> = models.into_iter().filter(|m| m.name != "SRAM").collect();
-        let make = || Evaluator::new(baseline.clone(), nvms.clone()).base_accesses(6_000);
+        let nvms: Vec<_> = models
+            .iter()
+            .filter(|m| m.name != "SRAM")
+            .cloned()
+            .collect();
         let w = workloads::by_name("gobmk").unwrap();
-        assert_eq!(
-            make().run_workload(&w),
-            make().batched(false).run_workload(&w)
-        );
+        let row = Evaluator::new(baseline, nvms)
+            .base_accesses(6_000)
+            .run_workload(&w);
+        assert_row_matches_fused_runs(&row, &w, &models, 6_000);
     }
 
     #[test]

@@ -12,13 +12,14 @@
 //! [`System::functional_walk`], depending only on trace + geometry) and a
 //! **timing/energy** half ([`TimingEngine`], applying one technology's
 //! latencies, port contention, ROB/MSHR overlap, DRAM model, and energy).
-//! [`System::run`] fuses the two in a single pass; [`System::record`]
-//! captures the functional half as an [`OutcomeTape`] that
-//! [`System::replay`] can re-time for any technology sharing the
-//! geometry. Both paths drive the *same* `TimingEngine` code over the
-//! same event sequence, so replayed results are bit-identical to direct
-//! runs by construction. [`System::run_cached`] memoizes tapes
-//! process-wide via [`crate::tape::cache`].
+//! [`System::run`] fuses the two in a single pass and is the oracle;
+//! [`System::record`] captures the functional half as an
+//! [`OutcomeTape`] that [`System::replay_batch`] re-times for every
+//! technology sharing the geometry. Replay runs two timing kernels:
+//! `TimingEngine::apply`, the same code the fused pass drives, and
+//! `SimpleBank`, which re-times the dominant configuration class in
+//! blocks of engines and is bit-identical to `apply` lane by lane.
+//! [`crate::tape::cache`] memoizes tapes process-wide.
 //!
 //! ## Modeling decisions (and where they come from)
 //!
@@ -44,8 +45,6 @@
 //!   mostly partition their data; the paper's metrics are LLC-centric).
 //!   Instruction fetch is assumed to hit the L1I.
 
-use std::sync::Arc;
-
 use nvm_llc_cell::units::{Joules, Seconds};
 use nvm_llc_trace::{AccessKind, Trace};
 
@@ -54,7 +53,7 @@ use crate::config::{ArchConfig, LlcWritePolicy};
 use crate::dram::Dram;
 use crate::endurance::{EnduranceTracker, WearPolicy};
 use crate::result::{SimResult, SimStats};
-use crate::tape::{DecodedEvent, EventRecord, Outcome, OutcomeTape, SideEvents, TapeKey};
+use crate::tape::{Outcome, OutcomeTape, SideEvents, TapeEvent, TapeKey, REPLAY_CHUNK_EVENTS};
 use crate::techniques::DeadBlockPredictor;
 
 /// Fraction of the LLC read-hit latency a load exposes to the critical
@@ -87,10 +86,10 @@ struct TimingLane {
 
 /// The timing/energy half of the simulator: applies one technology's
 /// cycle latencies, port contention, ROB/MSHR miss overlap, and DRAM
-/// model to a stream of functional [`EventRecord`]s.
+/// model to a stream of functional [`TapeEvent`]s.
 ///
-/// The fused [`System::run`] and the tape-driven [`System::replay`] both
-/// feed [`TimingEngine::apply`] the same records in the same order, so
+/// The fused [`System::run`] and the tape-driven [`System::replay_batch`]
+/// feed [`TimingEngine::apply`] the same events in the same order, so
 /// the two paths execute literally the same floating-point operation
 /// sequence — bit-identical results are structural, not coincidental.
 #[derive(Debug)]
@@ -146,17 +145,17 @@ impl TimingEngine {
     /// Applies one event's timing. `wear` and `dram_blocks` are cursors
     /// over the event stream's side arrays; the event's flags determine
     /// exactly how many entries each consumes, so a single running
-    /// iterator serves a whole tape.
+    /// cursor serves a whole tape.
     ///
-    /// Every path — the fused [`System::run`], the per-technology
-    /// [`System::replay`], and the batched [`System::replay_batch`] —
-    /// funnels through this one function, so their floating-point
-    /// operation sequences are literally identical.
+    /// The fused [`System::run`] and every engine of
+    /// [`System::replay_batch`] outside the [`SimpleBank`] funnel through
+    /// this one function, so their floating-point operation sequences
+    /// are literally identical.
     fn apply(
         &mut self,
-        rec: DecodedEvent,
-        wear: &mut impl Iterator<Item = u64>,
-        dram_blocks: &mut impl Iterator<Item = u64>,
+        rec: TapeEvent,
+        wear: &mut std::slice::Iter<'_, u64>,
+        dram_blocks: &mut std::slice::Iter<'_, u64>,
         endurance: &mut Option<EnduranceTracker>,
     ) {
         let lane = &mut self.lanes[rec.core()];
@@ -209,7 +208,7 @@ impl TimingEngine {
         }
         if rec.prefetch_llc_fill() {
             record_wear(endurance, wear);
-            let next = dram_blocks.next().expect("tape DRAM stream underrun");
+            let next = *dram_blocks.next().expect("tape DRAM stream underrun");
             if let Some(dram) = self.dram.as_mut() {
                 let _ = dram.access(next, lane.cycles);
             }
@@ -235,7 +234,7 @@ impl TimingEngine {
         if rec.llc_filled() {
             record_wear(endurance, wear);
         }
-        let block = dram_blocks.next().expect("tape DRAM stream underrun");
+        let block = *dram_blocks.next().expect("tape DRAM stream underrun");
         if !rec.is_write() {
             // ROB-bounded overlap: the first miss of a cluster pays
             // the full path (tag check + DRAM); misses within one ROB
@@ -276,151 +275,50 @@ impl TimingEngine {
         }
     }
 
-    /// Whether [`Self::apply_chunk_simple`] computes exactly what
-    /// [`Self::apply`] would for this engine: with off-critical-path LLC
-    /// writes every `write_timing` call is a no-op, and with the analytic
-    /// DRAM model no side-stream *value* is ever read — `record_wear`
-    /// and the DRAM cursor only advance position (which the chunk bases
-    /// pre-encode), so the whole side machinery drops out. The caller
-    /// must additionally check that no endurance tracker is attached.
-    fn chunk_kernel_is_simple(&self) -> bool {
+    /// Whether [`SimpleBank`] computes exactly what [`Self::apply`] would
+    /// for this engine: with off-critical-path LLC writes every
+    /// `write_timing` call is a no-op, and with the analytic DRAM model no
+    /// side-stream *value* is ever read, so the whole side machinery
+    /// drops out. The caller must additionally check that no endurance
+    /// tracker is attached.
+    fn is_simple(&self) -> bool {
         self.write_policy == LlcWritePolicy::OffCriticalPath && self.dram.is_none()
-    }
-
-    /// One chunk of the batched replay for the simple configuration
-    /// class (see [`Self::chunk_kernel_is_simple`]): a branch-light pass
-    /// over the decoded lanes of [`crate::tape::DecodedTape`].
-    ///
-    /// Bit-identical to feeding the same events through [`Self::apply`]:
-    /// the per-event floating-point additions happen in the same order on
-    /// the same values — `gaps_f[i]` is the exact `f64` of the `u32` gap,
-    /// and the hoisted per-event constants (`llc_read_cycles *
-    /// LLC_HIT_EXPOSURE`, `llc_tag_cycles + dram_cycles`) are the very
-    /// products/sums `apply` recomputes identically per event.
-    fn apply_chunk_simple(&mut self, gaps: &[u32], gaps_f: &[f64], cores: &[u8], flags: &[u8]) {
-        debug_assert!(self.chunk_kernel_is_simple());
-        debug_assert_eq!(gaps.len(), gaps_f.len());
-        debug_assert_eq!(gaps.len(), cores.len());
-        debug_assert_eq!(gaps.len(), flags.len());
-        let base_cpi = self.base_cpi;
-        let l2_cycles = self.l2_cycles;
-        let llc_hit_cycles = self.llc_read_cycles * LLC_HIT_EXPOSURE;
-        let miss_open_cycles = self.llc_tag_cycles + self.dram_cycles;
-        let transfer_cycles = self.dram_transfer_cycles;
-        let (rob, mshrs) = (self.rob, self.mshrs);
-        if let [lane] = self.lanes.as_mut_slice() {
-            // Single-core tape: the lane state lives in registers for the
-            // whole chunk instead of round-tripping through memory.
-            let (mut cycles, mut instructions, mut shadow_end, mut shadow_misses) = (
-                lane.cycles,
-                lane.instructions,
-                lane.miss_shadow_end,
-                lane.shadow_misses,
-            );
-            for ((&gap, &gap_f), &flag) in gaps.iter().zip(gaps_f).zip(flags) {
-                let ev = DecodedEvent {
-                    gap,
-                    core: 0,
-                    flags: flag,
-                };
-                cycles += gap_f * base_cpi + base_cpi;
-                instructions += u64::from(gap) + 1;
-                match ev.outcome() {
-                    Outcome::L1Hit => {}
-                    Outcome::L2Hit => {
-                        if !ev.is_write() {
-                            cycles += l2_cycles;
-                        }
-                    }
-                    Outcome::LlcHit => {
-                        if !ev.is_write() {
-                            cycles += llc_hit_cycles;
-                        }
-                    }
-                    Outcome::LlcMiss => {
-                        if !ev.is_write() {
-                            if instructions >= shadow_end || shadow_misses >= mshrs {
-                                cycles += miss_open_cycles;
-                                shadow_end = instructions + rob;
-                                shadow_misses = 1;
-                            } else {
-                                cycles += transfer_cycles;
-                                shadow_misses += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            lane.cycles = cycles;
-            lane.instructions = instructions;
-            lane.miss_shadow_end = shadow_end;
-            lane.shadow_misses = shadow_misses;
-        } else {
-            for (((&gap, &gap_f), &flag), &core) in gaps.iter().zip(gaps_f).zip(flags).zip(cores) {
-                let ev = DecodedEvent {
-                    gap,
-                    core,
-                    flags: flag,
-                };
-                let lane = &mut self.lanes[usize::from(core)];
-                lane.cycles += gap_f * base_cpi + base_cpi;
-                lane.instructions += u64::from(gap) + 1;
-                match ev.outcome() {
-                    Outcome::L1Hit => {}
-                    Outcome::L2Hit => {
-                        if !ev.is_write() {
-                            lane.cycles += l2_cycles;
-                        }
-                    }
-                    Outcome::LlcHit => {
-                        if !ev.is_write() {
-                            lane.cycles += llc_hit_cycles;
-                        }
-                    }
-                    Outcome::LlcMiss => {
-                        if !ev.is_write() {
-                            if lane.instructions >= lane.miss_shadow_end
-                                || lane.shadow_misses >= mshrs
-                            {
-                                lane.cycles += miss_open_cycles;
-                                lane.miss_shadow_end = lane.instructions + rob;
-                                lane.shadow_misses = 1;
-                            } else {
-                                lane.cycles += transfer_cycles;
-                                lane.shadow_misses += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 
-/// All simple single-lane engines of one batched replay, restructured as
-/// parallel per-engine constant and state lanes so a chunk pass updates
-/// every engine per event with one outcome dispatch and a handful of
+/// Every simple engine of one batched replay ([`TimingEngine::is_simple`]
+/// with no endurance tracker), restructured as parallel per-engine
+/// constant and state lanes so a chunk pass updates a whole block of
+/// engines per event with one outcome dispatch and a handful of
 /// vectorizable inner loops.
 ///
 /// Rationale: a lone engine's chunk pass is bound by per-event overhead
 /// (outcome dispatch plus the serial `cycles` dependency chain), so
-/// running the bank engine-by-engine pays that bound once per engine per
-/// event. Event-major over engine lanes pays the dispatch once per event
-/// for the whole bank, and the per-engine `cycles += gap_f * cpi[k] +
-/// cpi[k]` updates are independent across `k` — a straight-line FMA loop
-/// the compiler can vectorize.
+/// running engine by engine pays that bound once per engine per event.
+/// Event-major over engine lanes pays the dispatch once per event for the
+/// whole block, and the per-engine `cycles += gap * cpi[k] + cpi[k]`
+/// updates are independent across `k` — a straight-line loop the
+/// compiler can vectorize.
 ///
-/// Bit-identity with [`TimingEngine::apply`] holds per engine: each
-/// engine's floating-point additions happen in the same order on the
-/// same values (vector lanes never reassociate within one engine's
-/// chain). The single `instructions` counter is sound because the
-/// instruction count is tape-derived — identical across every
-/// single-lane engine — and each engine's shadow-window test reads it at
-/// the same point `apply` would.
+/// Multi-core tapes run one pass per core present on the tape: each pass
+/// loads that core's timing lane of every engine and skips the other
+/// cores' events. This is sound because a simple engine's lanes share no
+/// state — no ports, no DRAM queue, no tracker — so a lane's update
+/// depends only on its own core's events, in trace order.
+///
+/// Bit-identity with [`TimingEngine::apply`] then holds per engine and
+/// lane: each lane's floating-point additions happen in the same order on
+/// the same values (vector lanes never reassociate within one engine's
+/// chain, and `u32 → f64` is exact). The per-core `instructions` counter
+/// is shared by all engines because it is tape-derived — identical for
+/// every engine — and each engine's shadow-window test reads it at the
+/// same point `apply` would.
+#[derive(Default)]
 struct SimpleBank {
     /// Slot of each bank member in the caller's engine vector.
     slots: Vec<usize>,
-    // Per-engine hoisted constants, in `slots` order.
+    // Per-engine hoisted constants, in `slots` order, padded to a
+    // multiple of four.
     cpi: Vec<f64>,
     l2_cycles: Vec<f64>,
     llc_hit_cycles: Vec<f64>,
@@ -428,132 +326,123 @@ struct SimpleBank {
     transfer_cycles: Vec<f64>,
     rob: Vec<u64>,
     mshrs: Vec<u32>,
-    // Per-engine lane state, in `slots` order.
+    /// The cores present on the tape.
+    cores: Vec<u8>,
+    // Lane state, core-major: entry `c * width + k` is engine `k`'s
+    // timing lane for `cores[c]`.
     cycles: Vec<f64>,
     shadow_end: Vec<u64>,
     shadow_misses: Vec<u32>,
-    /// Shared instruction counter (identical for every member).
-    instructions: u64,
+    /// Instruction count per present core (identical for every member).
+    instructions: Vec<u64>,
 }
 
 impl SimpleBank {
-    /// Collects every engine that can run in the bank: the simple
-    /// configuration class ([`TimingEngine::chunk_kernel_is_simple`]),
-    /// no endurance tracker, and a single-core tape
-    /// ([`DecodedTape::is_single_core`]) so only timing lane 0 is ever
-    /// touched — which is also what makes the shared instruction
-    /// counter sound. `single_core` false yields an empty bank.
-    fn gather(bank: &[(TimingEngine, Option<EnduranceTracker>)], single_core: bool) -> SimpleBank {
-        let mut this = SimpleBank {
-            slots: Vec::new(),
-            cpi: Vec::new(),
-            l2_cycles: Vec::new(),
-            llc_hit_cycles: Vec::new(),
-            miss_open_cycles: Vec::new(),
-            transfer_cycles: Vec::new(),
-            rob: Vec::new(),
-            mshrs: Vec::new(),
-            cycles: Vec::new(),
-            shadow_end: Vec::new(),
-            shadow_misses: Vec::new(),
-            instructions: 0,
-        };
-        if !single_core {
-            return this;
-        }
-        for (slot, (engine, tracker)) in bank.iter().enumerate() {
-            if !(engine.chunk_kernel_is_simple() && tracker.is_none()) {
-                continue;
-            }
-            this.slots.push(slot);
-            this.cpi.push(engine.base_cpi);
-            this.l2_cycles.push(engine.l2_cycles);
-            this.llc_hit_cycles
-                .push(engine.llc_read_cycles * LLC_HIT_EXPOSURE);
-            this.miss_open_cycles
-                .push(engine.llc_tag_cycles + engine.dram_cycles);
-            this.transfer_cycles.push(engine.dram_transfer_cycles);
-            this.rob.push(engine.rob);
-            this.mshrs.push(engine.mshrs);
-            let lane = &engine.lanes[0];
-            this.cycles.push(lane.cycles);
-            this.shadow_end.push(lane.miss_shadow_end);
-            this.shadow_misses.push(lane.shadow_misses);
-            this.instructions = lane.instructions;
-        }
-        // Pad to a multiple of the narrowest block width with inert
-        // lanes (all-zero constants keep their cycles at `0.0 +
-        // gap_f * 0.0 + 0.0` forever) so [`Self::apply_chunk`] can run
-        // exact constant-width blocks: one wide pass beats several
-        // narrow ones because the per-event scaffolding (flag decode,
+    /// Collects every engine that can run in the bank, for the cores
+    /// `present` on the tape.
+    fn gather(bank: &[(TimingEngine, Option<EnduranceTracker>)], present: &[u8]) -> SimpleBank {
+        let members: Vec<usize> = (0..bank.len())
+            .filter(|&slot| bank[slot].0.is_simple() && bank[slot].1.is_none())
+            .collect();
+        // Pad to a multiple of the narrowest block width with inert lanes
+        // (all-zero constants keep their cycles at `0.0 + gap * 0.0 +
+        // 0.0` forever) so [`Self::apply_chunk`] runs exact
+        // constant-width blocks: one wide pass beats several narrow ones
+        // because the per-event scaffolding (core filter, flag decode,
         // class dispatch) is paid per pass, not per lane.
-        while !this.cycles.len().is_multiple_of(4) {
-            this.cpi.push(0.0);
-            this.l2_cycles.push(0.0);
-            this.llc_hit_cycles.push(0.0);
-            this.miss_open_cycles.push(0.0);
-            this.transfer_cycles.push(0.0);
-            this.rob.push(0);
-            this.mshrs.push(0);
-            this.cycles.push(0.0);
-            this.shadow_end.push(0);
-            this.shadow_misses.push(0);
+        let width = members.len().next_multiple_of(4);
+        let engine = |k: usize| members.get(k).map(|&slot| &bank[slot].0);
+        let mut this = SimpleBank {
+            cores: present.to_vec(),
+            ..SimpleBank::default()
+        };
+        for k in 0..width {
+            let e = engine(k);
+            this.cpi.push(e.map_or(0.0, |e| e.base_cpi));
+            this.l2_cycles.push(e.map_or(0.0, |e| e.l2_cycles));
+            this.llc_hit_cycles
+                .push(e.map_or(0.0, |e| e.llc_read_cycles * LLC_HIT_EXPOSURE));
+            this.miss_open_cycles
+                .push(e.map_or(0.0, |e| e.llc_tag_cycles + e.dram_cycles));
+            this.transfer_cycles
+                .push(e.map_or(0.0, |e| e.dram_transfer_cycles));
+            this.rob.push(e.map_or(0, |e| e.rob));
+            this.mshrs.push(e.map_or(0, |e| e.mshrs));
         }
+        for &core in present {
+            let lane = |k: usize| engine(k).map(|e| &e.lanes[usize::from(core)]);
+            for k in 0..width {
+                this.cycles.push(lane(k).map_or(0.0, |l| l.cycles));
+                this.shadow_end
+                    .push(lane(k).map_or(0, |l| l.miss_shadow_end));
+                this.shadow_misses
+                    .push(lane(k).map_or(0, |l| l.shadow_misses));
+            }
+            this.instructions
+                .push(lane(0).map_or(0, |l| l.instructions));
+        }
+        this.slots = members;
         this
     }
 
-    /// Advances every bank member over one chunk of decoded lanes.
+    /// Advances every bank member over one chunk of tape lanes.
     ///
-    /// Members run in constant-width blocks (widest available first):
-    /// a compile-time width fully unrolls the per-engine loops and
-    /// keeps the block state in registers or compile-time stack slots,
-    /// which a dynamic-width loop over the backing vectors never
-    /// achieves. The bank is padded to a multiple of four, so only the
-    /// 4/8/12/16 instantiations exist; each block streams the whole
-    /// chunk, which stays resident in L1 across blocks.
-    fn apply_chunk(&mut self, gaps: &[u32], gaps_f: &[f64], flags: &[u8]) {
-        debug_assert_eq!(gaps.len(), gaps_f.len());
-        debug_assert_eq!(gaps.len(), flags.len());
-        if self.slots.is_empty() {
+    /// Per present core, members run in constant-width blocks (widest
+    /// first): a compile-time width fully unrolls the per-engine loops
+    /// and keeps the block state in registers or stack slots, which a
+    /// dynamic-width loop over the backing vectors never achieves. The
+    /// bank is padded to a multiple of four, so only the 4/8/12/16
+    /// instantiations exist; each block streams the whole chunk, which
+    /// stays resident in L1 across blocks and cores.
+    fn apply_chunk(&mut self, gaps: &[u32], cores: &[u8], flags: &[u8]) {
+        let width = self.cpi.len();
+        if width == 0 {
             return;
         }
-        let padded = self.cycles.len();
-        let mut base = 0;
-        while padded - base > 16 {
-            self.apply_chunk_block::<16>(base, gaps, gaps_f, flags);
-            base += 16;
+        for c in 0..self.cores.len() {
+            let mut end = self.instructions[c];
+            let mut base = 0;
+            while base < width {
+                let block = (width - base).min(16);
+                end = match block {
+                    4 => self.apply_block::<4>(c, base, gaps, cores, flags),
+                    8 => self.apply_block::<8>(c, base, gaps, cores, flags),
+                    12 => self.apply_block::<12>(c, base, gaps, cores, flags),
+                    16 => self.apply_block::<16>(c, base, gaps, cores, flags),
+                    _ => unreachable!("bank padded to a multiple of 4"),
+                };
+                base += block;
+            }
+            // Every block advanced the identical tape-derived count;
+            // commit it once.
+            self.instructions[c] = end;
         }
-        match padded - base {
-            4 => self.apply_chunk_block::<4>(base, gaps, gaps_f, flags),
-            8 => self.apply_chunk_block::<8>(base, gaps, gaps_f, flags),
-            12 => self.apply_chunk_block::<12>(base, gaps, gaps_f, flags),
-            16 => self.apply_chunk_block::<16>(base, gaps, gaps_f, flags),
-            _ => unreachable!("bank padded to a multiple of 4"),
-        }
-        // Every block advanced an identical tape-derived count; commit
-        // it once.
-        let advanced: u64 = gaps.iter().map(|&g| u64::from(g) + 1).sum();
-        self.instructions += advanced;
     }
 
-    /// One `W`-engine block of [`Self::apply_chunk`].
+    /// One `W`-engine block of [`Self::apply_chunk`]: the `W` engines
+    /// from `base` on, over the events of present core `c`. Returns that
+    /// core's instruction count after the chunk.
     ///
-    /// The event loop is branchless except for LLC read misses: the
-    /// class/write bits select which per-engine additive term joins the
-    /// gap cycles (`zeros` for classes that add nothing — `x + 0.0` is
-    /// bit-exact for the non-negative cycle counts), and the
+    /// The event loop is branchless except for the core filter and LLC
+    /// read misses: the class/write bits select which per-engine additive
+    /// term joins the gap cycles (`zeros` for classes that add nothing —
+    /// `x + 0.0` is bit-exact for the non-negative cycle counts), and the
     /// shadow-window update uses select-style assignments because the
     /// open-vs-shadowed decision flips data-dependently per lane. Every
     /// selected addend is the exact value [`TimingEngine::apply`]'s
     /// branchy form would add, in the same order, so rounding is
     /// unchanged.
-    fn apply_chunk_block<const W: usize>(
+    fn apply_block<const W: usize>(
         &mut self,
+        c: usize,
         base: usize,
         gaps: &[u32],
-        gaps_f: &[f64],
+        cores: &[u8],
         flags: &[u8],
-    ) {
+    ) -> u64 {
+        let core = self.cores[c];
+        let mut instructions = self.instructions[c];
+        let lane = c * self.cpi.len() + base;
         let cpi: [f64; W] = core::array::from_fn(|j| self.cpi[base + j]);
         let l2: [f64; W] = core::array::from_fn(|j| self.l2_cycles[base + j]);
         let hit: [f64; W] = core::array::from_fn(|j| self.llc_hit_cycles[base + j]);
@@ -562,12 +451,15 @@ impl SimpleBank {
         let rob: [u64; W] = core::array::from_fn(|j| self.rob[base + j]);
         let mshrs: [u32; W] = core::array::from_fn(|j| self.mshrs[base + j]);
         let zeros = [0.0f64; W];
-        let mut cycles: [f64; W] = core::array::from_fn(|j| self.cycles[base + j]);
-        let mut shadow_end: [u64; W] = core::array::from_fn(|j| self.shadow_end[base + j]);
-        let mut shadow_misses: [u32; W] = core::array::from_fn(|j| self.shadow_misses[base + j]);
+        let mut cycles: [f64; W] = core::array::from_fn(|j| self.cycles[lane + j]);
+        let mut shadow_end: [u64; W] = core::array::from_fn(|j| self.shadow_end[lane + j]);
+        let mut shadow_misses: [u32; W] = core::array::from_fn(|j| self.shadow_misses[lane + j]);
         let class_add: [&[f64; W]; 4] = [&zeros, &l2, &hit, &zeros];
-        let mut instructions = self.instructions;
-        for ((&gap, &gap_f), &flag) in gaps.iter().zip(gaps_f).zip(flags) {
+        for ((&gap, &event_core), &flag) in gaps.iter().zip(cores).zip(flags) {
+            if event_core != core {
+                continue;
+            }
+            let gap_f = f64::from(gap);
             instructions += u64::from(gap) + 1;
             let write = flag & 1 != 0;
             let class = usize::from((flag >> 1) & 0b11);
@@ -589,19 +481,23 @@ impl SimpleBank {
                 }
             }
         }
-        self.cycles[base..base + W].copy_from_slice(&cycles);
-        self.shadow_end[base..base + W].copy_from_slice(&shadow_end);
-        self.shadow_misses[base..base + W].copy_from_slice(&shadow_misses);
+        self.cycles[lane..lane + W].copy_from_slice(&cycles);
+        self.shadow_end[lane..lane + W].copy_from_slice(&shadow_end);
+        self.shadow_misses[lane..lane + W].copy_from_slice(&shadow_misses);
+        instructions
     }
 
     /// Writes the accumulated lane state back into the member engines.
     fn scatter(&self, bank: &mut [(TimingEngine, Option<EnduranceTracker>)]) {
-        for (k, &slot) in self.slots.iter().enumerate() {
-            let lane = &mut bank[slot].0.lanes[0];
-            lane.cycles = self.cycles[k];
-            lane.instructions = self.instructions;
-            lane.miss_shadow_end = self.shadow_end[k];
-            lane.shadow_misses = self.shadow_misses[k];
+        let width = self.cpi.len();
+        for (c, &core) in self.cores.iter().enumerate() {
+            for (k, &slot) in self.slots.iter().enumerate() {
+                let lane = &mut bank[slot].0.lanes[usize::from(core)];
+                lane.cycles = self.cycles[c * width + k];
+                lane.instructions = self.instructions[c];
+                lane.miss_shadow_end = self.shadow_end[c * width + k];
+                lane.shadow_misses = self.shadow_misses[c * width + k];
+            }
         }
     }
 }
@@ -609,8 +505,8 @@ impl SimpleBank {
 /// Feeds the next endurance-stream block to the tracker (when enabled).
 /// The cursor advances either way so replay and direct runs agree on
 /// stream position regardless of tracking.
-fn record_wear(endurance: &mut Option<EnduranceTracker>, wear: &mut impl Iterator<Item = u64>) {
-    let block = wear.next().expect("tape endurance stream underrun");
+fn record_wear(endurance: &mut Option<EnduranceTracker>, wear: &mut std::slice::Iter<'_, u64>) {
+    let block = *wear.next().expect("tape endurance stream underrun");
     if let Some(tracker) = endurance.as_mut() {
         tracker.record(block);
     }
@@ -719,9 +615,9 @@ impl System {
         let mut endurance = self.endurance_tracker();
         let stats = self.functional_walk(trace, |rec, sides| {
             engine.apply(
-                rec.decode(),
-                &mut sides.endurance().iter().copied(),
-                &mut sides.dram().iter().copied(),
+                rec,
+                &mut sides.endurance().iter(),
+                &mut sides.dram().iter(),
                 &mut endurance,
             );
         });
@@ -729,59 +625,39 @@ impl System {
     }
 
     /// Phase A alone: runs the functional pass and captures the outcome
-    /// tape ([`crate::tape`]) that [`System::replay`] can re-time for any
-    /// technology sharing this system's [`TapeKey`] geometry.
+    /// tape ([`crate::tape`]) that [`System::replay_batch`] can re-time
+    /// for any technology sharing this system's [`TapeKey`] geometry.
     pub fn record(&self, trace: &Trace) -> OutcomeTape {
         let _span = nvm_llc_obs::span!("tape_record");
         let roi_events = trace.len() - self.warmup_events(trace);
         let mut tape = OutcomeTape::with_capacity(roi_events, self.config.cores);
         let stats = self.functional_walk(trace, |rec, sides| tape.push(rec, sides));
-        tape.set_stats(stats);
+        tape.seal(stats);
         tape
     }
 
-    /// Phase B alone: applies this system's technology timing and energy
-    /// to a recorded tape. Bit-identical to [`System::run`] on the trace
-    /// the tape was recorded from, for any configuration that shares the
-    /// tape's functional geometry.
+    /// Phase B for this system alone: a one-member
+    /// [`System::replay_batch`]. Bit-identical to [`System::run`] on the
+    /// trace the tape was recorded from, for any configuration that
+    /// shares the tape's functional geometry.
     ///
     /// # Panics
     ///
     /// Panics if the tape was recorded for a different core count (the
     /// clearest symptom of keying a tape cache incorrectly).
     pub fn replay(&self, tape: &OutcomeTape) -> SimResult {
-        let _span = nvm_llc_obs::span!("tape_replay");
-        assert_eq!(
-            tape.cores(),
-            self.config.cores,
-            "outcome tape recorded for a different core count"
-        );
-        let mut engine = TimingEngine::new(&self.config);
-        let mut endurance = self.endurance_tracker();
-        let mut wear = tape.endurance_blocks();
-        let mut dram_blocks = tape.dram_blocks();
-        for &rec in tape.records() {
-            engine.apply(rec.decode(), &mut wear, &mut dram_blocks, &mut endurance);
-        }
-        self.finalize(tape.stats().clone(), engine, endurance)
+        Self::replay_batch(&[self], tape)
+            .pop()
+            .expect("one system in, one result out")
     }
 
-    /// Phase B for a whole technology group at once: decodes `tape` a
-    /// single time into its flat-array form
-    /// ([`DecodedTape`](crate::tape::DecodedTape)) and then
-    /// streams one timing engine per system over the shared decoded
-    /// event and side arrays, technology-major — each engine's pass is
-    /// a pure accumulation loop with all record unpacking and varint
-    /// decoding already hoisted out.
+    /// Phase B: applies every system's technology timing and energy to a
+    /// recorded tape in one pass over its lanes.
     ///
-    /// Results are bit-identical to calling [`System::replay`] once per
-    /// system: both paths funnel every event through the same
-    /// `TimingEngine::apply` in the same order with the same side-stream
-    /// values — only the per-technology record unpacking and varint
-    /// decoding are hoisted out. The systems may differ in any
-    /// timing-only knob (technology model, write policy, MSHRs, DRAM
-    /// backend, write mode, endurance tracking) but must share the
-    /// tape's functional geometry.
+    /// Results are bit-identical to [`System::run`] on the trace the tape
+    /// was recorded from. The systems may differ in any timing-only knob
+    /// (technology model, write policy, MSHRs, DRAM backend, write mode,
+    /// endurance tracking) but must share the tape's functional geometry.
     ///
     /// # Panics
     ///
@@ -795,73 +671,47 @@ impl System {
                 "outcome tape recorded for a different core count"
             );
         }
-        let decoded = tape.decoded();
         let mut bank: Vec<(TimingEngine, Option<EnduranceTracker>)> = systems
             .iter()
             .map(|s| (TimingEngine::new(&s.config), s.endurance_tracker()))
             .collect();
-        // Chunk-major, engine-inner: every engine streams one fixed-size
-        // block of the decoded lanes ([`REPLAY_CHUNK_EVENTS`]) before any
-        // engine moves to the next, so a chunk's lanes stay resident in
-        // L1 across the whole bank while each engine's pass over it is a
-        // tight, branch-light accumulation loop (lane state in
-        // registers). Pure engine-major would stream the full tape per
-        // engine (cold lanes every pass); pure event-major pays per-event
-        // dispatch for every engine. The decode pass pre-recorded the
-        // side-stream cursor positions at each chunk boundary, so every
-        // engine starts a chunk at the same offsets without rewalking the
-        // prefix — every engine consumes identical side entries.
         // The dominant configuration class (off-critical-path writes,
-        // analytic DRAM, no endurance tracking) never reads a
-        // side-stream value — only the cursors would advance, and chunk
-        // bases already encode those — so on single-core tapes those
-        // engines fuse into one event-major `SimpleBank` pass per chunk:
-        // one outcome dispatch per event drives vectorizable per-engine
-        // lane updates. Everything else streams the chunk on its own —
-        // multi-core simple engines through the scalar simple kernel,
-        // the rest through the full `apply` path with side streams.
-        let mut simple_bank = SimpleBank::gather(&bank, decoded.is_single_core());
-        let singles: Vec<usize> = (0..bank.len())
-            .filter(|slot| !simple_bank.slots.contains(slot))
+        // analytic DRAM, no endurance tracking) never reads a side-stream
+        // value, so those engines fuse into one `SimpleBank`. Every other
+        // engine streams the events through `apply` with its own running
+        // cursors into the side streams.
+        let mut simple = SimpleBank::gather(&bank, tape.present_cores());
+        let mut others: Vec<_> = (0..bank.len())
+            .filter(|slot| !simple.slots.contains(slot))
+            .map(|slot| (slot, tape.wear_blocks().iter(), tape.dram_blocks().iter()))
             .collect();
-        for chunk in 0..decoded.num_chunks() {
+        // Chunk-major, engine-inner: every engine streams one fixed-size
+        // block of the lanes ([`REPLAY_CHUNK_EVENTS`]) before any engine
+        // moves to the next, so a chunk stays resident in L1 across the
+        // whole batch.
+        let chunks = tape
+            .gaps()
+            .chunks(REPLAY_CHUNK_EVENTS)
+            .zip(tape.core_lane().chunks(REPLAY_CHUNK_EVENTS))
+            .zip(tape.flags().chunks(REPLAY_CHUNK_EVENTS));
+        for ((gaps, cores), flags) in chunks {
             let _span = nvm_llc_obs::span!("tape_replay_chunk");
-            let range = decoded.chunk_range(chunk);
-            let (wear_base, dram_base) = decoded.chunk_side_base(chunk);
-            let gaps = &decoded.gap_lane()[range.clone()];
-            let gaps_f = &decoded.gap_f64_lane()[range.clone()];
-            let cores = &decoded.core_lane()[range.clone()];
-            let flags = &decoded.flag_lane()[range.clone()];
-            simple_bank.apply_chunk(gaps, gaps_f, flags);
-            for &slot in &singles {
-                let (engine, tracker) = &mut bank[slot];
-                if engine.chunk_kernel_is_simple() && tracker.is_none() {
-                    engine.apply_chunk_simple(gaps, gaps_f, cores, flags);
-                } else {
-                    let mut wear = decoded.wear_blocks()[wear_base..].iter().copied();
-                    let mut dram = decoded.dram_blocks()[dram_base..].iter().copied();
-                    for i in range.clone() {
-                        engine.apply(decoded.event(i), &mut wear, &mut dram, tracker);
-                    }
+            simple.apply_chunk(gaps, cores, flags);
+            for (slot, wear, dram) in &mut others {
+                let (engine, tracker) = &mut bank[*slot];
+                for ((&gap, &core), &flags) in gaps.iter().zip(cores).zip(flags) {
+                    engine.apply(TapeEvent { gap, core, flags }, wear, dram, tracker);
                 }
             }
         }
-        simple_bank.scatter(&mut bank);
+        simple.scatter(&mut bank);
         systems
             .iter()
             .zip(bank)
             .map(|(system, (engine, tracker))| {
-                system.finalize(decoded.stats().clone(), engine, tracker)
+                system.finalize(tape.stats().clone(), engine, tracker)
             })
             .collect()
-    }
-
-    /// [`System::run`] through the process-wide tape cache: fetches (or
-    /// records, exactly once per process) the outcome tape for this
-    /// system's geometry over `trace`, then replays it.
-    pub fn run_cached(&self, trace: &Arc<Trace>) -> SimResult {
-        let tape = crate::tape::cache::fetch(self, trace);
-        self.replay(&tape)
     }
 
     /// The functional identity of running this system over `trace`: every
@@ -909,7 +759,7 @@ impl System {
     fn functional_walk(
         &self,
         trace: &Trace,
-        mut consume: impl FnMut(EventRecord, &SideEvents),
+        mut consume: impl FnMut(TapeEvent, &SideEvents),
     ) -> SimStats {
         let cfg = &self.config;
         let mut cores: Vec<FnCore> = (0..cfg.cores)
@@ -1008,7 +858,7 @@ impl System {
             stats.accesses += 1;
             stats.instructions += u64::from(event.gap_instructions) + 1;
             sides.clear();
-            let mut rec = EventRecord::new(core_idx as u8, event.gap_instructions, is_write);
+            let mut rec = TapeEvent::new(core_idx as u8, event.gap_instructions, is_write);
 
             // --- L1D ----------------------------------------------------
             let l1_out = core.l1d.access(block, is_write);
@@ -1141,7 +991,7 @@ impl System {
 
     /// Assembles a [`SimResult`] from the functional statistics and a
     /// finished timing engine — the shared tail of both [`System::run`]
-    /// and [`System::replay`].
+    /// and [`System::replay_batch`].
     fn finalize(
         &self,
         mut stats: SimStats,
@@ -1635,13 +1485,14 @@ mod tests {
     }
 
     #[test]
-    fn run_cached_matches_run() {
+    fn cached_tape_replay_matches_run() {
         let llc = reference::by_name(&reference::fixed_capacity(), "Xue").unwrap();
         let trace = std::sync::Arc::new(workloads::by_name("leela").unwrap().generate(7, 15_000));
         let system = System::new(ArchConfig::gainestown(llc)).with_warmup(0.25);
-        assert_eq!(system.run_cached(&trace), system.run(&trace));
+        let replay_cached = || system.replay(&crate::tape::cache::fetch(&system, &trace));
+        assert_eq!(replay_cached(), system.run(&trace));
         // Second fetch replays the cached tape; still identical.
-        assert_eq!(system.run_cached(&trace), system.run(&trace));
+        assert_eq!(replay_cached(), system.run(&trace));
     }
 
     #[test]
@@ -1719,6 +1570,7 @@ mod tests {
         assert_eq!(batched.len(), systems.len());
         for (system, batched) in systems.iter().zip(&batched) {
             assert_eq!(batched, &system.replay(&tape));
+            assert_eq!(batched, &system.run(&trace));
         }
     }
 
@@ -1817,8 +1669,9 @@ mod tests {
         /// geometries, shared functional knobs, and an arbitrary subset
         /// of technologies whose timing knobs (write policy, MSHRs,
         /// detailed DRAM, differential writes, endurance tracking) all
-        /// differ per member, one lockstep pass over the decoded tape is
-        /// bit-identical to replaying each technology on its own.
+        /// differ per member, one lockstep pass over the tape is
+        /// bit-identical both to replaying each technology on its own and
+        /// to the fused run.
         #[test]
         fn replay_batch_equals_per_technology_replay(
             seed in 0u64..1000,
@@ -1891,18 +1744,19 @@ mod tests {
             proptest::prop_assert_eq!(batched.len(), systems.len());
             for (system, batched) in systems.iter().zip(&batched) {
                 proptest::prop_assert_eq!(batched, &system.replay(&tape));
+                proptest::prop_assert_eq!(batched, &system.run(&trace));
             }
         }
 
-        /// Chunk-tail coverage for the batched kernels: the decoded
-        /// lanes are walked in [`crate::tape::REPLAY_CHUNK_EVENTS`]
-        /// blocks and the `SimpleBank` pads its engine set, so the
-        /// equivalence is pinned exactly at the boundaries — an empty
+        /// Chunk-tail coverage for the batched kernels: the tape lanes
+        /// are walked in [`crate::tape::REPLAY_CHUNK_EVENTS`] blocks and
+        /// the `SimpleBank` pads its engine set, so the equivalence with
+        /// the fused run is pinned exactly at the boundaries — an empty
         /// tape, a single event, one chunk ± one event, and a ragged
         /// multi-chunk tail — across random technology subsets and
-        /// thread counts (multi-threaded traces route around the
-        /// single-core bank entirely). Warmup is zero so every access
-        /// is a replayed event and the counts land on the boundaries
+        /// thread counts (multi-threaded traces drive the bank's
+        /// per-core passes). Warmup is zero so every access is a
+        /// replayed event and the counts land on the boundaries
         /// exactly.
         #[test]
         fn replay_batch_matches_at_chunk_boundaries(
@@ -1945,6 +1799,7 @@ mod tests {
             proptest::prop_assert_eq!(batched.len(), systems.len());
             for (system, batched) in systems.iter().zip(&batched) {
                 proptest::prop_assert_eq!(batched, &system.replay(&tape));
+                proptest::prop_assert_eq!(batched, &system.run(&trace));
             }
         }
     }

@@ -10,30 +10,28 @@
 //! ten of the eleven functional simulations per workload are identical.
 //!
 //! [`System::record`](crate::system::System::record) runs that functional
-//! pass once and emits an [`OutcomeTape`]: one packed [`EventRecord`] per
-//! post-warmup trace event (a flat `Vec<u64>` — no per-event heap
-//! allocation) plus two compact side arrays of block addresses for the
-//! endurance tracker and the detailed-DRAM model.
-//! [`System::replay`](crate::system::System::replay) then applies a
+//! pass once and emits an [`OutcomeTape`] in struct-of-arrays form: one
+//! gap, core and flag lane entry per post-warmup trace event, plus two
+//! flat side streams of block addresses for the endurance tracker and
+//! the detailed-DRAM model. [`System::replay_batch`] then applies every
 //! technology's cycle latencies, port contention, ROB/MSHR miss-shadow
-//! accounting, DRAM model, and energy equations (7)–(8) in a tight loop
-//! over the tape, producing a `SimResult` bit-identical to the fused
-//! single-pass [`System::run`](crate::system::System::run).
+//! accounting, DRAM model, and energy equations (7)–(8) over those
+//! lanes, producing `SimResult`s bit-identical to the fused single-pass
+//! [`System::run`](crate::system::System::run).
+//!
+//! The tape has exactly one in-memory form. Packing each event into a
+//! `u64` and varint-compressing the side streams happen only at the
+//! store boundary ([`crate::persist::encode_tape`] and
+//! [`crate::persist::decode_tape`]).
 //!
 //! [`cache`] memoizes tapes process-wide (exactly-once generation behind
 //! `Arc<OnceLock>`, the same discipline as `nvm_llc_trace::cache`), so an
 //! evaluation matrix performs one functional pass per distinct geometry
 //! and replays everything else. The cache is bounded by a byte budget
-//! with LRU eviction (default 256 MiB, [`cache::BUDGET_ENV`] override).
+//! with LRU eviction (default 256 MiB, [`cache::BUDGET_ENV`] override),
+//! charged with each tape's resident lane and side-stream capacity.
 //!
-//! For the matrix itself even the per-technology replays are redundant:
-//! eleven technologies decode the same packed records and the same
-//! varint-compressed side arrays eleven times. [`DecodedTape`] decodes a
-//! tape **once** into a cache-friendly struct-of-arrays form (gap /
-//! core / flag lanes plus prefix-summed side-stream cursors), and
-//! [`System::replay_batch`](crate::system::System::replay_batch) drives
-//! every technology's timing engine in lockstep over that single decoded
-//! stream.
+//! [`System::replay_batch`]: crate::system::System::replay_batch
 
 use crate::cache::Replacement;
 use crate::result::SimStats;
@@ -52,7 +50,7 @@ pub enum Outcome {
 }
 
 impl Outcome {
-    fn from_bits(bits: u64) -> Outcome {
+    fn from_bits(bits: u8) -> Outcome {
         match bits & 0b11 {
             0 => Outcome::L1Hit,
             1 => Outcome::L2Hit,
@@ -62,155 +60,22 @@ impl Outcome {
     }
 }
 
-/// One trace event's functional outcome, packed into a `u64`.
+/// One trace event's functional outcome: the unit the timing engine
+/// consumes, and one entry of each [`OutcomeTape`] lane.
 ///
-/// Layout (low to high): gap instructions (32 bits), core index (8),
-/// is-write (1), outcome class (2), then one bit per side-event flag.
-/// The flags fully determine how many entries the event consumes from
-/// the tape's endurance and DRAM side arrays, so replay needs no per-
-/// event indices into them — a running cursor suffices.
+/// The flag byte holds is-write (bit 0), the outcome class (bits 1–2)
+/// and one bit per side-event flag (bits 3–7). The flags fully determine
+/// how many entries the event consumes from the tape's endurance and
+/// DRAM side streams, so replay needs no per-event indices into them — a
+/// running cursor suffices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventRecord(u64);
-
-impl EventRecord {
-    const CORE_SHIFT: u32 = 32;
-    const IS_WRITE: u64 = 1 << 40;
-    const CLASS_SHIFT: u32 = 41;
-    const L1_WB_LLC_WRITE: u64 = 1 << 43;
-    const L2_WB_LLC_WRITE: u64 = 1 << 44;
-    const PF_EVICT_LLC_WRITE: u64 = 1 << 45;
-    const PF_LLC_FILL: u64 = 1 << 46;
-    const LLC_FILLED: u64 = 1 << 47;
-
-    /// Starts a record for an event on `core` after `gap` non-memory
-    /// instructions, defaulting to an L1 hit with no side events.
-    pub fn new(core: u8, gap: u32, is_write: bool) -> EventRecord {
-        let mut bits = u64::from(gap) | (u64::from(core) << Self::CORE_SHIFT);
-        if is_write {
-            bits |= Self::IS_WRITE;
-        }
-        EventRecord(bits)
-    }
-
-    /// Sets the outcome class (default [`Outcome::L1Hit`]).
-    pub fn with_outcome(mut self, outcome: Outcome) -> EventRecord {
-        self.0 |= (outcome as u64) << Self::CLASS_SHIFT;
-        self
-    }
-
-    /// Flags an LLC write from the L1 victim's L2-eviction cascade.
-    pub fn with_l1_writeback_llc_write(mut self) -> EventRecord {
-        self.0 |= Self::L1_WB_LLC_WRITE;
-        self
-    }
-
-    /// Flags an LLC write from the L2's own dirty victim.
-    pub fn with_l2_writeback_llc_write(mut self) -> EventRecord {
-        self.0 |= Self::L2_WB_LLC_WRITE;
-        self
-    }
-
-    /// Flags an LLC write from the prefetch fill's dirty L2 victim.
-    pub fn with_prefetch_evict_llc_write(mut self) -> EventRecord {
-        self.0 |= Self::PF_EVICT_LLC_WRITE;
-        self
-    }
-
-    /// Flags a prefetch fill that allocated in the LLC (one DRAM access).
-    pub fn with_prefetch_llc_fill(mut self) -> EventRecord {
-        self.0 |= Self::PF_LLC_FILL;
-        self
-    }
-
-    /// Flags a demand miss that allocated its block (not bypassed).
-    pub fn with_llc_filled(mut self) -> EventRecord {
-        self.0 |= Self::LLC_FILLED;
-        self
-    }
-
-    /// Non-memory instructions preceding the access.
-    pub fn gap_instructions(self) -> u32 {
-        self.0 as u32
-    }
-
-    /// Core (0-based) the event ran on.
-    pub fn core(self) -> usize {
-        (self.0 >> Self::CORE_SHIFT) as u8 as usize
-    }
-
-    /// Whether the access was a store.
-    pub fn is_write(self) -> bool {
-        self.0 & Self::IS_WRITE != 0
-    }
-
-    /// The serving level.
-    pub fn outcome(self) -> Outcome {
-        Outcome::from_bits(self.0 >> Self::CLASS_SHIFT)
-    }
-
-    /// LLC write from the L1 victim cascade?
-    pub fn l1_writeback_llc_write(self) -> bool {
-        self.0 & Self::L1_WB_LLC_WRITE != 0
-    }
-
-    /// LLC write from the L2 dirty victim?
-    pub fn l2_writeback_llc_write(self) -> bool {
-        self.0 & Self::L2_WB_LLC_WRITE != 0
-    }
-
-    /// LLC write from the prefetch fill's dirty L2 victim?
-    pub fn prefetch_evict_llc_write(self) -> bool {
-        self.0 & Self::PF_EVICT_LLC_WRITE != 0
-    }
-
-    /// Prefetch allocated in the LLC?
-    pub fn prefetch_llc_fill(self) -> bool {
-        self.0 & Self::PF_LLC_FILL != 0
-    }
-
-    /// Demand miss allocated its block?
-    pub fn llc_filled(self) -> bool {
-        self.0 & Self::LLC_FILLED != 0
-    }
-
-    /// The raw packed word (for serialization).
-    pub(crate) fn bits(self) -> u64 {
-        self.0
-    }
-
-    /// Rebuilds a record from its raw packed word.
-    pub(crate) fn from_bits(bits: u64) -> EventRecord {
-        EventRecord(bits)
-    }
-
-    /// Unpacks the record into its flat-field form — the unit the timing
-    /// engine consumes. Bits 40–47 of the packed word are exactly the
-    /// eight flag bits of [`DecodedEvent`], in the same order.
-    pub fn decode(self) -> DecodedEvent {
-        DecodedEvent {
-            gap: self.0 as u32,
-            core: (self.0 >> Self::CORE_SHIFT) as u8,
-            flags: (self.0 >> 40) as u8,
-        }
-    }
-}
-
-/// One event in flat-field form: what a [`EventRecord`] packs, decoded.
-///
-/// `TimingEngine::apply` consumes these, so the fused run, the
-/// per-technology replay, and the batched replay all feed the timing
-/// engine the identical representation — the batched path just decodes
-/// each record once instead of once per technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodedEvent {
+pub(crate) struct TapeEvent {
     pub(crate) gap: u32,
     pub(crate) core: u8,
-    /// Bit 0 is-write, bits 1–2 outcome class, bits 3–7 the side-event
-    /// flags in [`EventRecord`] order.
     pub(crate) flags: u8,
 }
 
-impl DecodedEvent {
+impl TapeEvent {
     const IS_WRITE: u8 = 1;
     const CLASS_SHIFT: u32 = 1;
     const L1_WB_LLC_WRITE: u8 = 1 << 3;
@@ -219,67 +84,112 @@ impl DecodedEvent {
     const PF_LLC_FILL: u8 = 1 << 6;
     const LLC_FILLED: u8 = 1 << 7;
 
+    /// Starts an event on `core` after `gap` non-memory instructions,
+    /// defaulting to an L1 hit with no side events.
+    pub(crate) fn new(core: u8, gap: u32, is_write: bool) -> TapeEvent {
+        TapeEvent {
+            gap,
+            core,
+            flags: if is_write { Self::IS_WRITE } else { 0 },
+        }
+    }
+
+    /// Sets the outcome class (default [`Outcome::L1Hit`]).
+    pub(crate) fn with_outcome(mut self, outcome: Outcome) -> TapeEvent {
+        self.flags |= (outcome as u8) << Self::CLASS_SHIFT;
+        self
+    }
+
+    /// Flags an LLC write from the L1 victim's L2-eviction cascade.
+    pub(crate) fn with_l1_writeback_llc_write(mut self) -> TapeEvent {
+        self.flags |= Self::L1_WB_LLC_WRITE;
+        self
+    }
+
+    /// Flags an LLC write from the L2's own dirty victim.
+    pub(crate) fn with_l2_writeback_llc_write(mut self) -> TapeEvent {
+        self.flags |= Self::L2_WB_LLC_WRITE;
+        self
+    }
+
+    /// Flags an LLC write from the prefetch fill's dirty L2 victim.
+    pub(crate) fn with_prefetch_evict_llc_write(mut self) -> TapeEvent {
+        self.flags |= Self::PF_EVICT_LLC_WRITE;
+        self
+    }
+
+    /// Flags a prefetch fill that allocated in the LLC (one DRAM access).
+    pub(crate) fn with_prefetch_llc_fill(mut self) -> TapeEvent {
+        self.flags |= Self::PF_LLC_FILL;
+        self
+    }
+
+    /// Flags a demand miss that allocated its block (not bypassed).
+    pub(crate) fn with_llc_filled(mut self) -> TapeEvent {
+        self.flags |= Self::LLC_FILLED;
+        self
+    }
+
     /// Non-memory instructions preceding the access.
-    pub fn gap_instructions(self) -> u32 {
+    pub(crate) fn gap_instructions(self) -> u32 {
         self.gap
     }
 
     /// Core (0-based) the event ran on.
-    pub fn core(self) -> usize {
+    pub(crate) fn core(self) -> usize {
         usize::from(self.core)
     }
 
     /// Whether the access was a store.
-    pub fn is_write(self) -> bool {
+    pub(crate) fn is_write(self) -> bool {
         self.flags & Self::IS_WRITE != 0
     }
 
     /// The serving level.
-    pub fn outcome(self) -> Outcome {
-        Outcome::from_bits(u64::from(self.flags >> Self::CLASS_SHIFT))
+    pub(crate) fn outcome(self) -> Outcome {
+        Outcome::from_bits(self.flags >> Self::CLASS_SHIFT)
     }
 
     /// LLC write from the L1 victim cascade?
-    pub fn l1_writeback_llc_write(self) -> bool {
+    pub(crate) fn l1_writeback_llc_write(self) -> bool {
         self.flags & Self::L1_WB_LLC_WRITE != 0
     }
 
     /// LLC write from the L2 dirty victim?
-    pub fn l2_writeback_llc_write(self) -> bool {
+    pub(crate) fn l2_writeback_llc_write(self) -> bool {
         self.flags & Self::L2_WB_LLC_WRITE != 0
     }
 
     /// LLC write from the prefetch fill's dirty L2 victim?
-    pub fn prefetch_evict_llc_write(self) -> bool {
+    pub(crate) fn prefetch_evict_llc_write(self) -> bool {
         self.flags & Self::PF_EVICT_LLC_WRITE != 0
     }
 
     /// Prefetch allocated in the LLC?
-    pub fn prefetch_llc_fill(self) -> bool {
+    pub(crate) fn prefetch_llc_fill(self) -> bool {
         self.flags & Self::PF_LLC_FILL != 0
     }
 
     /// Demand miss allocated its block?
-    pub fn llc_filled(self) -> bool {
+    pub(crate) fn llc_filled(self) -> bool {
         self.flags & Self::LLC_FILLED != 0
     }
 
     /// How many entries this event consumes from the endurance and DRAM
     /// side streams during replay. Mirrors `TimingEngine::apply`'s
-    /// early-out structure; the batched replay walks its running side
-    /// cursors with it, and [`DecodedTape::decode`] uses it to validate
-    /// that the flat side arrays partition exactly across the events.
-    pub(crate) fn side_counts(self) -> (u32, u32) {
+    /// early-out structure; [`crate::persist::decode_tape`] uses it to
+    /// check that the side streams partition exactly across the events.
+    pub(crate) fn side_counts(self) -> (usize, usize) {
         let outcome = self.outcome();
         if outcome == Outcome::L1Hit {
             return (0, 0);
         }
-        let mut wear = u32::from(self.l1_writeback_llc_write());
+        let mut wear = usize::from(self.l1_writeback_llc_write());
         if outcome == Outcome::L2Hit {
             return (wear, 0);
         }
-        wear += u32::from(self.l2_writeback_llc_write());
-        wear += u32::from(self.prefetch_evict_llc_write());
+        wear += usize::from(self.l2_writeback_llc_write());
+        wear += usize::from(self.prefetch_evict_llc_write());
         let mut dram = 0;
         if self.prefetch_llc_fill() {
             wear += 1;
@@ -288,7 +198,7 @@ impl DecodedEvent {
         if outcome == Outcome::LlcHit {
             return (wear, dram);
         }
-        wear += u32::from(self.llc_filled());
+        wear += usize::from(self.llc_filled());
         (wear, dram + 1)
     }
 }
@@ -332,222 +242,142 @@ impl SideEvents {
     }
 }
 
-/// A block-address stream stored as zigzag-deltas in LEB128 varints.
+/// Events per replay chunk: [`System::replay_batch`] walks the lanes in
+/// fixed-size blocks of this many events, and every engine of the batch
+/// streams one block before any engine moves to the next. At 1024 events
+/// a chunk's lanes (`u32` gap + core + flag) total 6 KiB — comfortably
+/// inside one L1 data cache while the whole batch streams over it.
 ///
-/// Both side streams are dominated by short hops inside a working set
-/// (writebacks and fills of nearby blocks), so the signed delta from the
-/// previous address usually fits one or two bytes instead of the eight a
-/// flat `u64` costs. Appending and sequential decoding are the only
-/// operations replay needs, and both are branch-light.
-#[derive(Debug, Clone, Default)]
-pub struct PackedBlocks {
-    bytes: Vec<u8>,
-    len: usize,
-    /// Encoder state: the previously pushed address.
-    last: u64,
-}
-
-impl PackedBlocks {
-    pub(crate) fn push(&mut self, block: u64) {
-        let delta = block.wrapping_sub(self.last) as i64;
-        self.last = block;
-        let mut zigzag = ((delta << 1) ^ (delta >> 63)) as u64;
-        loop {
-            let byte = (zigzag & 0x7F) as u8;
-            zigzag >>= 7;
-            if zigzag == 0 {
-                self.bytes.push(byte);
-                break;
-            }
-            self.bytes.push(byte | 0x80);
-        }
-        self.len += 1;
-    }
-
-    /// Number of encoded addresses.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the stream is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Sequential decoder over the stream.
-    pub fn iter(&self) -> BlockIter<'_> {
-        BlockIter {
-            bytes: &self.bytes,
-            pos: 0,
-            prev: 0,
-            remaining: self.len,
-        }
-    }
-
-    /// Heap bytes held by the encoded form.
-    fn encoded_bytes(&self) -> usize {
-        self.bytes.capacity()
-    }
-
-    /// The encoded stream's raw parts, for serialization: varint bytes,
-    /// address count, and the encoder's last-address state.
-    pub(crate) fn parts(&self) -> (&[u8], usize, u64) {
-        (&self.bytes, self.len, self.last)
-    }
-
-    /// Rebuilds a stream from [`PackedBlocks::parts`] output.
-    pub(crate) fn from_parts(bytes: Vec<u8>, len: usize, last: u64) -> PackedBlocks {
-        PackedBlocks { bytes, len, last }
-    }
-
-    /// Bytes a flat `Vec<u64>` of the same stream would hold.
-    fn raw_bytes(&self) -> usize {
-        self.len * std::mem::size_of::<u64>()
-    }
-}
-
-/// Decoding iterator over a [`PackedBlocks`] stream.
-#[derive(Debug, Clone)]
-pub struct BlockIter<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    prev: u64,
-    remaining: usize,
-}
-
-impl Iterator for BlockIter<'_> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let mut zigzag = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.bytes[self.pos];
-            self.pos += 1;
-            zigzag |= u64::from(byte & 0x7F) << shift;
-            if byte & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
-        }
-        let delta = ((zigzag >> 1) as i64) ^ -((zigzag & 1) as i64);
-        self.prev = self.prev.wrapping_add(delta as u64);
-        Some(self.prev)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for BlockIter<'_> {}
+/// [`System::replay_batch`]: crate::system::System::replay_batch
+pub const REPLAY_CHUNK_EVENTS: usize = 1024;
 
 /// The recorded functional outcome of one `(trace, geometry)` pair —
 /// everything Phase B (timing/energy replay) needs, and nothing else.
+///
+/// Struct-of-arrays: the gap, core and flag lanes are parallel arrays
+/// indexed by event (6 bytes per event), and the endurance and DRAM side
+/// streams are flat block-address arrays in the order
+/// `TimingEngine::apply` consumes them (8 bytes per entry).
 #[derive(Debug, Clone, Default)]
 pub struct OutcomeTape {
-    /// One packed record per post-warmup trace event, in trace order.
-    records: Vec<EventRecord>,
-    /// LLC array-write block addresses (endurance stream), in order,
-    /// varint/delta-compacted.
-    endurance_blocks: PackedBlocks,
-    /// DRAM access block addresses (detailed-DRAM stream), in order,
-    /// varint/delta-compacted.
-    dram_blocks: PackedBlocks,
+    gaps: Vec<u32>,
+    core_lane: Vec<u8>,
+    flags: Vec<u8>,
+    /// LLC array-write block addresses (endurance stream), in order.
+    wear_blocks: Vec<u64>,
+    /// DRAM access block addresses (detailed-DRAM stream), in order.
+    dram_blocks: Vec<u64>,
+    /// Every core that ran at least one event, ascending.
+    present_cores: Vec<u8>,
     /// Functional counters (the timing-side fields stay zero).
     stats: SimStats,
     /// Core count the tape was recorded for (replay must match).
     cores: u32,
-    /// Memoized flat decode, built on first batched replay and shared by
-    /// every later one of the same (cached) tape. Lives and dies with
-    /// the tape, so cache eviction frees both forms together.
-    decoded: std::sync::OnceLock<DecodedTape>,
 }
 
 impl OutcomeTape {
     pub(crate) fn with_capacity(events: usize, cores: u32) -> OutcomeTape {
         OutcomeTape {
-            records: Vec::with_capacity(events),
-            endurance_blocks: PackedBlocks::default(),
-            dram_blocks: PackedBlocks::default(),
-            stats: SimStats::default(),
+            gaps: Vec::with_capacity(events),
+            core_lane: Vec::with_capacity(events),
+            flags: Vec::with_capacity(events),
             cores,
-            decoded: std::sync::OnceLock::new(),
+            ..OutcomeTape::default()
         }
     }
 
-    pub(crate) fn push(&mut self, record: EventRecord, sides: &SideEvents) {
-        debug_assert!(
-            self.decoded.get().is_none(),
-            "tapes are frozen once decoded"
-        );
-        self.records.push(record);
-        for &block in sides.endurance() {
-            self.endurance_blocks.push(block);
-        }
-        for &block in sides.dram() {
-            self.dram_blocks.push(block);
-        }
+    pub(crate) fn push(&mut self, event: TapeEvent, sides: &SideEvents) {
+        self.gaps.push(event.gap);
+        self.core_lane.push(event.core);
+        self.flags.push(event.flags);
+        self.wear_blocks.extend_from_slice(sides.endurance());
+        self.dram_blocks.extend_from_slice(sides.dram());
     }
 
-    pub(crate) fn set_stats(&mut self, stats: SimStats) {
+    /// Finishes a tape: attaches the functional counters, drops the side
+    /// streams' growth slack (the cache charges capacity, so slack would
+    /// cost budget), and notes which cores appear.
+    pub(crate) fn seal(&mut self, stats: SimStats) {
         self.stats = stats;
+        self.wear_blocks.shrink_to_fit();
+        self.dram_blocks.shrink_to_fit();
+        let mut seen = [false; 256];
+        for &core in &self.core_lane {
+            seen[usize::from(core)] = true;
+        }
+        self.present_cores = (0..=u8::MAX).filter(|&c| seen[usize::from(c)]).collect();
     }
 
-    /// Rebuilds a tape from deserialized parts (`crate::persist`). The
-    /// decoded form starts empty, exactly as after recording.
-    pub(crate) fn from_parts(
-        records: Vec<EventRecord>,
-        endurance_blocks: PackedBlocks,
-        dram_blocks: PackedBlocks,
+    /// Rebuilds a tape from already-validated lanes and side streams
+    /// ([`crate::persist::decode_tape`]).
+    pub(crate) fn from_lanes(
+        gaps: Vec<u32>,
+        core_lane: Vec<u8>,
+        flags: Vec<u8>,
+        wear_blocks: Vec<u64>,
+        dram_blocks: Vec<u64>,
         stats: SimStats,
         cores: u32,
     ) -> OutcomeTape {
-        OutcomeTape {
-            records,
-            endurance_blocks,
+        let mut tape = OutcomeTape {
+            gaps,
+            core_lane,
+            flags,
+            wear_blocks,
             dram_blocks,
-            stats,
+            present_cores: Vec::new(),
+            stats: SimStats::default(),
             cores,
-            decoded: std::sync::OnceLock::new(),
+        };
+        tape.seal(stats);
+        tape
+    }
+
+    /// The tape itself. There is no separate decoded form any more; this
+    /// accessor exists only so the benchmark replica can keep timing its
+    /// decode layer, which now reads about zero.
+    #[doc(hidden)]
+    pub fn decoded(&self) -> &Self {
+        self
+    }
+
+    /// Event `i` reassembled from the lanes.
+    pub(crate) fn event(&self, i: usize) -> TapeEvent {
+        TapeEvent {
+            gap: self.gaps[i],
+            core: self.core_lane[i],
+            flags: self.flags[i],
         }
     }
 
-    /// The raw packed side streams (endurance, DRAM), for serialization
-    /// by [`crate::persist`].
-    pub(crate) fn packed_streams(&self) -> (&PackedBlocks, &PackedBlocks) {
-        (&self.endurance_blocks, &self.dram_blocks)
+    /// The instruction-gap lane, indexed by event.
+    pub(crate) fn gaps(&self) -> &[u32] {
+        &self.gaps
     }
 
-    /// The flat decode of this tape, built on first use ([`DecodedTape`])
-    /// and memoized: a warm batched matrix replays a cached tape many
-    /// times but unpacks it exactly once.
-    pub fn decoded(&self) -> &DecodedTape {
-        self.decoded.get_or_init(|| {
-            let _span = nvm_llc_obs::span!("tape_decode");
-            DecodedTape::decode(self)
-        })
+    /// The core lane, indexed by event.
+    pub(crate) fn core_lane(&self) -> &[u8] {
+        &self.core_lane
     }
 
-    /// Per-event records.
-    pub fn records(&self) -> &[EventRecord] {
-        &self.records
+    /// The flag lane ([`TapeEvent`] flag byte), indexed by event.
+    pub(crate) fn flags(&self) -> &[u8] {
+        &self.flags
     }
 
-    /// The endurance stream (LLC array writes, block addresses), decoded
-    /// sequentially from its varint/delta form.
-    pub fn endurance_blocks(&self) -> BlockIter<'_> {
-        self.endurance_blocks.iter()
+    /// The endurance stream (LLC array writes, block addresses).
+    pub(crate) fn wear_blocks(&self) -> &[u64] {
+        &self.wear_blocks
     }
 
-    /// The DRAM stream (block addresses, `Dram::access` call order),
-    /// decoded sequentially from its varint/delta form.
-    pub fn dram_blocks(&self) -> BlockIter<'_> {
-        self.dram_blocks.iter()
+    /// The DRAM stream (block addresses, `Dram::access` call order).
+    pub(crate) fn dram_blocks(&self) -> &[u64] {
+        &self.dram_blocks
+    }
+
+    /// Every core that ran at least one event, ascending.
+    pub(crate) fn present_cores(&self) -> &[u8] {
+        &self.present_cores
     }
 
     /// The functional statistics of the recorded run (timing fields zero).
@@ -562,199 +392,22 @@ impl OutcomeTape {
 
     /// Post-warmup events on the tape.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.gaps.len()
     }
 
     /// Whether the tape holds no events.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.gaps.is_empty()
     }
 
-    /// Approximate heap footprint in bytes (capacity-based), with the
-    /// side streams at their encoded size.
+    /// Resident heap bytes: the capacity of every lane and side stream.
+    /// This is what the tape cache charges against its budget.
     pub fn bytes(&self) -> usize {
-        self.records.capacity() * std::mem::size_of::<EventRecord>()
-            + self.endurance_blocks.encoded_bytes()
-            + self.dram_blocks.encoded_bytes()
-    }
-
-    /// What the same tape would occupy with flat `u64` side arrays — the
-    /// pre-compaction footprint the cache stats report against.
-    pub fn raw_bytes(&self) -> usize {
-        self.records.len() * std::mem::size_of::<EventRecord>()
-            + self.endurance_blocks.raw_bytes()
-            + self.dram_blocks.raw_bytes()
-    }
-}
-
-/// Events per replay chunk: the batched replay processes the decoded
-/// lanes in fixed-size blocks of this many events (see
-/// [`System::replay_batch`](crate::system::System::replay_batch)). At
-/// 1024 events a chunk's hot lanes (`f64` gap + `u32` gap + flag + core)
-/// total ~14 KiB — comfortably inside one L1 data cache while every
-/// engine in the bank streams over it.
-pub const REPLAY_CHUNK_EVENTS: usize = 1024;
-
-/// Flat decode of an [`OutcomeTape`] in structure-of-arrays form: every
-/// record unpacked once into parallel per-field lanes, and the varint
-/// side streams decoded back to flat `u64` block arrays.
-///
-/// Built once per technology *group* by
-/// [`System::replay_batch`](crate::system::System::replay_batch): the
-/// record unpacking and varint decoding that a per-technology replay
-/// repeats for every configuration happen a single time, and each timing
-/// engine then streams the same pre-decoded lanes — event `i` consumes
-/// side entries in exactly the order `TimingEngine::apply` emits them.
-///
-/// The lanes are parallel arrays indexed by event: `gap_lane` (non-memory
-/// instructions), `gap_f64_lane` (the same gaps pre-converted to `f64`,
-/// hoisting the int→float conversion the timing math would otherwise
-/// repeat per technology — `u32 → f64` is exact, so the replay arithmetic
-/// is bit-identical), `core_lane`, and `flag_lane` (the packed
-/// [`DecodedEvent`] flag byte). `chunk_bases` records the side-stream
-/// cursor positions at every [`REPLAY_CHUNK_EVENTS`] boundary so a
-/// chunked replay can start any chunk without rewalking the prefix.
-#[derive(Debug, Clone, Default)]
-pub struct DecodedTape {
-    gap_lane: Vec<u32>,
-    gap_f64_lane: Vec<f64>,
-    core_lane: Vec<u8>,
-    flag_lane: Vec<u8>,
-    wear_blocks: Vec<u64>,
-    dram_blocks: Vec<u64>,
-    /// `(wear, dram)` side-stream offsets at the start of each chunk,
-    /// with one trailing entry holding the stream totals.
-    chunk_bases: Vec<(usize, usize)>,
-    stats: SimStats,
-    cores: u32,
-    /// Whether every event ran on core 0. A single-threaded workload
-    /// under a multi-core config exercises only timing lane 0, so a
-    /// replay may treat the engines as single-lane (the batched bank
-    /// kernel depends on this).
-    single_core: bool,
-}
-
-impl DecodedTape {
-    /// Decodes `tape` once into flat-lane form.
-    pub fn decode(tape: &OutcomeTape) -> DecodedTape {
-        let n = tape.len();
-        let mut decoded = DecodedTape {
-            gap_lane: Vec::with_capacity(n),
-            gap_f64_lane: Vec::with_capacity(n),
-            core_lane: Vec::with_capacity(n),
-            flag_lane: Vec::with_capacity(n),
-            wear_blocks: tape.endurance_blocks().collect(),
-            dram_blocks: tape.dram_blocks().collect(),
-            chunk_bases: Vec::with_capacity(n.div_ceil(REPLAY_CHUNK_EVENTS) + 1),
-            stats: tape.stats().clone(),
-            cores: tape.cores(),
-            single_core: true,
-        };
-        let (mut wear_pos, mut dram_pos) = (0usize, 0usize);
-        for (i, rec) in tape.records().iter().enumerate() {
-            let ev = rec.decode();
-            if i % REPLAY_CHUNK_EVENTS == 0 {
-                decoded.chunk_bases.push((wear_pos, dram_pos));
-            }
-            let (wear_n, dram_n) = ev.side_counts();
-            wear_pos += wear_n as usize;
-            dram_pos += dram_n as usize;
-            decoded.gap_lane.push(ev.gap);
-            decoded.gap_f64_lane.push(f64::from(ev.gap));
-            decoded.core_lane.push(ev.core);
-            decoded.flag_lane.push(ev.flags);
-            decoded.single_core &= ev.core == 0;
-        }
-        decoded.chunk_bases.push((wear_pos, dram_pos));
-        // Every side entry is claimed by exactly one event: the per-event
-        // counts (mirroring `apply`'s early-outs) must sum to the stream
-        // lengths, or replay cursors would drift between technologies.
-        debug_assert_eq!(wear_pos, decoded.wear_blocks.len());
-        debug_assert_eq!(dram_pos, decoded.dram_blocks.len());
-        decoded
-    }
-
-    /// Post-warmup events on the tape.
-    pub fn len(&self) -> usize {
-        self.gap_lane.len()
-    }
-
-    /// Whether the tape holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.gap_lane.is_empty()
-    }
-
-    /// Core count the tape encodes.
-    pub fn cores(&self) -> u32 {
-        self.cores
-    }
-
-    /// Whether every event ran on core 0 (single-threaded workload): a
-    /// replay then touches only timing lane 0 of each engine.
-    pub(crate) fn is_single_core(&self) -> bool {
-        self.single_core
-    }
-
-    /// The functional statistics of the recorded run.
-    pub fn stats(&self) -> &SimStats {
-        &self.stats
-    }
-
-    /// Event `i` reassembled into its flat-field form.
-    pub(crate) fn event(&self, i: usize) -> DecodedEvent {
-        DecodedEvent {
-            gap: self.gap_lane[i],
-            core: self.core_lane[i],
-            flags: self.flag_lane[i],
-        }
-    }
-
-    /// Number of replay chunks ([`REPLAY_CHUNK_EVENTS`] events each, the
-    /// last possibly partial).
-    pub(crate) fn num_chunks(&self) -> usize {
-        self.gap_lane.len().div_ceil(REPLAY_CHUNK_EVENTS)
-    }
-
-    /// The event index range of chunk `chunk`.
-    pub(crate) fn chunk_range(&self, chunk: usize) -> std::ops::Range<usize> {
-        let lo = chunk * REPLAY_CHUNK_EVENTS;
-        lo..(lo + REPLAY_CHUNK_EVENTS).min(self.gap_lane.len())
-    }
-
-    /// The `(wear, dram)` side-stream offsets at the start of `chunk`.
-    pub(crate) fn chunk_side_base(&self, chunk: usize) -> (usize, usize) {
-        self.chunk_bases[chunk]
-    }
-
-    /// The instruction-gap lane (`u32`), indexed by event.
-    pub(crate) fn gap_lane(&self) -> &[u32] {
-        &self.gap_lane
-    }
-
-    /// The instruction-gap lane pre-converted to `f64`, indexed by event.
-    pub(crate) fn gap_f64_lane(&self) -> &[f64] {
-        &self.gap_f64_lane
-    }
-
-    /// The core lane, indexed by event.
-    pub(crate) fn core_lane(&self) -> &[u8] {
-        &self.core_lane
-    }
-
-    /// The packed flag lane ([`DecodedEvent`] flag byte), indexed by
-    /// event.
-    pub(crate) fn flag_lane(&self) -> &[u8] {
-        &self.flag_lane
-    }
-
-    /// The endurance side stream, flat.
-    pub(crate) fn wear_blocks(&self) -> &[u64] {
-        &self.wear_blocks
-    }
-
-    /// The DRAM side stream, flat.
-    pub(crate) fn dram_blocks(&self) -> &[u64] {
-        &self.dram_blocks
+        self.gaps.capacity() * std::mem::size_of::<u32>()
+            + self.core_lane.capacity()
+            + self.flags.capacity()
+            + (self.wear_blocks.capacity() + self.dram_blocks.capacity())
+                * std::mem::size_of::<u64>()
     }
 }
 
@@ -872,7 +525,7 @@ pub mod cache {
 
     type Slot = Arc<OnceLock<Arc<OutcomeTape>>>;
 
-    /// Default residency budget: ~256 MiB of encoded tape.
+    /// Default residency budget: ~256 MiB of tape.
     pub const DEFAULT_BUDGET_BYTES: u64 = 256 << 20;
 
     /// Environment variable overriding the budget, in MiB (`0` lifts the
@@ -882,7 +535,7 @@ pub mod cache {
 
     struct Entry {
         slot: Slot,
-        /// Encoded size, filled in once the tape is recorded (`0` while
+        /// Resident size, filled in once the tape is recorded (`0` while
         /// the functional pass is still in flight — such entries are
         /// never evicted).
         bytes: u64,
@@ -893,7 +546,7 @@ pub mod cache {
     struct Inner {
         map: HashMap<TapeKey, Entry>,
         clock: u64,
-        /// Total encoded bytes of resident, fully recorded tapes.
+        /// Total bytes of resident, fully recorded tapes.
         resident: u64,
         budget: u64,
     }
@@ -937,7 +590,6 @@ pub mod cache {
     static MISSES: AtomicU64 = AtomicU64::new(0);
     static STORE_HITS: AtomicU64 = AtomicU64::new(0);
     static BYTES: AtomicU64 = AtomicU64::new(0);
-    static RAW_BYTES: AtomicU64 = AtomicU64::new(0);
     static EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
     /// The same counters, mirrored into the process-wide [`nvm_llc_obs`]
@@ -983,7 +635,7 @@ pub mod cache {
         pub fn resident_bytes() -> &'static Gauge {
             gauge(
                 "nvmllc_tape_cache_resident_bytes",
-                "Encoded bytes of outcome tape currently resident.",
+                "Bytes of outcome tape currently resident.",
             )
         }
 
@@ -1004,21 +656,13 @@ pub mod cache {
                     "Wall time of the `tape_record` span.",
                 ),
                 (
-                    "nvmllc_tape_replay_seconds",
-                    "Wall time of the `tape_replay` span.",
-                ),
-                (
                     "nvmllc_tape_replay_batch_seconds",
                     "Wall time of the `tape_replay_batch` span.",
                 ),
                 (
                     "nvmllc_tape_replay_chunk_seconds",
                     "Wall time of one batched-replay event chunk (all \
-                     engines over one block of decoded lanes).",
-                ),
-                (
-                    "nvmllc_tape_decode_seconds",
-                    "Wall time of the `tape_decode` span.",
+                     engines over one block of tape lanes).",
                 ),
             ] {
                 nvm_llc_obs::metrics::histogram(name, help);
@@ -1039,14 +683,12 @@ pub mod cache {
         /// Memory misses satisfied by decoding a tape from the
         /// persistent store instead of re-running the functional pass.
         pub store_hits: u64,
-        /// Total encoded bytes of tape recorded (varint/delta form).
+        /// Total resident bytes of tape recorded or loaded
+        /// ([`OutcomeTape::bytes`]).
         pub bytes: u64,
-        /// What the same tapes would have occupied with flat `u64` side
-        /// arrays — `bytes / raw_bytes` is the compaction ratio.
-        pub raw_bytes: u64,
         /// Entries evicted to stay under the byte budget.
         pub evictions: u64,
-        /// Encoded bytes currently resident.
+        /// Tape bytes currently resident.
         pub resident_bytes: u64,
     }
 
@@ -1055,13 +697,12 @@ pub mod cache {
             write!(
                 f,
                 "{} hits / {} misses ({} from store, {} functional \
-                 passes), {:.1} MiB taped ({:.1} MiB raw, {} evictions)",
+                 passes), {:.1} MiB taped ({} evictions)",
                 self.hits,
                 self.misses,
                 self.store_hits,
                 self.misses - self.store_hits,
                 self.bytes as f64 / (1024.0 * 1024.0),
-                self.raw_bytes as f64 / (1024.0 * 1024.0),
                 self.evictions,
             )
         }
@@ -1124,29 +765,30 @@ pub mod cache {
             metrics::hits().inc();
         }
         let tape = Arc::clone(slot.get_or_init(|| {
-            if let Some(store) = store {
-                let store_key = crate::persist::tape_store_key(&key);
-                if let Some(tape) = store
-                    .get_mapped(&store_key)
-                    .and_then(|payload| crate::persist::decode_tape(&payload))
-                {
+            let store_key = store.map(|_| crate::persist::tape_store_key(&key));
+            // The key carries the core count, so a stored tape of any
+            // other count is damage and falls through to recompute.
+            let stored = store
+                .zip(store_key.as_ref())
+                .and_then(|(store, store_key)| store.get_mapped(store_key))
+                .and_then(|payload| crate::persist::decode_tape(&payload))
+                .filter(|tape| tape.cores() == system.config().cores);
+            let tape = match stored {
+                Some(tape) => {
                     STORE_HITS.fetch_add(1, Ordering::Relaxed);
                     metrics::store_hits().inc();
-                    let tape = Arc::new(tape);
-                    BYTES.fetch_add(tape.bytes() as u64, Ordering::Relaxed);
-                    RAW_BYTES.fetch_add(tape.raw_bytes() as u64, Ordering::Relaxed);
-                    return tape;
+                    tape
                 }
-                let tape = Arc::new(system.record(trace));
-                let _ = store.put(&store_key, &crate::persist::encode_tape(&tape));
-                BYTES.fetch_add(tape.bytes() as u64, Ordering::Relaxed);
-                RAW_BYTES.fetch_add(tape.raw_bytes() as u64, Ordering::Relaxed);
-                return tape;
-            }
-            let tape = Arc::new(system.record(trace));
+                None => {
+                    let tape = system.record(trace);
+                    if let Some((store, store_key)) = store.zip(store_key.as_ref()) {
+                        let _ = store.put(store_key, &crate::persist::encode_tape(&tape));
+                    }
+                    tape
+                }
+            };
             BYTES.fetch_add(tape.bytes() as u64, Ordering::Relaxed);
-            RAW_BYTES.fetch_add(tape.raw_bytes() as u64, Ordering::Relaxed);
-            tape
+            Arc::new(tape)
         }));
         if fresh {
             // Charge the recorded size to the residency account and shed
@@ -1222,7 +864,6 @@ pub mod cache {
             misses: MISSES.load(Ordering::Relaxed),
             store_hits: STORE_HITS.load(Ordering::Relaxed),
             bytes: BYTES.load(Ordering::Relaxed),
-            raw_bytes: RAW_BYTES.load(Ordering::Relaxed),
             evictions: EVICTIONS.load(Ordering::Relaxed),
             resident_bytes,
         }
@@ -1235,7 +876,7 @@ mod tests {
 
     #[test]
     fn record_round_trips_every_field() {
-        let r = EventRecord::new(3, 0xDEAD_BEEF, true)
+        let r = TapeEvent::new(3, 0xDEAD_BEEF, true)
             .with_outcome(Outcome::LlcMiss)
             .with_l1_writeback_llc_write()
             .with_l2_writeback_llc_write()
@@ -1269,7 +910,7 @@ mod tests {
 
     #[test]
     fn default_record_is_a_flagless_l1_hit() {
-        let r = EventRecord::new(0, 7, false);
+        let r = TapeEvent::new(0, 7, false);
         assert_eq!(r.outcome(), Outcome::L1Hit);
         assert!(!r.is_write());
         assert!(!r.l1_writeback_llc_write());
@@ -1288,7 +929,7 @@ mod tests {
             Outcome::LlcHit,
             Outcome::LlcMiss,
         ] {
-            assert_eq!(EventRecord::new(0, 0, false).with_outcome(o).outcome(), o);
+            assert_eq!(TapeEvent::new(0, 0, false).with_outcome(o).outcome(), o);
         }
     }
 
@@ -1311,75 +952,45 @@ mod tests {
         let mut s = SideEvents::default();
         s.push_endurance(1);
         s.push_dram(2);
-        tape.push(EventRecord::new(0, 0, false), &s);
+        tape.push(TapeEvent::new(0, 0, false), &s);
         s.clear();
-        tape.push(EventRecord::new(1, 5, true), &s);
+        tape.push(TapeEvent::new(1, 5, true), &s);
         assert_eq!(tape.len(), 2);
         assert!(!tape.is_empty());
-        assert_eq!(tape.endurance_blocks().collect::<Vec<_>>(), vec![1]);
-        assert_eq!(tape.dram_blocks().collect::<Vec<_>>(), vec![2]);
+        assert_eq!(tape.wear_blocks(), &[1]);
+        assert_eq!(tape.dram_blocks(), &[2]);
         assert_eq!(tape.cores(), 4);
-        assert!(tape.bytes() >= 2 * 8);
-        assert_eq!(tape.raw_bytes(), 2 * 8 + 2 * 8);
+        assert!(tape.bytes() >= 2 * 6 + 2 * 8);
     }
 
     #[test]
     fn decode_round_trips_every_record_field() {
-        let records = [
-            EventRecord::new(0, 7, false),
-            EventRecord::new(3, 0xDEAD_BEEF, true)
+        let events = [
+            TapeEvent::new(0, 7, false),
+            TapeEvent::new(3, 0xDEAD_BEEF, true)
                 .with_outcome(Outcome::LlcMiss)
                 .with_l1_writeback_llc_write()
                 .with_l2_writeback_llc_write()
                 .with_prefetch_evict_llc_write()
                 .with_prefetch_llc_fill()
                 .with_llc_filled(),
-            EventRecord::new(255, u32::MAX, true).with_outcome(Outcome::L2Hit),
+            TapeEvent::new(255, u32::MAX, true).with_outcome(Outcome::L2Hit),
         ];
-        for r in records {
-            let ev = r.decode();
-            assert_eq!(ev.gap_instructions(), r.gap_instructions());
-            assert_eq!(ev.core(), r.core());
-            assert_eq!(ev.is_write(), r.is_write());
-            assert_eq!(ev.outcome(), r.outcome());
-            assert_eq!(ev.l1_writeback_llc_write(), r.l1_writeback_llc_write());
-            assert_eq!(ev.l2_writeback_llc_write(), r.l2_writeback_llc_write());
-            assert_eq!(ev.prefetch_evict_llc_write(), r.prefetch_evict_llc_write());
-            assert_eq!(ev.prefetch_llc_fill(), r.prefetch_llc_fill());
-            assert_eq!(ev.llc_filled(), r.llc_filled());
+        let mut tape = OutcomeTape::with_capacity(events.len(), 256);
+        for &ev in &events {
+            tape.push(ev, &SideEvents::default());
         }
-    }
-
-    #[test]
-    fn packed_blocks_round_trip_adversarial_sequences() {
-        let sequences: [&[u64]; 5] = [
-            &[],
-            &[0],
-            &[u64::MAX, 0, u64::MAX, 1, u64::MAX - 1],
-            &[7, 7, 7, 7],
-            &[1 << 63, (1 << 63) - 1, 42, 0, u64::MAX],
-        ];
-        for seq in sequences {
-            let mut packed = PackedBlocks::default();
-            for &b in seq {
-                packed.push(b);
-            }
-            assert_eq!(packed.len(), seq.len());
-            assert_eq!(packed.iter().collect::<Vec<_>>(), seq);
-            assert_eq!(packed.iter().len(), seq.len());
+        // Splitting an event across three lanes and reassembling it
+        // preserves every field.
+        for (i, &ev) in events.iter().enumerate() {
+            let back = tape.event(i);
+            assert_eq!(back, ev);
+            assert_eq!(back.gap_instructions(), ev.gap_instructions());
+            assert_eq!(back.core(), ev.core());
+            assert_eq!(back.is_write(), ev.is_write());
+            assert_eq!(back.outcome(), ev.outcome());
+            assert_eq!(back.llc_filled(), ev.llc_filled());
         }
-    }
-
-    #[test]
-    fn packed_blocks_compact_local_streams() {
-        // Block addresses hopping inside a working set: deltas fit one or
-        // two varint bytes instead of eight.
-        let mut packed = PackedBlocks::default();
-        for i in 0..10_000u64 {
-            packed.push((1 << 30) | ((i * 37) % 4096));
-        }
-        assert!(packed.bytes.len() * 3 < packed.raw_bytes());
-        assert_eq!(packed.iter().count(), 10_000);
     }
 
     #[test]
@@ -1387,11 +998,11 @@ mod tests {
         let mut tape = OutcomeTape::with_capacity(3, 2);
         let mut s = SideEvents::default();
         // L1 hit: no sides.
-        tape.push(EventRecord::new(0, 3, false), &s);
+        tape.push(TapeEvent::new(0, 3, false), &s);
         // L2 hit with an L1-writeback LLC write: one endurance entry.
         s.push_endurance(10);
         tape.push(
-            EventRecord::new(1, 0, true)
+            TapeEvent::new(1, 0, true)
                 .with_outcome(Outcome::L2Hit)
                 .with_l1_writeback_llc_write(),
             &s,
@@ -1401,27 +1012,21 @@ mod tests {
         s.push_endurance(99);
         s.push_dram(99);
         tape.push(
-            EventRecord::new(0, 5, false)
+            TapeEvent::new(0, 5, false)
                 .with_outcome(Outcome::LlcMiss)
                 .with_llc_filled(),
             &s,
         );
+        tape.seal(SimStats::default());
 
-        let decoded = DecodedTape::decode(&tape);
+        // The decoded view is the tape itself: no second copy.
+        let decoded = tape.decoded();
+        assert!(std::ptr::eq(decoded, &tape));
         assert_eq!(decoded.len(), 3);
         assert_eq!(decoded.cores(), 2);
-        for (i, &rec) in tape.records().iter().enumerate() {
-            assert_eq!(decoded.event(i), rec.decode());
-        }
-        // The lanes are parallel views of the same events, with the gap
-        // pre-converted exactly to f64.
-        for i in 0..decoded.len() {
-            let ev = decoded.event(i);
-            assert_eq!(decoded.gap_lane()[i], ev.gap);
-            assert_eq!(decoded.gap_f64_lane()[i], f64::from(ev.gap));
-            assert_eq!(decoded.core_lane()[i], ev.core);
-            assert_eq!(decoded.flag_lane()[i], ev.flags);
-        }
+        assert_eq!(decoded.gaps(), &[3, 0, 5]);
+        assert_eq!(decoded.core_lane(), &[0, 1, 0]);
+        assert_eq!(decoded.present_cores(), &[0, 1]);
         // The flat side arrays carry the streams in emission order, and
         // the per-event counts partition them: (0, 0) + (1, 0) + (1, 1).
         assert_eq!(decoded.wear_blocks(), &[10, 99]);
@@ -1430,12 +1035,59 @@ mod tests {
             .map(|i| decoded.event(i).side_counts())
             .collect();
         assert_eq!(counts, vec![(0, 0), (1, 0), (1, 1)]);
-        // A three-event tape is one (partial) chunk; its base offsets
-        // start at zero and the trailing entry holds the stream totals.
-        assert_eq!(decoded.num_chunks(), 1);
-        assert_eq!(decoded.chunk_range(0), 0..3);
-        assert_eq!(decoded.chunk_side_base(0), (0, 0));
-        assert_eq!(decoded.chunk_bases.last(), Some(&(2, 1)));
+    }
+
+    #[test]
+    fn recorded_tape_bytes_are_its_lane_and_side_capacities() {
+        use crate::config::ArchConfig;
+        use crate::system::System;
+        let trace = nvm_llc_trace::workloads::by_name("ft")
+            .unwrap()
+            .generate(3, 2_000);
+        let system = System::new(
+            ArchConfig::gainestown(nvm_llc_circuit::reference::sram_baseline()).with_l2_prefetch(),
+        )
+        .with_warmup(0.25);
+        let tape = system.record(&trace);
+        assert!(!tape.wear_blocks().is_empty() && !tape.dram_blocks().is_empty());
+        assert_eq!(
+            tape.bytes(),
+            tape.gaps.capacity() * 4
+                + tape.core_lane.capacity()
+                + tape.flags.capacity()
+                + (tape.wear_blocks.capacity() + tape.dram_blocks.capacity()) * 8
+        );
+        // Every lane and side stream is sized exactly: 6 bytes per event
+        // plus 8 per side entry, with no growth slack to charge.
+        let exact = 6 * tape.len() + 8 * (tape.wear_blocks().len() + tape.dram_blocks().len());
+        assert_eq!(tape.bytes(), exact);
+        // ft runs four threads on four cores.
+        assert_eq!(tape.present_cores(), &[0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn stored_tape_of_another_core_count_is_recorded_afresh() {
+        use crate::config::ArchConfig;
+        use crate::system::System;
+        let dir =
+            std::env::temp_dir().join(format!("nvm-llc-tape-cores-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = std::sync::Arc::new(nvm_llc_store::Store::open(&dir).unwrap());
+        let trace = nvm_llc_trace::workloads::by_name("tonto")
+            .unwrap()
+            .generate_shared(5, 500);
+        let llc = nvm_llc_circuit::reference::sram_baseline();
+        let quad = System::new(ArchConfig::gainestown(llc.clone()));
+        let dual = System::new(ArchConfig::gainestown(llc).with_cores(2));
+        // A well-formed dual-core tape planted under the quad-core key.
+        let key = crate::persist::tape_store_key(&quad.tape_key(&trace));
+        store
+            .put(&key, &crate::persist::encode_tape(&dual.record(&trace)))
+            .unwrap();
+        let tape = cache::fetch_with_store(&quad, &trace, Some(&store));
+        assert_eq!(tape.cores(), 4);
+        assert_eq!(quad.replay(&tape), quad.run(&trace));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

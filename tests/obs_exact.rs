@@ -27,10 +27,6 @@ fn run_all_counter_and_histogram_updates_sum_exactly() {
         "nvmllc_eval_run_all_seconds",
         "Wall time of the `eval_run_all` span.",
     );
-    let replay_hist = nvm_llc::obs::metrics::histogram(
-        "nvmllc_tape_replay_seconds",
-        "Wall time of the `tape_replay` span.",
-    );
     let batch_hist = nvm_llc::obs::metrics::histogram(
         "nvmllc_tape_replay_batch_seconds",
         "Wall time of the `tape_replay_batch` span.",
@@ -41,7 +37,7 @@ fn run_all_counter_and_histogram_updates_sum_exactly() {
         let cells = metrics::cells().get();
         let groups = metrics::groups().get();
         let run_spans = run_hist.count();
-        let replay_spans = replay_hist.count() + batch_hist.count();
+        let replay_spans = batch_hist.count();
 
         let (ev, width) = evaluator();
         let rows = ev.threads(threads).run_all(&ws);
@@ -60,11 +56,11 @@ fn run_all_counter_and_histogram_updates_sum_exactly() {
         );
 
         // Span histograms observe exactly one sample per span: one
-        // eval_run_all per run, and one replay (single or batched) per
-        // scheduled group.
+        // eval_run_all per run, and one batched replay per scheduled
+        // group.
         assert_eq!(run_hist.count() - run_spans, 1, "{threads} workers");
         assert_eq!(
-            replay_hist.count() + batch_hist.count() - replay_spans,
+            batch_hist.count() - replay_spans,
             d_groups,
             "{threads} workers"
         );

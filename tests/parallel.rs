@@ -1,9 +1,8 @@
 //! Parallel evaluation engine, end to end: the scoped worker pool must be
 //! bit-identical to the serial path, the process-wide trace cache must
 //! hand every same-key consumer the same `Arc<Trace>`, and the
-//! tape-replay paths behind `run_all` — batched lockstep replay for
-//! shared-geometry groups, `System::run_cached` for singletons — must
-//! agree exactly with direct `System::run` at every worker count.
+//! batched tape replay behind `run_all` must agree exactly with direct
+//! `System::run` at every worker count.
 
 use std::sync::Arc;
 
@@ -103,35 +102,55 @@ fn tape_replay_matrix_matches_direct_runs_at_every_worker_count() {
     }
 }
 
-/// The batched replay engine behind `run_all` (one decode driving all
-/// eleven timing engines in lockstep) is bit-identical to the
-/// per-technology reference path at every worker count — and both are
-/// worker-count invariant themselves.
+/// The batched replay engine behind `run_all` (one tape driving all
+/// eleven timing engines in lockstep) is bit-identical at every worker
+/// count to the matrix assembled from per-technology fused runs. cg is
+/// multi-threaded, so the simple bank's per-core passes are covered.
 #[test]
 fn batched_and_per_technology_matrices_agree_at_every_worker_count() {
     let ws: Vec<_> = ["leela", "cg"]
         .iter()
         .map(|n| workloads::by_name(n).unwrap())
         .collect();
-    let reference_rows = evaluator().threads(1).batched(false).run_all(&ws);
+    let models = reference::fixed_capacity();
+    let fused: Vec<Vec<SimResult>> = ws
+        .iter()
+        .map(|w| {
+            let trace = w.generate(2019, w.scaled_accesses(8_000));
+            models
+                .iter()
+                .map(|m| {
+                    System::new(ArchConfig::gainestown(m.clone()))
+                        .with_warmup(nvm_llc::sim::runner::DEFAULT_WARMUP)
+                        .run(&trace)
+                })
+                .collect()
+        })
+        .collect();
     for threads in [1, 2, 4, 8] {
-        assert_eq!(
-            evaluator().threads(threads).run_all(&ws),
-            reference_rows,
-            "batched path with {threads} workers"
-        );
-        assert_eq!(
-            evaluator().threads(threads).batched(false).run_all(&ws),
-            reference_rows,
-            "per-technology path with {threads} workers"
-        );
+        let rows = evaluator().threads(threads).run_all(&ws);
+        for (row, per_tech) in rows.iter().zip(&fused) {
+            for (model, direct) in models.iter().zip(per_tech) {
+                let cell = if model.name == "SRAM" {
+                    &row.baseline
+                } else {
+                    &row.entry(&model.name).expect("matrix covers model").result
+                };
+                assert_eq!(
+                    cell, direct,
+                    "{} on {} with {threads} workers",
+                    model.name, row.workload
+                );
+            }
+        }
     }
 }
 
-/// `run_cached` is replay-backed: repeated fetches reuse one recorded
-/// tape (pointer-equal through the cache) and still reproduce `run`.
+/// Cached tapes are shared per geometry: two technologies on the same
+/// trace and geometry get one pointer-equal tape, and replaying it
+/// reproduces each one's fused `run`.
 #[test]
-fn run_cached_reuses_one_tape_per_geometry() {
+fn cached_tapes_are_shared_per_geometry() {
     let w = workloads::by_name("ft").unwrap();
     let trace = w.generate_shared(7, 4_000);
     let models = reference::fixed_capacity();
@@ -145,8 +164,8 @@ fn run_cached_reuses_one_tape_per_geometry() {
     let tape_a = nvm_llc::sim::tape::cache::fetch(&sram, &trace);
     let tape_b = nvm_llc::sim::tape::cache::fetch(&kang, &trace);
     assert!(Arc::ptr_eq(&tape_a, &tape_b));
-    assert_eq!(sram.run_cached(&trace), sram.run(&trace));
-    assert_eq!(kang.run_cached(&trace), kang.run(&trace));
+    assert_eq!(sram.replay(&tape_a), sram.run(&trace));
+    assert_eq!(kang.replay(&tape_b), kang.run(&trace));
 }
 
 mod policy_proptests {

@@ -14,9 +14,8 @@ use std::collections::HashSet;
 /// * fixed-capacity matrix (11 technologies, one shared 2 MB geometry):
 ///   the batched path fetches the tape *once per group*, so a cold run
 ///   is one tape-cache miss (= one functional pass) per workload and no
-///   hits at all — the ten extra technologies ride the single decode;
-/// * the per-technology reference path (`batched(false)`) keeps PR 2's
-///   per-cell accounting: rerun warm, all eleven fetches hit;
+///   hits at all — the ten extra technologies ride the single tape;
+/// * rerun warm, each group's one fetch hits;
 /// * fixed-area matrix (capacities differ per technology): one miss per
 ///   *distinct* LLC capacity — each capacity forms one batched group;
 /// * the replayed results stay bit-identical to direct `System::run`.
@@ -44,8 +43,8 @@ fn matrix_records_one_functional_pass_per_distinct_geometry() {
 
     // All 11 fixed-capacity technologies share the 2 MB LLC geometry, so
     // each workload is a single batched group: exactly one functional
-    // pass per workload and one decode shared by all eleven engines —
-    // no per-technology cache traffic at all.
+    // pass per workload and one tape shared by all eleven engines — no
+    // per-technology cache traffic at all.
     assert_eq!(
         after.misses - before.misses,
         ws.len() as u64,
@@ -57,21 +56,15 @@ fn matrix_records_one_functional_pass_per_distinct_geometry() {
         "batched groups fetch the tape once, at recording time"
     );
     assert!(after.bytes > before.bytes, "tapes report their footprint");
-    assert!(
-        after.raw_bytes >= after.bytes,
-        "varint side arrays never report more than their flat-u64 size"
-    );
     assert_eq!(after.evictions, 0, "default budget fits the test tapes");
     assert_eq!(nvm_llc::sim::tape::cache::len(), ws.len());
 
-    // The per-technology reference path keeps PR 2's accounting: rerun
-    // the same matrix warm with batching disabled and every cell fetches
-    // its tape individually — eleven hits per workload, no new passes.
+    // Rerun the same matrix warm: each workload's one group fetches its
+    // tape once — one hit per workload, no new passes.
     let before = cache();
-    let unbatched = Evaluator::new(baseline, nvms)
+    let warm = Evaluator::new(baseline, nvms)
         .base_accesses(8_000)
         .threads(4)
-        .batched(false)
         .run_all(&ws);
     let after = cache();
     assert_eq!(
@@ -81,10 +74,10 @@ fn matrix_records_one_functional_pass_per_distinct_geometry() {
     );
     assert_eq!(
         after.hits - before.hits,
-        (ws.len() * 11) as u64,
-        "per-technology path fetches once per matrix cell"
+        ws.len() as u64,
+        "one fetch per group"
     );
-    assert_eq!(rows, unbatched, "both paths produce bit-identical rows");
+    assert_eq!(rows, warm, "warm and cold rows are bit-identical");
 
     // Replays are bit-identical to direct runs over a freshly generated
     // (cache-independent) copy of the same trace.
