@@ -101,7 +101,8 @@ pub fn default_seconds_bounds() -> Vec<f64> {
 }
 
 /// A fixed-bucket histogram: one atomic bucket increment plus one CAS
-/// accumulation of the sum per recorded value.
+/// accumulation of the sum per recorded value, and a CAS on the observed
+/// minimum or maximum only when the value is a new extreme.
 pub struct Histogram {
     /// Upper bounds (`le`), ascending; an implicit `+Inf` bucket follows.
     bounds: Vec<f64>,
@@ -110,6 +111,28 @@ pub struct Histogram {
     count: AtomicU64,
     /// Sum of recorded values, stored as `f64` bits.
     sum_bits: AtomicU64,
+    /// Smallest and largest recorded values, as `f64` bits (`+inf` and
+    /// `-inf` while empty).
+    min_bits: AtomicU64,
+    max_bits: AtomicU64,
+}
+
+/// Moves the `f64` stored in `cell` to `value` if `better(value, current)`.
+/// The relaxed load answers the common case, an unchanged extreme,
+/// without a read-modify-write.
+fn update_extreme(cell: &AtomicU64, value: f64, better: impl Fn(f64, f64) -> bool) {
+    let mut current = cell.load(Ordering::Relaxed);
+    while better(value, f64::from_bits(current)) {
+        match cell.compare_exchange_weak(
+            current,
+            value.to_bits(),
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        ) {
+            Ok(_) => return,
+            Err(actual) => current = actual,
+        }
+    }
 }
 
 impl Histogram {
@@ -124,6 +147,8 @@ impl Histogram {
             buckets,
             count: AtomicU64::new(0),
             sum_bits: AtomicU64::new(0f64.to_bits()),
+            min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
+            max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
         }
     }
 
@@ -137,6 +162,8 @@ impl Histogram {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
                 Some((f64::from_bits(bits) + value).to_bits())
             });
+        update_extreme(&self.min_bits, value, |v, min| v < min);
+        update_extreme(&self.max_bits, value, |v, max| v > max);
     }
 
     /// Number of recorded values.
@@ -162,16 +189,35 @@ impl Histogram {
             .collect()
     }
 
+    /// Smallest recorded value (`+inf` when empty).
+    fn min(&self) -> f64 {
+        f64::from_bits(self.min_bits.load(Ordering::Relaxed))
+    }
+
+    /// Largest recorded value (`-inf` when empty).
+    fn max(&self) -> f64 {
+        f64::from_bits(self.max_bits.load(Ordering::Relaxed))
+    }
+
     /// Estimates quantile `q` (0..=1) by linear interpolation inside the
-    /// bucket holding the target rank. Returns 0 when empty.
+    /// bucket holding the target rank, clamped into the observed
+    /// `[min, max]` so an estimate never leaves the range of what was
+    /// recorded. Returns 0 when empty.
     pub fn quantile(&self, q: f64) -> f64 {
-        quantile_from_counts(&self.bounds, &self.bucket_counts(), q)
+        let estimate = quantile_from_counts(&self.bounds, &self.bucket_counts(), q);
+        let (min, max) = (self.min(), self.max());
+        if min <= max {
+            estimate.clamp(min, max)
+        } else {
+            estimate
+        }
     }
 }
 
 /// The quantile estimator shared by live [`Histogram`]s and federated
 /// [`crate::federate::ParsedHistogram`]s: find the bucket holding the
-/// target rank, linearly interpolate inside it. `counts` is
+/// target rank, linearly interpolate inside it. (Only live histograms
+/// know their extremes to clamp by; the exposition format carries none.) `counts` is
 /// non-cumulative with the `+Inf` bucket last. Returns 0 when empty.
 pub(crate) fn quantile_from_counts(bounds: &[f64], counts: &[u64], q: f64) -> f64 {
     let total: u64 = counts.iter().sum();
@@ -518,6 +564,45 @@ mod tests {
         let p50 = h.quantile(0.5);
         assert!((1.0..=2.0).contains(&p50), "p50 {p50}");
         assert_eq!(Histogram::new(vec![1.0]).quantile(0.99), 0.0, "empty");
+    }
+
+    #[test]
+    fn quantiles_stay_inside_the_observed_range() {
+        // Every value sits on a bucket bound: plain interpolation inside
+        // (0, 1] would report 0.5 for a histogram of ones.
+        let h = Histogram::new(vec![1.0, 2.0, 4.0]);
+        for _ in 0..10 {
+            h.record(1.0);
+        }
+        assert_eq!((h.min(), h.max()), (1.0, 1.0));
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(h.quantile(q), 1.0, "q {q}");
+        }
+        // A spread of values: estimates stay within [min, max].
+        let h = Histogram::new(vec![1.0, 2.0, 4.0]);
+        for v in [1.2, 1.4, 3.0, 3.5] {
+            h.record(v);
+        }
+        assert_eq!((h.min(), h.max()), (1.2, 3.5));
+        for q in [0.01, 0.5, 0.99] {
+            assert!((1.2..=3.5).contains(&h.quantile(q)), "q {q}");
+        }
+    }
+
+    #[test]
+    fn extremes_track_concurrent_records() {
+        let h = Histogram::new(default_seconds_bounds());
+        std::thread::scope(|scope| {
+            for t in 0..4u32 {
+                let h = &h;
+                scope.spawn(move || {
+                    for i in 0..1_000u32 {
+                        h.record(f64::from(t * 1_000 + i + 1));
+                    }
+                });
+            }
+        });
+        assert_eq!((h.min(), h.max()), (1.0, 4_000.0));
     }
 
     #[test]

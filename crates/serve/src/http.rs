@@ -403,9 +403,12 @@ pub struct ClientConn {
 }
 
 impl ClientConn {
-    /// Connects with sane loopback timeouts.
+    /// Connects with sane loopback timeouts and `TCP_NODELAY`, so a
+    /// small request is not held back waiting for the previous
+    /// response's delayed ACK.
     pub fn connect(addr: SocketAddr) -> std::io::Result<ClientConn> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(60)))?;
         stream.set_write_timeout(Some(Duration::from_secs(60)))?;
         Ok(ClientConn {

@@ -1534,13 +1534,15 @@ fn render_statsz(shared: &Shared) -> String {
 }
 
 /// `p50/p95/p99` of one histogram as a JSON object, in whole
-/// microseconds (integers keep the stats scrapable with naive parsers).
+/// microseconds rounded up (integers keep the stats scrapable with naive
+/// parsers, and a nonzero latency never renders as `0`).
 fn quantiles_json(hist: &nvm_llc_obs::metrics::Histogram) -> String {
+    let us = |q: f64| (hist.quantile(q) * 1e6).ceil() as u64;
     format!(
         "{{\"p50_us\":{},\"p95_us\":{},\"p99_us\":{}}}",
-        (hist.quantile(0.5) * 1e6) as u64,
-        (hist.quantile(0.95) * 1e6) as u64,
-        (hist.quantile(0.99) * 1e6) as u64,
+        us(0.5),
+        us(0.95),
+        us(0.99),
     )
 }
 

@@ -7,6 +7,11 @@ use crate::policy::{PolicyState, ReplacementPolicy};
 /// only knew LRU and random).
 pub use crate::policy::PolicyKind as Replacement;
 
+/// Tag-lane value of an empty way. Block addresses are byte addresses
+/// divided by 64, so below 2^58, and no tag (a block address shifted
+/// right) can reach it.
+const EMPTY: u64 = u64::MAX;
+
 /// A line displaced by an allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Eviction {
@@ -37,13 +42,11 @@ impl AccessOutcome {
 }
 
 /// One cache line's replacement-relevant state, readable by
-/// [`ReplacementPolicy::victim`] implementations (the tag stays
-/// private — policies decide *which way* dies, not address identity).
+/// [`ReplacementPolicy::victim`] implementations. Tags and occupancy
+/// live in the array's separate tag lane: policies decide *which way*
+/// dies, not address identity, and only ever see full sets.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Line {
-    pub(crate) tag: u64,
-    /// Whether the line holds a block.
-    pub valid: bool,
     /// Whether the block has been written since its fill (a dirty
     /// victim costs a writeback — what the endurance policy avoids).
     pub dirty: bool,
@@ -59,11 +62,12 @@ pub struct Line {
 /// Purely functional state (no timing): the timing model lives in
 /// [`crate::system`]. Addresses are *block* addresses (byte address / 64).
 ///
-/// The line array is a single flat allocation (`num_sets × ways`, set-
-/// major): one access touches one contiguous `ways`-sized slice, and the
-/// set index/tag split is a precomputed mask and shift — the simulator
-/// replays hundreds of millions of accesses, so the per-access `Vec`
-/// indirection this replaces was a measurable cost.
+/// State is two flat set-major arrays (`num_sets × ways`): a tag lane
+/// that every lookup scans, and the [`Line`]s that only hits, fills and
+/// victim choice touch. The set index/tag split is a precomputed mask
+/// and shift. The simulator replays hundreds of millions of accesses,
+/// and a 16-way set search reads 128 B of tags instead of 16 whole
+/// lines.
 ///
 /// # Examples
 ///
@@ -76,8 +80,12 @@ pub struct Line {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    /// Flat set-major line array: set `s` occupies
-    /// `lines[s * ways .. (s + 1) * ways]`.
+    /// Flat set-major tag lane: set `s` occupies
+    /// `tags[s * ways .. (s + 1) * ways]`, and [`EMPTY`] marks a way
+    /// that holds no block.
+    tags: Vec<u64>,
+    /// The lines behind `tags`, same layout. A line's fields are
+    /// meaningful only while its tag is not [`EMPTY`].
     lines: Vec<Line>,
     ways: usize,
     set_mask: u64,
@@ -104,8 +112,10 @@ impl SetAssocCache {
     pub fn new(num_sets: u64, ways: u32, replacement: Replacement) -> Self {
         assert!(num_sets.is_power_of_two(), "sets must be a power of two");
         assert!(ways >= 1, "needs at least one way");
+        let len = (num_sets * u64::from(ways)) as usize;
         SetAssocCache {
-            lines: vec![Line::default(); (num_sets * u64::from(ways)) as usize],
+            tags: vec![EMPTY; len],
+            lines: vec![Line::default(); len],
             ways: ways as usize,
             set_mask: num_sets - 1,
             set_shift: num_sets.trailing_zeros(),
@@ -157,10 +167,12 @@ impl SetAssocCache {
         let set_idx = (block & self.set_mask) as usize;
         let tag = block >> self.set_shift;
         let clock = self.clock;
+        debug_assert_ne!(tag, EMPTY, "block {block:#x} collides with the empty tag");
         let base = set_idx * self.ways;
+        let tags = &mut self.tags[base..base + self.ways];
         let set = &mut self.lines[base..base + self.ways];
 
-        if let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) {
+        if let Some(way) = tags.iter().position(|&t| t == tag) {
             let line = &mut set[way];
             line.stamp = clock;
             line.dirty |= is_write;
@@ -174,24 +186,23 @@ impl SetAssocCache {
         }
         self.misses += 1;
 
-        // Victim: first invalid way (policy unconsulted), else the
-        // policy picks among a full set.
-        let victim_idx = match set.iter().position(|l| !l.valid) {
-            Some(i) => i,
-            None => self.policy.victim(set_idx, set),
-        };
-        let victim = set[victim_idx];
-        let evicted = victim.valid.then(|| {
-            self.policy.evict(set_idx, victim_idx);
-            Eviction {
-                block: (victim.tag << self.set_shift) | set_idx as u64,
-                dirty: victim.dirty,
-                reused: victim.reused,
+        // Victim: first empty way (policy unconsulted), else the policy
+        // picks among a full set.
+        let (victim_idx, evicted) = match tags.iter().position(|&t| t == EMPTY) {
+            Some(i) => (i, None),
+            None => {
+                let i = self.policy.victim(set_idx, set);
+                self.policy.evict(set_idx, i);
+                let eviction = Eviction {
+                    block: (tags[i] << self.set_shift) | set_idx as u64,
+                    dirty: set[i].dirty,
+                    reused: set[i].reused,
+                };
+                (i, Some(eviction))
             }
-        });
+        };
+        tags[victim_idx] = tag;
         set[victim_idx] = Line {
-            tag,
-            valid: true,
             dirty: is_write,
             reused: false,
             stamp: clock,
@@ -212,9 +223,11 @@ impl SetAssocCache {
         let tag = block >> self.set_shift;
         let clock = self.clock;
         let base = set_idx * self.ways;
-        let set = &mut self.lines[base..base + self.ways];
-        if let Some(way) = set.iter().position(|l| l.valid && l.tag == tag) {
-            let line = &mut set[way];
+        if let Some(way) = self.tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == tag)
+        {
+            let line = &mut self.lines[base + way];
             line.stamp = clock;
             line.reused = true;
             self.hits += 1;
@@ -270,26 +283,26 @@ impl SetAssocCache {
         let set_idx = (block & self.set_mask) as usize;
         let tag = block >> self.set_shift;
         let base = set_idx * self.ways;
-        let line = self.lines[base..base + self.ways]
-            .iter_mut()
-            .find(|l| l.valid && l.tag == tag)?;
-        line.valid = false;
-        Some(line.dirty)
+        let way = self.tags[base..base + self.ways]
+            .iter()
+            .position(|&t| t == tag)?;
+        self.tags[base + way] = EMPTY;
+        Some(self.lines[base + way].dirty)
     }
 
     /// All currently resident block addresses, set-major.
     ///
-    /// Allocation-free: yields straight from the line array, so endurance
+    /// Allocation-free: yields straight from the tag lane, so endurance
     /// and hybrid analyses can sweep residency without materializing a
     /// `Vec` per call (collect if ordering/sorting is needed).
     pub fn resident_blocks(&self) -> impl Iterator<Item = u64> + '_ {
-        self.lines
+        self.tags
             .chunks(self.ways)
             .enumerate()
-            .flat_map(move |(set_idx, set)| {
-                set.iter()
-                    .filter(|l| l.valid)
-                    .map(move |l| (l.tag << self.set_shift) | set_idx as u64)
+            .flat_map(move |(set_idx, tags)| {
+                tags.iter()
+                    .filter(|&&t| t != EMPTY)
+                    .map(move |&t| (t << self.set_shift) | set_idx as u64)
             })
     }
 
@@ -298,9 +311,7 @@ impl SetAssocCache {
         let set_idx = (block & self.set_mask) as usize;
         let tag = block >> self.set_shift;
         let base = set_idx * self.ways;
-        self.lines[base..base + self.ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        self.tags[base..base + self.ways].contains(&tag)
     }
 
     /// Demand hits so far.
@@ -490,6 +501,98 @@ mod tests {
             })
             .collect();
         assert_eq!(evicted, vec![20, 30, 40, 10]);
+    }
+
+    /// `fnv1a64` over every observable outcome of a seeded mixed stream
+    /// of `access` / `fill_dirty` / `fill_clean` / `access_no_alloc` /
+    /// `invalidate` / `contains` on a 64-set array, followed by the
+    /// demand counters and the sorted resident blocks.
+    fn behaviour_digest(policy: Replacement, ways: u32) -> u64 {
+        const SETS: u64 = 64;
+        let mut c = SetAssocCache::new(SETS, ways, policy);
+        let mut bytes: Vec<u8> = Vec::new();
+        let eviction = |bytes: &mut Vec<u8>, e: Option<Eviction>| match e {
+            Some(e) => {
+                bytes.push(1 | u8::from(e.dirty) << 1 | u8::from(e.reused) << 2);
+                bytes.extend_from_slice(&e.block.to_le_bytes());
+            }
+            None => bytes.push(0),
+        };
+        // splitmix64: a fixed stream, independent of the `rand` stand-in.
+        let mut state = 0x0005_EEDC_AC4E_u64 ^ u64::from(ways);
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for _ in 0..20_000 {
+            let r = next();
+            let block = (r >> 8) % (SETS * u64::from(ways) * 3);
+            match r % 16 {
+                0..=6 => {
+                    let out = c.access(block, r & 0x10 != 0);
+                    bytes.push(u8::from(out.hit));
+                    eviction(&mut bytes, out.evicted);
+                }
+                7 | 8 => eviction(&mut bytes, c.fill_dirty_full(block)),
+                9 | 10 => eviction(&mut bytes, c.fill_clean(block)),
+                11 | 12 => bytes.push(u8::from(c.access_no_alloc(block))),
+                13 => bytes.push(match c.invalidate(block) {
+                    None => 0,
+                    Some(dirty) => 1 + u8::from(dirty),
+                }),
+                _ => bytes.push(u8::from(c.contains(block))),
+            }
+        }
+        bytes.extend_from_slice(&c.hits().to_le_bytes());
+        bytes.extend_from_slice(&c.misses().to_le_bytes());
+        let mut resident: Vec<u64> = c.resident_blocks().collect();
+        resident.sort_unstable();
+        for block in resident {
+            bytes.extend_from_slice(&block.to_le_bytes());
+        }
+        nvm_llc_store::fnv1a64(&bytes)
+    }
+
+    /// Way choice, eviction reporting and residency are pinned for every
+    /// policy at 1, 8 and 16 ways: any change in which way a block lands
+    /// in, which victim dies, or what an eviction reports moves a digest.
+    #[test]
+    fn golden_behaviour_digests_per_policy_and_ways() {
+        const GOLDEN: [(Replacement, [u64; 3]); 6] = [
+            (
+                Replacement::Lru,
+                [0x1674de598f43084a, 0x479e9352ba91c111, 0xf6e3338665b2eebd],
+            ),
+            (
+                Replacement::Random,
+                [0x1674de598f43084a, 0xe92dd1fb29bb413d, 0xdec90969916218a1],
+            ),
+            (
+                Replacement::Srrip,
+                [0x1674de598f43084a, 0xd0085e1de4e3d628, 0x4652cf3fbfe4718c],
+            ),
+            (
+                Replacement::Drrip,
+                [0x1674de598f43084a, 0xe80316c44a1c96d2, 0x72a6d49e9db9b2c1],
+            ),
+            (
+                Replacement::Ship,
+                [0x1674de598f43084a, 0x73bd941d51698bf4, 0x6c44b084f8fff7b1],
+            ),
+            (
+                Replacement::Endurance,
+                [0x1674de598f43084a, 0x6634feb997b01559, 0xda67e8a4ad4c88f4],
+            ),
+        ];
+        for (policy, digests) in GOLDEN {
+            for (ways, want) in [1, 8, 16].into_iter().zip(digests) {
+                let got = behaviour_digest(policy, ways);
+                assert_eq!(got, want, "{policy:?} at {ways} ways: {got:#018x}");
+            }
+        }
     }
 
     mod proptests {

@@ -136,7 +136,7 @@ pub fn parse_policy(raw: &str) -> Result<PolicyKind, String> {
 ///
 /// * [`touch`](ReplacementPolicy::touch) — a hit re-referenced a line;
 /// * [`fill`](ReplacementPolicy::fill) — a miss installed a line;
-/// * [`evict`](ReplacementPolicy::evict) — a valid line is about to be
+/// * [`evict`](ReplacementPolicy::evict) — a resident line is about to be
 ///   displaced (training hook — SHiP's dead-block counters);
 /// * [`victim`](ReplacementPolicy::victim) — choose the way to displace
 ///   in a full set.
@@ -144,7 +144,7 @@ pub fn parse_policy(raw: &str) -> Result<PolicyKind, String> {
 /// `set_idx` is the set number and `way` the set-relative way index;
 /// policies keep whatever per-line metadata they need in their own
 /// flat `num_sets × ways` arrays. The cache calls `victim` only when
-/// every way is valid (invalid ways fill first, policy unconsulted),
+/// every way holds a block (empty ways fill first, policy unconsulted),
 /// and never calls `evict`/`fill` for `invalidate`d lines — back-
 /// invalidation is a coherence action, not a replacement decision.
 pub trait ReplacementPolicy {
@@ -152,10 +152,10 @@ pub trait ReplacementPolicy {
     fn touch(&mut self, set_idx: usize, way: usize);
     /// A miss (or fill) installed `block` into `way` of `set_idx`.
     fn fill(&mut self, set_idx: usize, way: usize, block: u64);
-    /// The valid line in `way` of `set_idx` is about to be displaced.
+    /// The resident line in `way` of `set_idx` is about to be displaced.
     fn evict(&mut self, set_idx: usize, way: usize);
     /// Chooses the victim way in a full set. `set` holds the set's
-    /// lines in way order; every line is valid.
+    /// lines in way order; every way holds a block.
     fn victim(&mut self, set_idx: usize, set: &[Line]) -> usize;
 }
 

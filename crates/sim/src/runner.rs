@@ -1,17 +1,18 @@
 //! Experiment runner: workload × LLC-technology matrices with
 //! SRAM-normalized metrics (the data behind the paper's Figures 1 and 2).
 //!
-//! [`Evaluator::run_all`] groups the (workload × technology) cell grid
-//! by outcome-tape key — cells sharing a trace and a functional geometry
-//! share one functional pass *and* one batched replay — and fans the
-//! groups out over a scoped worker pool (`std::thread::scope` plus an
-//! atomic work-index queue — no external dependencies). Results land in
-//! a pre-sized slot vector indexed by cell number and rows are assembled
-//! serially afterwards, so output is **bit-identical at every worker
-//! count**. The worker count comes from [`Evaluator::threads`], else the
-//! `NVM_LLC_THREADS` environment variable, else
-//! [`std::thread::available_parallelism`]; `1` takes the exact legacy
-//! serial path (no threads spawned).
+//! [`Evaluator::run_all`] runs in two phases on one scoped worker pool
+//! (`std::thread::scope` plus an atomic work-index queue — no external
+//! dependencies): first every workload's trace is generated, then the
+//! (workload × technology) cell grid, grouped by outcome-tape key —
+//! cells sharing a trace and a functional geometry share one functional
+//! pass *and* one batched replay — is fanned out group by group. Each
+//! phase returns its results in work-item order, group results are
+//! placed by cell number, and rows are assembled serially afterwards,
+//! so output is **bit-identical at every worker count**. The worker
+//! count comes from [`Evaluator::threads`], else the `NVM_LLC_THREADS`
+//! environment variable, else [`std::thread::available_parallelism`];
+//! `1` takes the exact serial path (no threads spawned).
 //!
 //! Cells share work at two levels. All technologies whose functional
 //! geometry matches (the whole fixed-capacity matrix, for instance) run
@@ -67,6 +68,43 @@ pub(crate) fn parse_threads(raw: &str) -> Result<usize, String> {
              (want an integer >= 1); using all available cores"
         )),
     }
+}
+
+/// Computes `f(i)` for every `i` in `0..n` on at most `threads` scoped
+/// workers, each pulling the next index from an atomic counter, and
+/// returns the results in index order. With one worker (or one item)
+/// `f` runs in index order on the caller and no thread is spawned — the
+/// exact serial path. Workers inherit the caller's trace context (if a
+/// request is being traced), so their spans land in its tree.
+fn map_indices<T: Send + Sync>(threads: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let threads = threads.min(n);
+    if threads <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    let trace = nvm_llc_obs::trace::handle();
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            let (trace, slots, next, f) = (trace.clone(), &slots, &next, &f);
+            scope.spawn(move || {
+                let _trace = trace.map(|h| h.attach());
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(slot) = slots.get(i) else {
+                        break;
+                    };
+                    if slot.set(f(i)).is_err() {
+                        unreachable!("index {i} computed twice");
+                    }
+                }
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every index computed"))
+        .collect()
 }
 
 /// Evaluator counters in the process-wide [`nvm_llc_obs`] registry.
@@ -356,20 +394,20 @@ impl Evaluator {
     /// Runs the full workload × technology matrix once per requested
     /// replacement policy, in one scheduling pass.
     ///
-    /// Cells live in a policy-major 3-D grid (policy × workload ×
-    /// technology) and are grouped by outcome-tape key — all
+    /// Every workload's trace is generated first, one workload per work
+    /// item. Cells then live in a policy-major 3-D grid (policy ×
+    /// workload × technology) and are grouped by outcome-tape key — all
     /// technologies sharing a workload's functional geometry *and*
     /// policy form one group, replayed in a single batched pass over one
-    /// tape ([`System::replay_batch`]) — and the groups are
-    /// distributed over [`Evaluator::effective_threads`] scoped workers
-    /// pulling group indices from an atomic queue. Distinct policies
-    /// never share a tape (the policy is part of [`TapeKey`]), but their
-    /// groups interleave in the same worker pool, so a multi-policy
-    /// sweep parallelizes across policies for free. Every group is an
-    /// independent deterministic computation over a shared
-    /// [`Arc<Trace>`], and results land in a slot vector indexed by
-    /// cell, so the output is bit-identical to the serial path
-    /// regardless of worker count or scheduling.
+    /// tape ([`System::replay_batch`]). Both phases are distributed over
+    /// [`Evaluator::effective_threads`] scoped workers pulling indices
+    /// from an atomic queue. Distinct policies never share a tape (the
+    /// policy is part of [`TapeKey`]), but their groups interleave in
+    /// the same worker pool, so a multi-policy sweep parallelizes across
+    /// policies for free. Every group is an independent deterministic
+    /// computation over a shared [`Arc<Trace>`], and its results are
+    /// placed by cell number, so the output is bit-identical to the
+    /// serial path regardless of worker count or scheduling.
     pub fn run_matrix(
         &self,
         workloads: &[WorkloadProfile],
@@ -381,10 +419,13 @@ impl Evaluator {
             crate::tape::cache::set_byte_budget(bytes);
         }
         let store = self.effective_store();
-        let traces: Vec<Arc<Trace>> = workloads
-            .iter()
-            .map(|w| w.generate_shared(self.seed, w.scaled_accesses(self.base_accesses)))
-            .collect();
+        let threads = self.effective_threads();
+        // The trace cache generates each distinct key exactly once, even
+        // when two workers ask for it at the same time.
+        let traces: Vec<Arc<Trace>> = map_indices(threads, workloads.len(), |wi| {
+            let w = &workloads[wi];
+            w.generate_shared(self.seed, w.scaled_accesses(self.base_accesses))
+        });
         // Cell grid: policy-major, then workload-major, baseline first
         // then each NVM. One `System` per (policy, technology) — they
         // are trace-independent.
@@ -413,7 +454,7 @@ impl Evaluator {
         // disk is filled directly and drops out of scheduling — no
         // functional pass, no replay. A corrupt or stale record decodes
         // to `None` and the cell simply computes as usual.
-        let slots: Vec<OnceLock<SimResult>> = (0..cells).map(|_| OnceLock::new()).collect();
+        let mut slots: Vec<Option<SimResult>> = vec![None; cells];
         if let Some(store) = &store {
             for pi in 0..policies.len() {
                 for (wi, trace) in traces.iter().enumerate() {
@@ -423,15 +464,13 @@ impl Evaluator {
                             .and_then(|payload| crate::persist::decode_result(&payload))
                         {
                             metrics::result_tier_hits().inc();
-                            slots[cell(pi, wi, mi)]
-                                .set(result)
-                                .unwrap_or_else(|_| unreachable!("cell filled twice"));
+                            slots[cell(pi, wi, mi)] = Some(result);
                         }
                     }
                 }
             }
         }
-        let pending = |pi: usize, wi: usize, mi: usize| slots[cell(pi, wi, mi)].get().is_none();
+        let pending = |pi: usize, wi: usize, mi: usize| slots[cell(pi, wi, mi)].is_none();
 
         // Work items: per (policy, workload), the still-unserved
         // technology columns grouped by tape key (insertion-ordered, so
@@ -458,60 +497,30 @@ impl Evaluator {
         // The tape fetch goes through the persistent middle tier when a
         // store is attached, and freshly computed results are written
         // back (best-effort — a full disk never fails a run).
-        let run_group = |pi: usize, wi: usize, cols: &[usize]| -> Vec<SimResult> {
-            let group: Vec<&System> = cols.iter().map(|&mi| system(pi, mi)).collect();
-            let tape = crate::tape::cache::fetch_with_store(group[0], &traces[wi], store.as_ref());
-            System::replay_batch(&group, &tape)
-        };
-        let place = |slots: &[OnceLock<SimResult>], pi: usize, wi: usize, cols: &[usize]| {
+        let computed = map_indices(threads, groups.len(), |gi| {
+            let (pi, wi, cols) = &groups[gi];
             metrics::groups().inc();
             metrics::cells().add(cols.len() as u64);
-            for (&mi, result) in cols.iter().zip(run_group(pi, wi, cols)) {
-                if let Some(store) = &store {
-                    let key = crate::persist::result_store_key(system(pi, mi), &traces[wi]);
-                    let _ = store.put(&key, &crate::persist::encode_result(&result));
+            let group: Vec<&System> = cols.iter().map(|&mi| system(*pi, mi)).collect();
+            let tape = crate::tape::cache::fetch_with_store(group[0], &traces[*wi], store.as_ref());
+            let results = System::replay_batch(&group, &tape);
+            if let Some(store) = &store {
+                for (system, result) in group.iter().zip(&results) {
+                    let key = crate::persist::result_store_key(system, &traces[*wi]);
+                    let _ = store.put(&key, &crate::persist::encode_result(result));
                 }
-                slots[cell(pi, wi, mi)]
-                    .set(result)
-                    .unwrap_or_else(|_| unreachable!("cell computed twice"));
             }
-        };
-        let threads = self.effective_threads().min(groups.len().max(1));
-        if threads <= 1 {
-            // Exact legacy serial path: groups in order, current thread.
-            for (pi, wi, cols) in &groups {
-                place(&slots, *pi, *wi, cols);
+            results
+        });
+        for ((pi, wi, cols), results) in groups.iter().zip(computed) {
+            for (&mi, result) in cols.iter().zip(results) {
+                slots[cell(*pi, *wi, mi)] = Some(result);
             }
-        } else {
-            let next = AtomicUsize::new(0);
-            // Worker threads inherit the caller's trace context (if a
-            // request is being traced) so their spans land in its tree.
-            let trace = nvm_llc_obs::trace::handle();
-            let (next, groups, slots, place) = (&next, &groups, &slots, &place);
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    let trace = trace.clone();
-                    scope.spawn(move || {
-                        let _trace = trace.map(|h| h.attach());
-                        loop {
-                            let item = next.fetch_add(1, Ordering::Relaxed);
-                            let Some((pi, wi, cols)) = groups.get(item) else {
-                                break;
-                            };
-                            place(slots.as_slice(), *pi, *wi, cols);
-                        }
-                    });
-                }
-            });
         }
-        let results: Vec<SimResult> = slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("every cell computed"))
-            .collect();
 
         // Serial assembly: normalization against each row's baseline is
         // independent of how the cells were scheduled.
-        let mut cells = results.into_iter();
+        let mut cells = slots.into_iter().map(|s| s.expect("every cell computed"));
         policies
             .iter()
             .map(|&policy| PolicyMatrix {

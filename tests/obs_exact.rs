@@ -9,12 +9,18 @@
 use nvm_llc::prelude::*;
 use nvm_llc::sim::runner::metrics;
 
-fn evaluator() -> (Evaluator, usize) {
+/// An evaluator over SRAM + the ten NVMs, and the matrix width. Each
+/// caller picks its own `base_accesses`, so its traces are fresh keys
+/// in the process-wide trace cache.
+fn evaluator(base_accesses: usize) -> (Evaluator, usize) {
     let models = reference::fixed_capacity();
     let baseline = reference::by_name(&models, "SRAM").unwrap();
     let nvms: Vec<_> = models.into_iter().filter(|m| m.name != "SRAM").collect();
     let width = 1 + nvms.len();
-    (Evaluator::new(baseline, nvms).base_accesses(4_000), width)
+    (
+        Evaluator::new(baseline, nvms).base_accesses(base_accesses),
+        width,
+    )
 }
 
 #[test]
@@ -31,6 +37,11 @@ fn run_all_counter_and_histogram_updates_sum_exactly() {
         "nvmllc_tape_replay_batch_seconds",
         "Wall time of the `tape_replay_batch` span.",
     );
+    let generate_hist = nvm_llc::obs::metrics::histogram(
+        "nvmllc_trace_generate_seconds",
+        "Wall time of the `trace_generate` span.",
+    );
+    let trace_misses = nvm_llc::trace::cache::metrics::misses();
 
     for threads in [1, 2, 4, 8] {
         let runs = metrics::runs().get();
@@ -38,8 +49,12 @@ fn run_all_counter_and_histogram_updates_sum_exactly() {
         let groups = metrics::groups().get();
         let run_spans = run_hist.count();
         let replay_spans = batch_hist.count();
+        let generate_spans = generate_hist.count();
+        let misses = trace_misses.get();
 
-        let (ev, width) = evaluator();
+        // A fresh access count per worker count: every trace below is a
+        // trace-cache miss, generated on the pool.
+        let (ev, width) = evaluator(4_000 + 100 * threads);
         let rows = ev.threads(threads).run_all(&ws);
         assert_eq!(rows.len(), ws.len());
 
@@ -62,6 +77,19 @@ fn run_all_counter_and_histogram_updates_sum_exactly() {
         assert_eq!(
             batch_hist.count() - replay_spans,
             d_groups,
+            "{threads} workers"
+        );
+
+        // Parallel trace generation still generates each workload
+        // exactly once: one miss and one trace_generate sample each.
+        assert_eq!(
+            trace_misses.get() - misses,
+            ws.len() as u64,
+            "{threads} workers"
+        );
+        assert_eq!(
+            generate_hist.count() - generate_spans,
+            ws.len() as u64,
             "{threads} workers"
         );
     }

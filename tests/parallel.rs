@@ -44,6 +44,51 @@ fn single_row_is_worker_count_invariant() {
     assert_eq!(serial, parallel);
 }
 
+/// A persistent store changes nothing at any worker count. Each worker
+/// count gets its own empty store: a cold run generates the traces on
+/// the pool and writes every result back, then a warm run prefills
+/// every cell from the result tier. Both equal the storeless serial
+/// matrix.
+#[test]
+fn store_backed_matrices_are_worker_count_invariant() {
+    let ws: Vec<_> = ["gobmk", "milc", "lu"]
+        .iter()
+        .map(|n| workloads::by_name(n).unwrap())
+        .collect();
+    // An access count no other test in this file uses, so the first
+    // (4-worker) run generates its traces rather than hitting the cache.
+    let make = || evaluator().base_accesses(5_123);
+    let mut matrices = Vec::new();
+    for threads in [4, 2, 1] {
+        let dir = std::env::temp_dir().join(format!(
+            "nvm-llc-parallel-store-{}-{threads}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(nvm_llc::store::Store::open(&dir).unwrap());
+        let cold = make()
+            .threads(threads)
+            .store(Arc::clone(&store))
+            .run_all(&ws);
+        let hits = store.stats().hits;
+        let warm = make()
+            .threads(threads)
+            .store(Arc::clone(&store))
+            .run_all(&ws);
+        assert!(
+            store.stats().hits - hits >= (ws.len() * 11) as u64,
+            "{threads} workers: every warm cell comes from the result tier"
+        );
+        matrices.push((threads, cold, warm));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let reference = make().threads(1).run_all(&ws);
+    for (threads, cold, warm) in matrices {
+        assert_eq!(cold, reference, "cold, {threads} workers");
+        assert_eq!(warm, reference, "warm, {threads} workers");
+    }
+}
+
 /// Two fetches of the same `(workload, seed, accesses)` key return
 /// pointer-equal `Arc`s — the trace was generated exactly once.
 #[test]
