@@ -22,6 +22,7 @@ use nvm_llc::experiments::{
     core_sweep, dl_extension, fig1, fig2, fig4, lifetime, selection, table2, table3, table4,
     table5, table6,
 };
+use nvm_llc::obs::trace;
 use nvm_llc::prelude::*;
 
 fn usage() -> ExitCode {
@@ -135,10 +136,10 @@ fn apply_store_dir(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `--trace-out PATH` records every span of the run into the chrome
-/// trace ring buffer and writes it as chrome://tracing JSON on exit.
-/// An unwritable path warns once on stderr and disables recording —
-/// the run itself proceeds (matching the `NVM_LLC_THREADS` /
+/// `--trace-out PATH` traces the whole run under one root trace
+/// collector and writes its span tree as chrome://tracing JSON on exit.
+/// An unwritable path warns once on stderr and disables tracing — the
+/// run itself proceeds (matching the `NVM_LLC_THREADS` /
 /// `NVM_LLC_TAPE_CACHE_MB` fallback convention). Returns the path to
 /// write on success, `Err` only for a missing value.
 fn apply_trace_out(args: &[String]) -> Result<Option<std::path::PathBuf>, String> {
@@ -158,14 +159,14 @@ fn apply_trace_out(args: &[String]) -> Result<Option<std::path::PathBuf>, String
         );
         return Ok(None);
     }
-    nvm_llc::obs::chrome::start();
     Ok(Some(path))
 }
 
-/// After an evaluation artifact finishes, say how well the two
-/// process-wide caches did: generated traces held, and the tape cache's
-/// functional-pass accounting. Opt-in via `--stats`; the same counters
-/// are always live on the service's `/statsz` endpoint.
+/// After an evaluation artifact finishes, say how well the process-wide
+/// caches did — generated traces held and the tape cache's
+/// functional-pass accounting — and, with `--store-dir`, the store's
+/// traffic and the trace cache's hits and misses. Opt-in via `--stats`;
+/// every number is read from the registry handles `/metricsz` renders.
 fn log_cache_stats() {
     let tc = nvm_llc::sim::tape::cache::stats();
     nvm_llc::obs::info!(
@@ -177,6 +178,14 @@ fn log_cache_stats() {
         "tape_store_hits" => tc.store_hits,
         "tape_evictions" => tc.evictions,
     );
+    if let Some(store) = nvm_llc::sim::persist::global_store() {
+        nvm_llc::obs::info!(
+            "cli", "store stats";
+            "store" => store.stats().to_string(),
+            "trace_hits" => nvm_llc::trace::cache::metrics::hits().get(),
+            "trace_misses" => nvm_llc::trace::cache::metrics::misses().get(),
+        );
+    }
 }
 
 fn main() -> ExitCode {
@@ -265,6 +274,10 @@ fn main() -> ExitCode {
             return usage();
         }
     };
+    let root_trace = trace_out
+        .as_ref()
+        .map(|_| trace::Collector::begin(None, trace::MAX_SPANS_PER_RUN));
+    let _attached = root_trace.as_ref().map(|root| trace::attach(root, 0));
 
     // `--stats` reports through the structured logger; make sure the
     // report is visible even with NVM_LLC_LOG unset (env still wins).
@@ -359,8 +372,8 @@ fn main() -> ExitCode {
     if evaluates {
         log_cache_stats();
     }
-    if let Some(path) = trace_out {
-        if let Err(e) = nvm_llc::obs::chrome::write_json(&path) {
+    if let (Some(path), Some(root)) = (trace_out, root_trace) {
+        if let Err(e) = std::fs::write(&path, root.render_chrome("nvm-llc")) {
             eprintln!(
                 "warning: failed to write --trace-out {}: {e}",
                 path.display()

@@ -514,6 +514,17 @@ mod tests {
     fn registry_render_round_trips_through_the_parser() {
         crate::metrics::counter("nvmllc_test_fed_roundtrip_total", "t").add(9);
         crate::metrics::histogram("nvmllc_test_fed_roundtrip_seconds", "t").record(0.0042);
+        // Per-instance counters: one label set per handle.
+        let instances: Vec<(String, &crate::metrics::Counter)> = (0..4u64)
+            .map(|i| {
+                let id = crate::metrics::next_instance().to_string();
+                let labels = [("instance", id.as_str()), ("class", "2xx")];
+                let counter =
+                    crate::metrics::counter_with("nvmllc_test_fed_instances_total", "t", &labels);
+                counter.add(10 * i + 1);
+                (id, counter)
+            })
+            .collect();
         let scrape = parse(&crate::metrics::render_prometheus());
         assert_eq!(
             scrape.scalar_total("nvmllc_test_fed_roundtrip_total"),
@@ -529,6 +540,87 @@ mod tests {
             "bounds round-trip to the exact f64s"
         );
         assert_eq!(hist.count, 1);
+        let total: u64 = instances.iter().map(|(_, c)| c.get()).sum();
+        assert_eq!(
+            scrape.scalar_total("nvmllc_test_fed_instances_total"),
+            total as f64,
+            "the family total is the sum of its handles"
+        );
+        let samples = scrape.scalar_samples("nvmllc_test_fed_instances_total");
+        for (id, counter) in &instances {
+            let block = format!("{{instance=\"{id}\",class=\"2xx\"}}");
+            assert!(
+                samples.contains(&(block, counter.get() as f64)),
+                "instance {id}: {samples:?}"
+            );
+        }
+    }
+
+    /// Everything [`parse`] keeps — family names, help text, label
+    /// blocks — is cut from input lines, so it can never outgrow them.
+    fn assert_bounded_by(scrape: &Scrape, text: &str) {
+        let mut items = 0usize;
+        let mut bytes = 0usize;
+        for (name, family) in &scrape.families {
+            bytes += name.len() + family.help.len();
+            items += family.scalars.len() + family.histograms.len();
+            bytes += family.scalars.iter().map(|(l, _)| l.len()).sum::<usize>();
+            bytes += family
+                .histograms
+                .iter()
+                .map(|(l, _)| l.len())
+                .sum::<usize>();
+        }
+        assert!(
+            items <= text.lines().count(),
+            "{items} samples from {text:?}"
+        );
+        assert!(bytes <= text.len(), "{bytes} bytes from {text:?}");
+    }
+
+    #[test]
+    fn parse_is_total_on_truncated_and_mutated_scrapes() {
+        crate::metrics::counter_with(
+            "nvmllc_test_fed_total_requests_total",
+            "requests \"quoted\"",
+            &[("instance", "7"), ("class", "4xx")],
+        )
+        .add(3);
+        crate::metrics::gauge_with("nvmllc_test_fed_total_bytes", "g", &[("instance", "7")])
+            .set(1 << 40);
+        let hist = crate::metrics::histogram("nvmllc_test_fed_total_seconds", "h");
+        for v in [0.0, 3e-6, 0.02, 7.5, 1e3] {
+            hist.record(v);
+        }
+        let real: String = crate::metrics::render_prometheus()
+            .lines()
+            .filter(|l| l.contains("nvmllc_test_fed_total_"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert!(real.len() > 1_000, "{real}");
+        assert_eq!(
+            parse(&real).scalar_total("nvmllc_test_fed_total_requests_total"),
+            3.0
+        );
+        for cut in 0..=real.len() {
+            let text = &real[..cut];
+            assert_bounded_by(&parse(text), text);
+        }
+        // splitmix64: a fixed seed, so any failure reproduces.
+        let mut state = 0x5EED_u64;
+        let mut next_byte = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % 255 + 1) as u8
+        };
+        for i in 0..real.len() {
+            let mut bytes = real.clone().into_bytes();
+            bytes[i] ^= next_byte();
+            let text = String::from_utf8_lossy(&bytes);
+            assert_bounded_by(&parse(&text), &text);
+        }
     }
 
     #[test]

@@ -5,41 +5,40 @@
 //!
 //! * [`metrics`] — a process-wide registry of named [`metrics::Counter`]s,
 //!   [`metrics::Gauge`]s, and log-linear-bucket [`metrics::Histogram`]s.
-//!   Every event costs one relaxed atomic op; counters are sharded across
-//!   cache-line-padded stripes so contended threads do not bounce a
-//!   single line. The whole registry renders to Prometheus text
-//!   exposition ([`metrics::render_prometheus`]) and to a JSON object
-//!   ([`metrics::render_json`]) for `/statsz`-style endpoints.
+//!   Every event costs one relaxed atomic op on a handle resolved once;
+//!   counters are sharded across cache-line-padded stripes so contended
+//!   threads do not bounce a single line. A handle is the only copy of
+//!   its fact, and every report (`/statsz`, `/metricsz`, `--stats`) is a
+//!   view over the handles. The registry renders to Prometheus text
+//!   exposition ([`metrics::render_prometheus`]) and to JSON
+//!   ([`metrics::render_json`]).
 //! * [`span`] — lightweight wall-time spans: [`span!`]`("tape_replay")`
 //!   returns a guard whose drop records the elapsed seconds into the
-//!   `nvmllc_tape_replay_seconds` histogram and, when chrome tracing is
-//!   recording ([`chrome`]), appends a complete event to the trace ring
-//!   buffer. Guards are independent — dropping them out of order is
-//!   harmless by construction.
+//!   `nvmllc_tape_replay_seconds` histogram and into the thread's trace
+//!   collector, if one is attached. Guards are independent — dropping
+//!   them out of order is harmless by construction.
 //! * [`log`] — structured JSON logging to stderr: one line per event
 //!   with level, RFC 3339 timestamp, target, message, and typed fields.
 //!   The `NVM_LLC_LOG` environment variable (`off`/`error`/`info`/
 //!   `debug`) controls verbosity; the default is `off`, so instrumented
 //!   binaries stay byte-for-byte quiet unless asked.
 //!
-//! Phase 2 adds two cluster-facing pillars on the same foundations:
+//! Two cluster-facing pillars build on the same foundations:
 //!
-//! * [`trace`] — per-request distributed tracing. A request that should
-//!   be traced attaches a [`trace::Collector`] to its thread; every
-//!   [`span!`] guard opened while attached is linked into a span tree,
-//!   contexts cross process hops via the `x-nvmllc-trace` header, and
-//!   tail sampling retains only slow/error trees in a bounded
-//!   [`trace::TailBuffer`]. Untraced spans (no collector attached) pay
-//!   one thread-local check.
+//! * [`trace`] — the one span sink: a [`trace::Collector`] attached to a
+//!   traced request's thread (or, under `--trace-out`, to a whole CLI
+//!   run) links every [`span!`] guard into a span tree, contexts cross
+//!   process hops via the `x-nvmllc-trace` header, and one renderer
+//!   exports trees to chrome://tracing. Untraced spans (no collector
+//!   attached) pay one thread-local check.
 //! * [`federate`] — metrics federation: parse peer `/metricsz` scrapes,
 //!   sum counters and merge same-bounds histograms, and re-render one
 //!   cluster-level Prometheus view for `/clusterz`.
 //!
 //! Metric names follow `nvmllc_<subsystem>_<name>_<unit>` (see
-//! DESIGN.md §"Observability"). The registry is canonical by name:
-//! registering the same name twice returns the same instance, which lets
-//! subsystems pre-register their inventory at service start so a scrape
-//! shows zeros instead of missing families.
+//! DESIGN.md §"Observability"). The registry is canonical by name and
+//! labels: registering the same identity twice returns the same
+//! instance.
 //!
 //! [`set_enabled`] gates span *timing* (not counters) process-wide; the
 //! overhead benchmark flips it to measure the instrumented-vs-bare delta
@@ -48,7 +47,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod chrome;
 pub mod federate;
 pub mod log;
 pub mod metrics;
@@ -80,17 +78,48 @@ pub fn enabled() -> bool {
 /// binding it to `_` drops immediately and times nothing.
 #[macro_export]
 macro_rules! span {
-    ($name:literal) => {{
-        static HIST: ::std::sync::OnceLock<&'static $crate::metrics::Histogram> =
-            ::std::sync::OnceLock::new();
+    ($name:literal) => {
         $crate::span::Span::enter($name, || {
-            *HIST.get_or_init(|| {
-                $crate::metrics::histogram(
-                    concat!("nvmllc_", $name, "_seconds"),
-                    concat!("Wall time of the `", $name, "` span."),
-                )
-            })
+            $crate::histogram!(
+                concat!("nvmllc_", $name, "_seconds"),
+                concat!("Wall time of the `", $name, "` span.")
+            )
         })
+    };
+}
+
+/// The process-wide counter `name`, its handle looked up once and
+/// cached in a static so events never take the registry lock.
+#[macro_export]
+macro_rules! counter {
+    ($name:expr, $help:expr $(,)?) => {{
+        static HANDLE: ::std::sync::OnceLock<&'static $crate::metrics::Counter> =
+            ::std::sync::OnceLock::new();
+        *HANDLE.get_or_init(|| $crate::metrics::counter($name, $help))
+    }};
+}
+
+/// The process-wide gauge `name`, its handle cached like [`counter!`]'s.
+#[macro_export]
+macro_rules! gauge {
+    ($name:expr, $help:expr $(,)?) => {{
+        static HANDLE: ::std::sync::OnceLock<&'static $crate::metrics::Gauge> =
+            ::std::sync::OnceLock::new();
+        *HANDLE.get_or_init(|| $crate::metrics::gauge($name, $help))
+    }};
+}
+
+/// The process-wide histogram `name` (default seconds buckets, or the
+/// given bounds), its handle cached like [`counter!`]'s.
+#[macro_export]
+macro_rules! histogram {
+    ($name:expr, $help:expr $(,)?) => {
+        $crate::histogram!($name, $help, &$crate::metrics::default_seconds_bounds())
+    };
+    ($name:expr, $help:expr, $bounds:expr $(,)?) => {{
+        static HANDLE: ::std::sync::OnceLock<&'static $crate::metrics::Histogram> =
+            ::std::sync::OnceLock::new();
+        *HANDLE.get_or_init(|| $crate::metrics::histogram_with_bounds($name, $help, $bounds))
     }};
 }
 

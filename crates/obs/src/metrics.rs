@@ -2,11 +2,16 @@
 //! histograms, rendered as Prometheus text exposition or JSON.
 //!
 //! The registry is canonical by `(name, labels)`: the first registration
-//! creates the metric (leaked, so handles are `&'static` and hot paths
-//! never touch the registry lock again); later registrations of the same
-//! identity return the same instance. Call sites cache the handle in a
-//! `OnceLock` static — the [`crate::span!`] macro does exactly that —
-//! so the steady-state cost of an event is a single relaxed atomic op.
+//! creates the metric (leaked, so handles are `&'static`); later
+//! registrations of the same identity return the same instance. A
+//! lookup locks the registry, so no hot path makes one per event:
+//! process-wide metrics cache their handle in a static
+//! ([`crate::counter!`], [`crate::gauge!`], [`crate::histogram!`],
+//! [`crate::span!`]), and a subsystem that can exist several times in
+//! one process (a store, a server) resolves its handles once per
+//! instance, labelled `instance="<n>"` from [`next_instance`], and holds
+//! them. The steady-state cost of an event is one relaxed atomic op, and
+//! a handle is the only copy of its fact.
 //!
 //! Naming convention (enforced by debug assertion): Prometheus-legal
 //! `[a-zA-Z_][a-zA-Z0-9_]*`, and by project style
@@ -241,26 +246,19 @@ pub(crate) fn quantile_from_counts(bounds: &[f64], counts: &[u64], q: f64) -> f6
     *bounds.last().unwrap_or(&0.0)
 }
 
-/// What a registered metric is, for `# TYPE` lines and JSON rendering.
+/// One registered metric instance.
 enum Metric {
     Counter(&'static Counter),
     Gauge(&'static Gauge),
     Histogram(&'static Histogram),
 }
 
-impl Metric {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Metric::Counter(_) => "counter",
-            Metric::Gauge(_) => "gauge",
-            Metric::Histogram(_) => "histogram",
-        }
-    }
-}
-
-/// One metric family: shared help/type, one instance per label set.
+/// One metric family: shared help/type, one instance per label set
+/// (none yet, for a declared family).
 struct Family {
     help: String,
+    /// `counter`, `gauge` or `histogram`.
+    kind: &'static str,
     /// `(rendered label pairs, metric)`, insertion-ordered.
     instances: Vec<(Vec<(String, String)>, Metric)>,
 }
@@ -278,34 +276,64 @@ fn valid_name(name: &str) -> bool {
         && chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
 }
 
+/// Finds or creates family `name` of type `kind` in the locked map.
+fn family<'a>(
+    map: &'a mut BTreeMap<String, Family>,
+    name: &str,
+    help: &str,
+    kind: &'static str,
+) -> &'a mut Family {
+    debug_assert!(valid_name(name), "invalid metric name {name:?}");
+    let family = map.entry(name.to_owned()).or_insert_with(|| Family {
+        help: help.to_owned(),
+        kind,
+        instances: Vec::new(),
+    });
+    assert_eq!(
+        family.kind, kind,
+        "metric {name} re-registered with a different type"
+    );
+    family
+}
+
 /// Finds or creates a metric in the registry. `make` runs only for the
 /// first registration of `(name, labels)`; its result is leaked so the
-/// handle is `'static` and hot paths never revisit the lock.
+/// handle is `'static`.
 fn register<T>(
     name: &str,
     help: &str,
     labels: &[(&str, &str)],
+    kind: &'static str,
     make: impl FnOnce() -> T,
     wrap: impl Fn(&'static T) -> Metric,
     unwrap: impl Fn(&Metric) -> Option<&'static T>,
 ) -> &'static T {
-    debug_assert!(valid_name(name), "invalid metric name {name:?}");
     let labels: Vec<(String, String)> = labels
         .iter()
         .map(|(k, v)| (k.to_string(), v.to_string()))
         .collect();
     let mut map = registry().lock().expect("metrics registry lock");
-    let family = map.entry(name.to_owned()).or_insert_with(|| Family {
-        help: help.to_owned(),
-        instances: Vec::new(),
-    });
+    let family = family(&mut map, name, help, kind);
     if let Some((_, metric)) = family.instances.iter().find(|(l, _)| *l == labels) {
-        return unwrap(metric)
-            .unwrap_or_else(|| panic!("metric {name} re-registered with a different type"));
+        return unwrap(metric).expect("family kind checked");
     }
     let leaked: &'static T = Box::leak(Box::new(make()));
     family.instances.push((labels, wrap(leaked)));
     leaked
+}
+
+/// A fresh process-wide instance number, for the `instance` label of a
+/// subsystem that may exist several times in one process.
+pub fn next_instance() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Declares counter family `name` without creating an instance, so a
+/// scrape lists it before any instance exists.
+pub fn declare_counter(name: &str, help: &str) {
+    let mut map = registry().lock().expect("metrics registry lock");
+    family(&mut map, name, help, "counter");
 }
 
 /// Finds or creates the unlabeled counter `name`.
@@ -314,12 +342,13 @@ pub fn counter(name: &str, help: &str) -> &'static Counter {
 }
 
 /// Finds or creates a counter carrying a fixed label set (e.g.
-/// `nvmllc_serve_requests_total{class="2xx"}`).
+/// `nvmllc_serve_requests_total{instance="1",class="2xx"}`).
 pub fn counter_with(name: &str, help: &str, labels: &[(&str, &str)]) -> &'static Counter {
     register(
         name,
         help,
         labels,
+        "counter",
         Counter::default,
         Metric::Counter,
         |m| match m {
@@ -331,10 +360,16 @@ pub fn counter_with(name: &str, help: &str, labels: &[(&str, &str)]) -> &'static
 
 /// Finds or creates the unlabeled gauge `name`.
 pub fn gauge(name: &str, help: &str) -> &'static Gauge {
+    gauge_with(name, help, &[])
+}
+
+/// Finds or creates a gauge carrying a fixed label set.
+pub fn gauge_with(name: &str, help: &str, labels: &[(&str, &str)]) -> &'static Gauge {
     register(
         name,
         help,
-        &[],
+        labels,
+        "gauge",
         Gauge::default,
         Metric::Gauge,
         |m| match m {
@@ -356,6 +391,7 @@ pub fn histogram_with_bounds(name: &str, help: &str, bounds: &[f64]) -> &'static
         name,
         help,
         &[],
+        "histogram",
         || Histogram::new(bounds.to_vec()),
         Metric::Histogram,
         |m| match m {
@@ -385,7 +421,8 @@ fn render_labels_plus(labels: &[(String, String)], extra_key: &str, extra_val: &
 }
 
 /// Renders the whole registry in Prometheus text exposition format 0.0.4:
-/// `# HELP` and `# TYPE` per family, one sample line per instance (plus
+/// `# HELP` and `# TYPE` per family (declared families without an
+/// instance included), one sample line per instance (plus
 /// `_bucket`/`_sum`/`_count` for histograms). Bucket bounds are printed
 /// with Rust's shortest-round-trip float formatting, so parsing a bound
 /// back yields the exact `f64` the histogram buckets by.
@@ -393,12 +430,8 @@ pub fn render_prometheus() -> String {
     let map = registry().lock().expect("metrics registry lock");
     let mut out = String::new();
     for (name, family) in map.iter() {
-        let kind = match family.instances.first() {
-            Some((_, metric)) => metric.type_name(),
-            None => continue,
-        };
         let _ = writeln!(out, "# HELP {name} {}", family.help.replace('\n', " "));
-        let _ = writeln!(out, "# TYPE {name} {kind}");
+        let _ = writeln!(out, "# TYPE {name} {}", family.kind);
         for (labels, metric) in &family.instances {
             match metric {
                 Metric::Counter(c) => {

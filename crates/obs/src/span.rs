@@ -1,13 +1,11 @@
 //! Wall-time spans: a guard records its lifetime into a per-phase
-//! histogram on drop, and into the chrome-trace ring buffer when
-//! recording is on.
+//! histogram on drop, and into the thread's trace collector when one is
+//! attached.
 //!
 //! Guards carry their own start time and histogram handle — there is no
 //! mandatory thread-local span stack — so nesting is unrestricted and
 //! dropping guards out of order can never panic or misattribute time;
-//! each span simply reports its own wall time. Overlapping spans on one
-//! thread render as nested slices in chrome://tracing because complete
-//! events (`"ph":"X"`) are reconstructed from timestamps alone.
+//! each span simply reports its own wall time.
 //!
 //! When a [`crate::trace::Collector`] is attached to the thread
 //! ([`crate::trace::attach`]), each guard additionally carries a span
@@ -66,7 +64,6 @@ impl Drop for Span {
         };
         let elapsed = inner.start.elapsed();
         inner.hist.record(elapsed.as_secs_f64());
-        crate::chrome::record(inner.name, inner.start, elapsed);
         if let Some(open) = inner.trace {
             crate::trace::close_span(open, inner.name, inner.start, elapsed);
         }

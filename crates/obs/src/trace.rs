@@ -1,14 +1,17 @@
-//! Per-request distributed tracing: trace contexts carried across
-//! process hops, span-tree collection, and tail-sampled retention.
+//! Distributed tracing, the one span sink: trace contexts carried
+//! across process hops, span-tree collection, tail-sampled retention,
+//! and the chrome exporter.
 //!
 //! A request that should be traced gets a [`Collector`]: a 128-bit
-//! trace id, the hop count, and a bounded buffer of completed
-//! [`SpanRecord`]s. While a collector is [attached](attach) to a
-//! thread, every [`crate::span!`] guard opened on that thread is
-//! assigned a process-unique span id, linked to its innermost open
-//! parent, and appended to the collector on drop. Threads spawned to
-//! help with a traced request capture a [`Handle`] first and re-attach
-//! it, so worker spans stitch into the same tree.
+//! trace id, the hop count, and a buffer of completed [`SpanRecord`]s
+//! capped at construction; `nvm-llc --trace-out` attaches one root
+//! collector to the main thread for the whole run. While a collector
+//! is [attached](attach) to a thread, every [`crate::span!`] guard
+//! opened on that thread is assigned a process-unique span id, linked
+//! to its innermost open parent, and appended to the collector on drop.
+//! Threads spawned to help with a traced request (or run) capture a
+//! [`Handle`] first and re-attach it, so worker spans stitch into the
+//! same tree.
 //!
 //! Crossing a process boundary uses two headers:
 //!
@@ -24,14 +27,13 @@
 //!
 //! Retention is tail-based: the serving layer keeps a whole tree in a
 //! bounded [`TailBuffer`] only when the request turned out slow or
-//! errored. [`TailBuffer::render_json`] backs `/tracez`;
-//! [`TailBuffer::render_chrome`] renders the retained trees in Trace
-//! Event Format with one chrome *process lane per node label*, so a
-//! 3-shard request reads as one timeline across distinct lanes.
+//! errored. [`TailBuffer::render_json`] backs `/tracez`; one renderer,
+//! [`render_chrome`], writes both `/tracez?format=chrome` and the
+//! `--trace-out` file.
 //!
-//! When no collector is attached (the common case — benches, CLI runs,
-//! untraced endpoints) the per-span cost is one thread-local check, so
-//! the existing span-overhead budget is unaffected. Out-of-order span
+//! When no collector is attached (the common case — benches, untraced
+//! CLI runs and endpoints) the per-span cost is one thread-local check,
+//! so the existing span-overhead budget is unaffected. Out-of-order span
 //! drops stay harmless: closing a span removes *its own* id from the
 //! open stack wherever it sits, and a guard dropped on a foreign
 //! thread simply skips the stack fix-up and still records.
@@ -50,8 +52,12 @@ pub const TRACE_HEADER: &str = "x-nvmllc-trace";
 /// origin.
 pub const SPANS_HEADER: &str = "x-nvmllc-trace-spans";
 
-/// Spans retained per collector; later spans are counted and dropped.
+/// Spans a request's collector retains; later spans are counted and
+/// dropped.
 pub const MAX_SPANS_PER_TRACE: usize = 512;
+
+/// Spans the root collector of a traced CLI run retains.
+pub const MAX_SPANS_PER_RUN: usize = 1 << 20;
 
 /// Spans a hop encodes into [`SPANS_HEADER`] (the most recent ones,
 /// which include the outermost handler spans — they complete last).
@@ -91,6 +97,15 @@ pub fn new_span_id() -> u64 {
 
 fn new_trace_id() -> u128 {
     (u128::from(new_span_id()) << 64) | u128::from(new_span_id())
+}
+
+/// A small stable id for the calling thread (a chrome thread lane).
+fn thread_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    thread_local! {
+        static TID: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
+    }
+    TID.with(|t| *t)
 }
 
 /// The cross-process trace context: what [`TRACE_HEADER`] carries.
@@ -144,6 +159,9 @@ pub struct SpanRecord {
     /// Node label for remote-ingested spans; `None` until the trace is
     /// sealed with the local node's label.
     pub node: Option<String>,
+    /// Small id of the thread that closed the span (0 for spans
+    /// ingested from another process).
+    pub thread: u64,
 }
 
 /// Collects the span tree of one in-flight traced request.
@@ -153,14 +171,17 @@ pub struct Collector {
     hop: u32,
     root_parent: u64,
     start: Instant,
+    max_spans: usize,
     spans: Mutex<Vec<SpanRecord>>,
     dropped: AtomicU64,
 }
 
 impl Collector {
     /// Begins collection: a fresh trace for `inbound == None`, or the
-    /// continuation of a remote caller's trace.
-    pub fn begin(inbound: Option<TraceContext>) -> Arc<Collector> {
+    /// continuation of a remote caller's trace. At most `max_spans`
+    /// spans are retained; later ones are counted in
+    /// [`Collector::dropped`].
+    pub fn begin(inbound: Option<TraceContext>, max_spans: usize) -> Arc<Collector> {
         let (trace_id, root_parent, hop) = match inbound {
             Some(ctx) => (ctx.trace_id, ctx.parent_span, ctx.hop),
             None => (new_trace_id(), 0, 0),
@@ -170,6 +191,7 @@ impl Collector {
             hop,
             root_parent,
             start: Instant::now(),
+            max_spans,
             spans: Mutex::new(Vec::new()),
             dropped: AtomicU64::new(0),
         })
@@ -195,14 +217,14 @@ impl Collector {
         self.start.elapsed().as_secs_f64() * 1e6
     }
 
-    /// Spans dropped past [`MAX_SPANS_PER_TRACE`].
+    /// Spans dropped past the collector's cap.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
     fn push(&self, record: SpanRecord) {
         let mut spans = self.spans.lock().expect("trace collector lock");
-        if spans.len() >= MAX_SPANS_PER_TRACE {
+        if spans.len() >= self.max_spans {
             drop(spans);
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
@@ -227,6 +249,7 @@ impl Collector {
             start_micros,
             dur_micros: dur.as_secs_f64() * 1e6,
             node: None,
+            thread: thread_id(),
         });
     }
 
@@ -247,6 +270,7 @@ impl Collector {
             start_micros,
             dur_micros,
             node: None,
+            thread: thread_id(),
         });
         span_id
     }
@@ -266,6 +290,21 @@ impl Collector {
             }
         }
         spans
+    }
+
+    /// The whole tree, sealed with `node`, in chrome Trace Event Format
+    /// ([`render_chrome`]) — what `--trace-out` writes at exit.
+    pub fn render_chrome(&self, node: &str) -> String {
+        render_chrome(&[RetainedTrace {
+            trace_id: self.trace_id,
+            target: String::new(),
+            status: 0,
+            reason: "root",
+            total_micros: self.elapsed_micros(),
+            node: node.to_owned(),
+            spans: self.seal(node),
+            dropped: self.dropped(),
+        }])
     }
 
     /// Encodes this hop's local spans for [`SPANS_HEADER`]:
@@ -328,6 +367,7 @@ impl Collector {
                 start_micros: base_micros + start_micros,
                 dur_micros,
                 node: Some(node.clone()),
+                thread: 0,
             });
         }
     }
@@ -486,6 +526,8 @@ pub struct RetainedTrace {
     pub node: String,
     /// The sealed span tree (local + ingested remote spans).
     pub spans: Vec<SpanRecord>,
+    /// Spans the collector dropped past its cap.
+    pub dropped: u64,
 }
 
 /// A bounded ring of tail-sampled traces; the oldest is evicted first.
@@ -576,69 +618,84 @@ impl TailBuffer {
         out.push_str("]}");
         out
     }
+}
 
-    /// The retained traces in chrome Trace Event Format, one *process
-    /// lane per node label*: `process_name` metadata events name the
-    /// lanes, every span renders as a complete (`"ph":"X"`) event in
-    /// its node's lane, and each trace gets its own `tid` so trees
-    /// stack instead of interleaving.
-    pub fn render_chrome(&self) -> String {
-        let traces = self.snapshot();
-        // Stable lane assignment: first-seen order across all traces.
-        let mut lanes: Vec<String> = Vec::new();
-        let lane_of = |node: &str, lanes: &mut Vec<String>| -> usize {
-            match lanes.iter().position(|l| l == node) {
-                Some(at) => at + 1,
-                None => {
-                    lanes.push(node.to_owned());
-                    lanes.len()
-                }
-            }
-        };
-        let mut events = String::new();
-        for (ti, trace) in traces.iter().enumerate() {
-            for span in &trace.spans {
-                let node = span.node.as_deref().unwrap_or(&trace.node);
-                let pid = lane_of(node, &mut lanes);
-                if !events.is_empty() {
-                    events.push(',');
-                }
-                let _ = write!(
-                    events,
-                    "{{\"name\":\"{}\",\"cat\":\"trace\",\"ph\":\"X\",\"pid\":{pid},\
-                     \"tid\":{},\"ts\":{:.1},\"dur\":{:.1},\"args\":{{\
-                     \"trace_id\":\"{:032x}\",\"span\":\"{:016x}\",\"parent\":\"{:016x}\"}}}}",
-                    json_safe(&span.name),
-                    ti + 1,
-                    span.start_micros,
-                    span.dur_micros,
-                    trace.trace_id,
-                    span.span_id,
-                    span.parent_id,
-                );
-            }
+/// Position (1-based) of `key` in `lanes`, appending it if new: stable
+/// lane numbers in first-seen order.
+fn lane<T: PartialEq>(lanes: &mut Vec<T>, key: T) -> usize {
+    match lanes.iter().position(|l| *l == key) {
+        Some(at) => at + 1,
+        None => {
+            lanes.push(key);
+            lanes.len()
         }
-        let mut out = String::with_capacity(events.len() + 256);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        for (i, lane) in lanes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+    }
+}
+
+/// Renders span trees in chrome Trace Event Format, loadable by
+/// chrome://tracing and Perfetto as-is. Each node label is a *process
+/// lane* (named by `process_name` metadata) and each (node, trace,
+/// thread) a thread lane inside it, so spans on one lane nest. Every
+/// span is a complete (`"ph":"X"`) event; a trace that dropped spans
+/// past its collector's cap adds an instant event saying how many.
+pub fn render_chrome(traces: &[RetainedTrace]) -> String {
+    let mut nodes: Vec<&str> = Vec::new();
+    let mut threads: Vec<(&str, usize, u64)> = Vec::new();
+    let mut events = String::new();
+    for (ti, trace) in traces.iter().enumerate() {
+        for span in &trace.spans {
+            let node = span.node.as_deref().unwrap_or(&trace.node);
+            let pid = lane(&mut nodes, node);
+            let tid = lane(&mut threads, (node, ti, span.thread));
+            if !events.is_empty() {
+                events.push(',');
             }
             let _ = write!(
-                out,
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                i + 1,
-                json_safe(lane),
+                events,
+                "{{\"name\":\"{}\",\"cat\":\"trace\",\"ph\":\"X\",\"pid\":{pid},\
+                 \"tid\":{tid},\"ts\":{:.1},\"dur\":{:.1},\"args\":{{\
+                 \"trace_id\":\"{:032x}\",\"span\":\"{:016x}\",\"parent\":\"{:016x}\"}}}}",
+                json_safe(&span.name),
+                span.start_micros,
+                span.dur_micros,
+                trace.trace_id,
+                span.span_id,
+                span.parent_id,
             );
         }
-        if !lanes.is_empty() && !events.is_empty() {
+        if trace.dropped > 0 {
+            let pid = lane(&mut nodes, &trace.node);
+            if !events.is_empty() {
+                events.push(',');
+            }
+            let _ = write!(
+                events,
+                "{{\"name\":\"obs: {} spans dropped (buffer full)\",\"cat\":\"obs\",\
+                 \"ph\":\"i\",\"pid\":{pid},\"tid\":0,\"ts\":0,\"s\":\"g\"}}",
+                trace.dropped,
+            );
+        }
+    }
+    let mut out = String::with_capacity(events.len() + 256);
+    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
+    for (i, node) in nodes.iter().enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        out.push_str(&events);
-        out.push_str("]}");
-        out
+        let _ = write!(
+            out,
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
+             \"args\":{{\"name\":\"{}\"}}}}",
+            i + 1,
+            json_safe(node),
+        );
     }
+    if !nodes.is_empty() && !events.is_empty() {
+        out.push(',');
+    }
+    out.push_str(&events);
+    out.push_str("]}");
+    out
 }
 
 fn json_safe(raw: &str) -> String {
@@ -687,7 +744,7 @@ mod tests {
     #[test]
     fn attached_spans_link_parents_through_nesting() {
         let _guard = crate::test_enabled_lock();
-        let collector = Collector::begin(None);
+        let collector = Collector::begin(None, MAX_SPANS_PER_TRACE);
         {
             let _attach = attach(&collector, 7);
             let outer = crate::span!("trace_outer");
@@ -706,7 +763,7 @@ mod tests {
     #[test]
     fn out_of_order_drops_still_record_and_never_panic() {
         let _guard = crate::test_enabled_lock();
-        let collector = Collector::begin(None);
+        let collector = Collector::begin(None, MAX_SPANS_PER_TRACE);
         let _attach = attach(&collector, 0);
         let a = crate::span!("ooo_a");
         let b = crate::span!("ooo_b");
@@ -720,7 +777,7 @@ mod tests {
     #[test]
     fn detached_threads_record_nothing() {
         let _guard = crate::test_enabled_lock();
-        let collector = Collector::begin(None);
+        let collector = Collector::begin(None, MAX_SPANS_PER_TRACE);
         {
             let _span = crate::span!("untraced");
         }
@@ -728,9 +785,23 @@ mod tests {
     }
 
     #[test]
+    fn detached_histogram_spans_time_but_trace_nothing() {
+        let _guard = crate::test_enabled_lock();
+        let collector = Collector::begin(None, MAX_SPANS_PER_TRACE);
+        let hist = crate::metrics::histogram("nvmllc_test_detached_seconds", "detached span");
+        let before = hist.count();
+        {
+            let span = crate::span::Span::enter("invisible", || hist);
+            assert!(span.is_recording(), "timing stays on without a collector");
+        }
+        assert_eq!(hist.count(), before + 1, "the histogram still records");
+        assert!(collector.spans().is_empty(), "no trace span is buffered");
+    }
+
+    #[test]
     fn handles_carry_the_trace_to_worker_threads() {
         let _guard = crate::test_enabled_lock();
-        let collector = Collector::begin(None);
+        let collector = Collector::begin(None, MAX_SPANS_PER_TRACE);
         let _attach = attach(&collector, 0);
         let outer = crate::span!("spawn_site");
         let handle = handle().expect("attached");
@@ -754,11 +825,14 @@ mod tests {
     fn encode_and_ingest_stitch_across_processes() {
         let _guard = crate::test_enabled_lock();
         // "Remote" side: a continuation collector records two spans.
-        let remote = Collector::begin(Some(TraceContext {
-            trace_id: 42,
-            parent_span: 99,
-            hop: 1,
-        }));
+        let remote = Collector::begin(
+            Some(TraceContext {
+                trace_id: 42,
+                parent_span: 99,
+                hop: 1,
+            }),
+            MAX_SPANS_PER_TRACE,
+        );
         remote.record_span(
             "remote_handle",
             11,
@@ -777,7 +851,7 @@ mod tests {
         assert!(header.starts_with("node=shard-2;"), "{header}");
 
         // Origin side ingests at a 1000 µs timeline offset.
-        let origin = Collector::begin(None);
+        let origin = Collector::begin(None, MAX_SPANS_PER_TRACE);
         origin.ingest_remote(&header, 1000.0);
         let spans = origin.spans();
         assert_eq!(spans.len(), 2);
@@ -797,7 +871,7 @@ mod tests {
 
     #[test]
     fn collector_bounds_span_count() {
-        let collector = Collector::begin(None);
+        let collector = Collector::begin(None, MAX_SPANS_PER_TRACE);
         for i in 0..(MAX_SPANS_PER_TRACE + 10) {
             collector.add_synthetic("flood", 0, i as f64, 1.0);
         }
@@ -807,7 +881,7 @@ mod tests {
 
     #[test]
     fn header_encoding_caps_and_keeps_the_latest_spans() {
-        let collector = Collector::begin(None);
+        let collector = Collector::begin(None, MAX_SPANS_PER_TRACE);
         for i in 0..(MAX_HEADER_SPANS + 20) {
             collector.add_synthetic(&format!("s{i}"), 0, i as f64, 1.0);
         }
@@ -839,7 +913,9 @@ mod tests {
                     start_micros: 0.0,
                     dur_micros: 900.0,
                     node: None,
+                    thread: 1,
                 }],
+                dropped: 0,
             });
         }
         assert_eq!(buffer.len(), 2, "capacity evicts the oldest");
@@ -870,6 +946,7 @@ mod tests {
                     start_micros: 0.0,
                     dur_micros: 2000.0,
                     node: Some("router".into()),
+                    thread: 1,
                 },
                 SpanRecord {
                     name: "serve_handle".into(),
@@ -878,10 +955,12 @@ mod tests {
                     start_micros: 100.0,
                     dur_micros: 1800.0,
                     node: Some("shard-1".into()),
+                    thread: 0,
                 },
             ],
+            dropped: 0,
         });
-        let chrome = buffer.render_chrome();
+        let chrome = render_chrome(&buffer.snapshot());
         assert!(chrome.contains("\"name\":\"process_name\""), "{chrome}");
         assert!(
             chrome.contains("\"args\":{\"name\":\"router\"}"),
@@ -893,6 +972,50 @@ mod tests {
         );
         assert!(chrome.contains("\"pid\":1"), "{chrome}");
         assert!(chrome.contains("\"pid\":2"), "two distinct lanes: {chrome}");
+        let opens = chrome.matches('{').count();
+        assert_eq!(opens, chrome.matches('}').count(), "balanced JSON");
+    }
+
+    #[test]
+    fn root_collector_renders_one_lane_per_thread_and_notes_drops() {
+        let _guard = crate::test_enabled_lock();
+        let collector = Collector::begin(None, 3);
+        {
+            let _attach = attach(&collector, 0);
+            let _outer = crate::span!("root_main");
+            let handle = handle().expect("attached");
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    let _attach = handle.attach();
+                    let _span = crate::span!("root_worker");
+                });
+            });
+        }
+        collector.add_synthetic("fits", 0, 0.0, 1.0);
+        collector.add_synthetic("overflows", 0, 0.0, 1.0);
+        assert_eq!(collector.dropped(), 1);
+        let chrome = collector.render_chrome("cli");
+        let tid_of = |name: &str| {
+            let at = chrome
+                .find(&format!("\"name\":\"{name}\""))
+                .unwrap_or_else(|| panic!("{name} missing: {chrome}"));
+            let rest = &chrome[at..];
+            let rest = &rest[rest.find("\"tid\":").expect("tid") + 6..];
+            rest[..rest.find(',').expect("tid ends")].to_owned()
+        };
+        assert!(chrome.contains("\"args\":{\"name\":\"cli\"}"), "{chrome}");
+        assert!(chrome.contains("\"ph\":\"X\""), "{chrome}");
+        assert_ne!(
+            tid_of("root_main"),
+            tid_of("root_worker"),
+            "each thread gets its own lane: {chrome}"
+        );
+        assert_eq!(
+            tid_of("root_main"),
+            tid_of("fits"),
+            "same thread, same lane"
+        );
+        assert!(chrome.contains("obs: 1 spans dropped"), "{chrome}");
         let opens = chrome.matches('{').count();
         assert_eq!(opens, chrome.matches('}').count(), "balanced JSON");
     }

@@ -90,24 +90,30 @@ pub mod json;
 pub mod pool;
 
 /// Service metrics in the process-wide [`nvm_llc_obs`] registry.
+///
+/// The latency histograms are process-wide (`/clusterz` and federation
+/// read them unlabelled). Every counter and load gauge belongs to one
+/// server instance and is labelled `instance="<n>"`; the server resolves
+/// those handles once at start and keeps no other copy of the facts.
 pub mod metrics {
-    use nvm_llc_obs::metrics::{
-        counter, counter_with, gauge, histogram, histogram_with_bounds, Counter, Gauge, Histogram,
-    };
+    use nvm_llc_obs::metrics::Histogram;
 
-    /// `nvmllc_serve_requests_total{class=...}` — one instance per
-    /// status class (`2xx`, `4xx`, `5xx`).
-    pub fn requests(class: &str) -> &'static Counter {
-        counter_with(
-            "nvmllc_serve_requests_total",
-            "HTTP responses sent, by status class.",
-            &[("class", class)],
-        )
-    }
+    /// `nvmllc_serve_proxy_hops_total{instance,result[,peer]}` —
+    /// cluster request placement, one sample per routed request:
+    /// `local` (owned and answered here), `forwarded` with
+    /// `peer="<shard>"` (relayed one hop to the owner and answered by
+    /// it), or `fallback` (answered by a node other than the owner: a
+    /// shard evaluating locally because the owner is unreachable or the
+    /// request already hopped, or a router's later peer in ring order).
+    pub(crate) const PROXY_HOPS: (&str, &str) = (
+        "nvmllc_serve_proxy_hops_total",
+        "Cluster request placement outcomes: local, forwarded to the \
+         owning peer, or fallback to a node other than the owner.",
+    );
 
     /// `nvmllc_serve_request_seconds`
     pub fn request_seconds() -> &'static Histogram {
-        histogram(
+        nvm_llc_obs::histogram!(
             "nvmllc_serve_request_seconds",
             "Handler latency: request parsed to response written.",
         )
@@ -115,118 +121,31 @@ pub mod metrics {
 
     /// `nvmllc_serve_queue_wait_seconds`
     pub fn queue_wait_seconds() -> &'static Histogram {
-        histogram(
+        nvm_llc_obs::histogram!(
             "nvmllc_serve_queue_wait_seconds",
             "Time an accepted connection waited in the bounded queue.",
-        )
-    }
-
-    /// `nvmllc_serve_queue_depth`
-    pub fn queue_depth() -> &'static Gauge {
-        gauge(
-            "nvmllc_serve_queue_depth",
-            "Connections currently waiting in the accept queue.",
-        )
-    }
-
-    /// `nvmllc_serve_inflight_evals`
-    pub fn inflight_evals() -> &'static Gauge {
-        gauge(
-            "nvmllc_serve_inflight_evals",
-            "Evaluations currently running under the in-flight cap.",
-        )
-    }
-
-    /// `nvmllc_serve_rejected_total{reason=...}` — `queue_full` (503)
-    /// or `busy` (429).
-    pub fn rejected(reason: &str) -> &'static Counter {
-        counter_with(
-            "nvmllc_serve_rejected_total",
-            "Requests shed by backpressure, by reason.",
-            &[("reason", reason)],
-        )
-    }
-
-    /// `nvmllc_serve_coalesce_waiters_total`
-    pub fn coalesce_waiters() -> &'static Counter {
-        counter(
-            "nvmllc_serve_coalesce_waiters_total",
-            "Requests that waited on another request's identical evaluation.",
-        )
-    }
-
-    /// `nvmllc_serve_evaluations_total`
-    pub fn evaluations() -> &'static Counter {
-        counter(
-            "nvmllc_serve_evaluations_total",
-            "Evaluations actually run (coalesced waiters excluded).",
-        )
-    }
-
-    /// `nvmllc_serve_uptime_seconds`
-    pub fn uptime_seconds() -> &'static Gauge {
-        gauge(
-            "nvmllc_serve_uptime_seconds",
-            "Seconds since the server started, rounded up (set at scrape time).",
-        )
-    }
-
-    /// `nvmllc_serve_connections_total`
-    pub fn connections() -> &'static Counter {
-        counter(
-            "nvmllc_serve_connections_total",
-            "TCP connections handed to the worker pool.",
         )
     }
 
     /// `nvmllc_serve_requests_per_conn` — requests served on one
     /// connection before it closed (keep-alive efficiency).
     pub fn requests_per_conn() -> &'static Histogram {
-        histogram_with_bounds(
+        nvm_llc_obs::histogram!(
             "nvmllc_serve_requests_per_conn",
             "Requests served per connection before close.",
-            &[
-                1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
-            ],
+            &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0],
         )
     }
 
-    /// `nvmllc_serve_proxy_hops_total{result=...}` — cluster request
-    /// placement: `local` (owned and answered here), `forwarded`
-    /// (relayed one hop to the owner), `fallback` (should have
-    /// forwarded, evaluated locally instead — owner unreachable or the
-    /// request already hopped).
-    pub fn proxy_hops(result: &str) -> &'static Counter {
-        counter_with(
-            "nvmllc_serve_proxy_hops_total",
-            "Cluster request placement outcomes.",
-            &[("result", result)],
-        )
-    }
-
-    /// Pre-registers the whole workspace metric inventory — every serve
-    /// family above plus the evaluator, tape-cache, trace-cache, and
-    /// store families — so a scrape of a freshly started (or purely
-    /// store-served) daemon shows zeros instead of missing series.
+    /// Pre-registers the process-wide inventory — the serve histograms,
+    /// the placement family, and the evaluator, tape-cache, trace-cache,
+    /// and store families — so a scrape of a freshly started (or purely
+    /// store-served) daemon lists them before the first event.
     pub fn register() {
-        for class in ["2xx", "4xx", "5xx"] {
-            requests(class);
-        }
         request_seconds();
         queue_wait_seconds();
-        queue_depth();
-        inflight_evals();
-        for reason in ["queue_full", "busy"] {
-            rejected(reason);
-        }
-        coalesce_waiters();
-        evaluations();
-        uptime_seconds();
-        connections();
         requests_per_conn();
-        for result in ["local", "forwarded", "fallback"] {
-            proxy_hops(result);
-        }
+        nvm_llc_obs::metrics::declare_counter(PROXY_HOPS.0, PROXY_HOPS.1);
         nvm_llc_obs::metrics::histogram(
             "nvmllc_serve_handle_seconds",
             "Wall time of the `serve_handle` span.",
@@ -250,6 +169,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use nvm_llc_circuit::{reference, LlcModel};
+use nvm_llc_obs::metrics::{counter_with, gauge_with, Counter, Gauge};
 use nvm_llc_sim::{persist, Evaluator, PolicyKind};
 use nvm_llc_store::Store;
 use nvm_llc_trace::workloads;
@@ -420,30 +340,88 @@ impl ServeConfig {
     }
 }
 
-/// Service-level counters, all monotone.
-#[derive(Debug, Default)]
+/// One server's counters and load gauges: registry handles labelled
+/// `instance="<n>"`, the only copy of each fact. `/statsz`, `/metricsz`
+/// and [`Server::summary`] all read them.
 struct Counters {
-    connections: AtomicU64,
-    requests: AtomicU64,
-    coalesce_hits: AtomicU64,
-    rejected_queue_full: AtomicU64,
-    rejected_busy: AtomicU64,
-    evaluations: AtomicU64,
+    instance: u64,
+    connections: &'static Counter,
+    /// Well-formed requests, counted on arrival (a `/statsz` probe
+    /// counts itself).
+    requests: &'static Counter,
+    coalesce_waiters: &'static Counter,
+    evaluations: &'static Counter,
+    rejected_queue_full: &'static Counter,
+    rejected_busy: &'static Counter,
     /// Responses by status class: [2xx, 4xx, 5xx].
-    by_class: [AtomicU64; 3],
+    by_class: [&'static Counter; 3],
+    queue_depth: &'static Gauge,
+    inflight_evals: &'static Gauge,
+    uptime_seconds: &'static Gauge,
 }
 
 impl Counters {
-    /// Counts one response toward its status class, here and in the
-    /// process-wide registry.
-    fn count_status(&self, status: u16) {
-        let (idx, class) = match status / 100 {
-            2 => (0, "2xx"),
-            4 => (1, "4xx"),
-            _ => (2, "5xx"),
+    fn new(instance: u64) -> Counters {
+        let id = instance.to_string();
+        let labelled = |name, help, extra: &[(&str, &str)]| {
+            let mut labels = vec![("instance", id.as_str())];
+            labels.extend_from_slice(extra);
+            counter_with(name, help, &labels)
         };
-        self.by_class[idx].fetch_add(1, Ordering::Relaxed);
-        metrics::requests(class).inc();
+        let counter = |name, help| labelled(name, help, &[]);
+        let gauge = |name, help| gauge_with(name, help, &[("instance", id.as_str())]);
+        let class = |class| {
+            let help = "HTTP responses sent, by status class.";
+            labelled("nvmllc_serve_requests_total", help, &[("class", class)])
+        };
+        let rejected = |reason| {
+            let help = "Requests shed by backpressure, by reason.";
+            labelled("nvmllc_serve_rejected_total", help, &[("reason", reason)])
+        };
+        Counters {
+            instance,
+            connections: counter(
+                "nvmllc_serve_connections_total",
+                "TCP connections handed to the worker pool.",
+            ),
+            requests: counter(
+                "nvmllc_serve_requests_routed_total",
+                "Well-formed requests routed, counted on arrival.",
+            ),
+            coalesce_waiters: counter(
+                "nvmllc_serve_coalesce_waiters_total",
+                "Requests that waited on another request's identical evaluation.",
+            ),
+            evaluations: counter(
+                "nvmllc_serve_evaluations_total",
+                "Evaluations actually run (coalesced waiters excluded).",
+            ),
+            rejected_queue_full: rejected("queue_full"),
+            rejected_busy: rejected("busy"),
+            by_class: [class("2xx"), class("4xx"), class("5xx")],
+            queue_depth: gauge(
+                "nvmllc_serve_queue_depth",
+                "Connections currently waiting in the accept queue.",
+            ),
+            inflight_evals: gauge(
+                "nvmllc_serve_inflight_evals",
+                "Evaluations currently running under the in-flight cap.",
+            ),
+            uptime_seconds: gauge(
+                "nvmllc_serve_uptime_seconds",
+                "Seconds since the server started, rounded up (set at scrape time).",
+            ),
+        }
+    }
+
+    /// Counts one response toward its status class.
+    fn count_status(&self, status: u16) {
+        let idx = match status / 100 {
+            2 => 0,
+            4 => 1,
+            _ => 2,
+        };
+        self.by_class[idx].inc();
     }
 }
 
@@ -483,8 +461,9 @@ impl EvalSlot {
 }
 
 /// Everything cluster-aware dispatch needs: the ring, this node's
-/// identity (routers have none), one upstream pool per peer, and
-/// per-peer forward counters.
+/// identity (routers have none), one upstream pool per peer, and the
+/// placement counters ([`metrics::PROXY_HOPS`]), each routed request
+/// landing in exactly one of them.
 struct ClusterState {
     map: ShardMap,
     /// `Some(shard_id)` on a shard; `None` on a router.
@@ -492,20 +471,32 @@ struct ClusterState {
     /// One keep-alive pool per shard, indexed by shard id. A shard's
     /// own slot exists but is never dialed.
     peers: Vec<Pool>,
-    /// Requests forwarded to each peer.
-    forwards: Vec<AtomicU64>,
-    /// Requests answered locally although another shard owned them.
-    fallbacks: AtomicU64,
+    /// Requests owned and answered here.
+    local: &'static Counter,
+    /// Requests relayed to each owning peer and answered by it.
+    forwards: Vec<&'static Counter>,
+    /// Requests answered by a node other than their owner.
+    fallbacks: &'static Counter,
 }
 
 impl ClusterState {
-    fn new(self_id: Option<usize>, peers: &[String]) -> ClusterState {
+    fn new(self_id: Option<usize>, peers: &[String], instance: u64) -> ClusterState {
+        let id = instance.to_string();
+        let (name, help) = metrics::PROXY_HOPS;
+        let hops = |result, peer: Option<&str>| {
+            let mut labels = vec![("instance", id.as_str()), ("result", result)];
+            labels.extend(peer.map(|peer| ("peer", peer)));
+            counter_with(name, help, &labels)
+        };
         ClusterState {
             map: ShardMap::new(peers.len()),
             self_id,
             peers: peers.iter().map(Pool::new).collect(),
-            forwards: peers.iter().map(|_| AtomicU64::new(0)).collect(),
-            fallbacks: AtomicU64::new(0),
+            local: hops("local", None),
+            forwards: (0..peers.len())
+                .map(|peer| hops("forwarded", Some(&peer.to_string())))
+                .collect(),
+            fallbacks: hops("fallback", None),
         }
     }
 
@@ -514,11 +505,7 @@ impl ClusterState {
             Some(_) => "shard",
             None => "router",
         };
-        let forwards: Vec<String> = self
-            .forwards
-            .iter()
-            .map(|f| f.load(Ordering::Relaxed).to_string())
-            .collect();
+        let forwards: Vec<String> = self.forwards.iter().map(|f| f.get().to_string()).collect();
         let peers: Vec<String> = self
             .peers
             .iter()
@@ -532,7 +519,7 @@ impl ClusterState {
             self.map.shard_count(),
             peers.join(","),
             forwards.join(","),
-            self.fallbacks.load(Ordering::Relaxed),
+            self.fallbacks.get(),
             self.map.render_json(),
         )
     }
@@ -585,11 +572,12 @@ impl Server {
     /// Binds, opens the store (when configured), and spawns the accept
     /// thread plus the worker pool. Returns once the service accepts.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
+        let instance = nvm_llc_obs::metrics::next_instance();
         let role = match &config.cluster {
-            Some(c) => Role::Shard(ClusterState::new(Some(c.shard_id), &c.peers)),
+            Some(c) => Role::Shard(ClusterState::new(Some(c.shard_id), &c.peers, instance)),
             None => Role::Node,
         };
-        Server::start_with_role(config, role)
+        Server::start_with_role(config, role, instance)
     }
 
     /// Starts a thin router: same transport, queue, and worker pool,
@@ -601,7 +589,8 @@ impl Server {
                 "router mode requires at least one peer",
             ));
         }
-        let role = Role::Router(ClusterState::new(None, &config.peers));
+        let instance = nvm_llc_obs::metrics::next_instance();
+        let role = Role::Router(ClusterState::new(None, &config.peers, instance));
         let serve = ServeConfig {
             addr: config.addr,
             workers: config.workers,
@@ -610,10 +599,10 @@ impl Server {
             // Routers never evaluate; the remaining knobs are inert.
             ..ServeConfig::default()
         };
-        Server::start_with_role(serve, role)
+        Server::start_with_role(serve, role, instance)
     }
 
-    fn start_with_role(config: ServeConfig, role: Role) -> std::io::Result<Server> {
+    fn start_with_role(config: ServeConfig, role: Role, instance: u64) -> std::io::Result<Server> {
         metrics::register();
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
@@ -634,7 +623,7 @@ impl Server {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             stop: AtomicBool::new(false),
-            counters: Counters::default(),
+            counters: Counters::new(instance),
             coalesce: Mutex::new(HashMap::new()),
             inflight_evals: AtomicUsize::new(0),
             store,
@@ -703,12 +692,12 @@ impl Server {
         format!(
             "{} connections, {} requests, {} evaluations, {} coalesced, \
              {} queue-rejected, {} busy-rejected",
-            c.connections.load(Ordering::Relaxed),
-            c.requests.load(Ordering::Relaxed),
-            c.evaluations.load(Ordering::Relaxed),
-            c.coalesce_hits.load(Ordering::Relaxed),
-            c.rejected_queue_full.load(Ordering::Relaxed),
-            c.rejected_busy.load(Ordering::Relaxed),
+            c.connections.get(),
+            c.requests.get(),
+            c.evaluations.get(),
+            c.coalesce_waiters.get(),
+            c.rejected_queue_full.get(),
+            c.rejected_busy.get(),
         )
     }
 }
@@ -723,11 +712,7 @@ fn accept_loop(shared: &Shared, listener: TcpListener) {
                 let mut queue = shared.queue.lock().expect("queue lock");
                 if queue.len() >= shared.config.queue_capacity {
                     drop(queue);
-                    shared
-                        .counters
-                        .rejected_queue_full
-                        .fetch_add(1, Ordering::Relaxed);
-                    metrics::rejected("queue_full").inc();
+                    shared.counters.rejected_queue_full.inc();
                     shared.counters.count_status(503);
                     let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
                     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
@@ -743,7 +728,7 @@ fn accept_loop(shared: &Shared, listener: TcpListener) {
                     );
                 } else {
                     queue.push_back((stream, Instant::now()));
-                    metrics::queue_depth().set(queue.len() as u64);
+                    shared.counters.queue_depth.set(queue.len() as u64);
                     drop(queue);
                     shared.queue_cv.notify_one();
                 }
@@ -765,7 +750,7 @@ fn worker_loop(shared: &Shared) {
             loop {
                 // Pop before honoring stop: shutdown drains the queue.
                 if let Some((stream, enqueued)) = queue.pop_front() {
-                    metrics::queue_depth().set(queue.len() as u64);
+                    shared.counters.queue_depth.set(queue.len() as u64);
                     break Some((stream, enqueued));
                 }
                 if shared.stop.load(Ordering::SeqCst) {
@@ -803,8 +788,7 @@ const READ_POLL: Duration = Duration::from_millis(200);
 /// connection open until the peer closes, an idle timeout passes, the
 /// per-connection request cap is reached, or the server drains.
 fn handle_connection(shared: &Shared, mut stream: TcpStream, queue_wait: Duration) {
-    shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-    metrics::connections().inc();
+    shared.counters.connections.inc();
     let _ = stream.set_read_timeout(Some(READ_POLL));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let _ = stream.set_nodelay(true);
@@ -948,7 +932,7 @@ fn serve_request(
     phases: PrePhases,
 ) {
     let request_id = shared.next_request_id.fetch_add(1, Ordering::Relaxed);
-    shared.counters.requests.fetch_add(1, Ordering::Relaxed);
+    shared.counters.requests.inc();
 
     // Trace evaluation traffic and anything that arrived with a trace
     // context, but only while span timing is on — disabled tracing must
@@ -958,7 +942,7 @@ fn serve_request(
         .and_then(TraceContext::parse);
     let traced = nvm_llc_obs::enabled()
         && (inbound.is_some() || matches!(request.path.as_str(), "/eval" | "/row"));
-    let collector = traced.then(|| trace::Collector::begin(inbound));
+    let collector = traced.then(|| trace::Collector::begin(inbound, trace::MAX_SPANS_PER_TRACE));
     let _attached = collector
         .as_ref()
         .map(|c| trace::attach(c, c.root_parent()));
@@ -1059,6 +1043,7 @@ fn finish_trace(
         total_micros,
         node: shared.node_label.clone(),
         spans,
+        dropped: collector.dropped(),
     });
 }
 
@@ -1114,7 +1099,8 @@ fn route(shared: &Shared, request: &http::Request) -> (u16, &'static str, String
         "/metricsz" => (200, "text/plain; version=0.0.4", render_metricsz(shared)),
         "/tracez" => {
             if request.param("format") == Some("chrome") {
-                (200, "application/json", shared.tracez.render_chrome())
+                let traces = shared.tracez.snapshot();
+                (200, "application/json", trace::render_chrome(&traces))
             } else {
                 // Prefix the ring's JSON with this server's lane label.
                 let json = shared.tracez.render_json();
@@ -1267,26 +1253,23 @@ fn shard_dispatch(
     let owner = state.map.owner(&parsed.route_key());
     let hopped = request.header(HOP_HEADER).is_some();
     if Some(owner) == state.self_id {
-        metrics::proxy_hops("local").inc();
+        state.local.inc();
         return eval_parsed(shared, parsed);
     }
     if hopped {
         // Single-hop invariant: a forwarded request never forwards
         // again, whatever this node thinks the map says.
-        metrics::proxy_hops("fallback").inc();
-        state.fallbacks.fetch_add(1, Ordering::Relaxed);
+        state.fallbacks.inc();
         return eval_parsed(shared, parsed);
     }
     match proxy_request(&state.peers[owner], request) {
         Ok((status, body)) if status < 500 => {
-            metrics::proxy_hops("forwarded").inc();
-            state.forwards[owner].fetch_add(1, Ordering::Relaxed);
+            state.forwards[owner].inc();
             (status, body)
         }
         // Owner down or failing: answer it ourselves.
         Ok(_) | Err(_) => {
-            metrics::proxy_hops("fallback").inc();
-            state.fallbacks.fetch_add(1, Ordering::Relaxed);
+            state.fallbacks.inc();
             eval_parsed(shared, parsed)
         }
     }
@@ -1320,7 +1303,8 @@ fn proxy_request(peer: &Pool, request: &http::Request) -> std::io::Result<(u16, 
 /// Router placement: forward to the owner; if the owner is unreachable,
 /// walk the remaining shards in ring order — each carries the hop
 /// marker, so whichever shard answers evaluates locally and the
-/// response stays byte-identical.
+/// response stays byte-identical. An answer from the owner counts as a
+/// forward to it, any other answer as one fallback.
 fn router_forward(
     state: &ClusterState,
     request: &http::Request,
@@ -1332,16 +1316,10 @@ fn router_forward(
         let peer = (owner + attempt) % n;
         match proxy_request(&state.peers[peer], request) {
             Ok((status, body)) if status < 500 => {
-                metrics::proxy_hops(if attempt == 0 {
-                    "forwarded"
-                } else {
-                    "fallback"
-                })
-                .inc();
-                if attempt > 0 {
-                    state.fallbacks.fetch_add(1, Ordering::Relaxed);
+                match attempt {
+                    0 => state.forwards[peer].inc(),
+                    _ => state.fallbacks.inc(),
                 }
-                state.forwards[peer].fetch_add(1, Ordering::Relaxed);
                 return (status, body);
             }
             Ok(_) | Err(_) => continue,
@@ -1365,11 +1343,7 @@ fn eval_parsed(shared: &Shared, parsed: &EvalRequest) -> (u16, String) {
         }
     };
     if !leader {
-        shared
-            .counters
-            .coalesce_hits
-            .fetch_add(1, Ordering::Relaxed);
-        metrics::coalesce_waiters().inc();
+        shared.counters.coalesce_waiters.inc();
         return match slot.wait() {
             Ok(body) => (200, (*body).clone()),
             Err((status, body)) => (status, body),
@@ -1397,30 +1371,28 @@ fn evaluate(shared: &Shared, request: &EvalRequest) -> Result<String, (u16, Stri
         })
         .is_ok();
     if !admitted {
-        shared
-            .counters
-            .rejected_busy
-            .fetch_add(1, Ordering::Relaxed);
-        metrics::rejected("busy").inc();
+        shared.counters.rejected_busy.inc();
         return Err((
             429,
             error_json("evaluation capacity exhausted, retry later"),
         ));
     }
-    metrics::inflight_evals().set(shared.inflight_evals.load(Ordering::SeqCst) as u64);
+    let now = shared.inflight_evals.load(Ordering::SeqCst);
+    shared.counters.inflight_evals.set(now as u64);
     // RAII: the slot is released (and the gauge resynced) even if the
     // evaluation panics, so the cap can never leak closed.
     struct InflightGuard<'a>(&'a Shared);
     impl Drop for InflightGuard<'_> {
         fn drop(&mut self) {
-            self.0.inflight_evals.fetch_sub(1, Ordering::SeqCst);
-            metrics::inflight_evals().set(self.0.inflight_evals.load(Ordering::SeqCst) as u64);
+            let shared = self.0;
+            shared.inflight_evals.fetch_sub(1, Ordering::SeqCst);
+            let now = shared.inflight_evals.load(Ordering::SeqCst);
+            shared.counters.inflight_evals.set(now as u64);
         }
     }
     let _guard = InflightGuard(shared);
     let result = run_evaluation(shared, request);
-    shared.counters.evaluations.fetch_add(1, Ordering::Relaxed);
-    metrics::evaluations().inc();
+    shared.counters.evaluations.inc();
     result
 }
 
@@ -1469,9 +1441,10 @@ fn render_statsz(shared: &Shared) -> String {
         Some(store) => {
             let s = store.stats();
             format!(
-                "{{\"hits\":{},\"misses\":{},\"corrupt\":{},\"insertions\":{},\
-                 \"evictions\":{},\"bytes_read\":{},\"bytes_written\":{},\
-                 \"resident_bytes\":{}}}",
+                "{{\"instance\":{},\"hits\":{},\"misses\":{},\"corrupt\":{},\
+                 \"insertions\":{},\"evictions\":{},\"bytes_read\":{},\
+                 \"bytes_written\":{},\"resident_bytes\":{}}}",
+                store.instance(),
                 s.hits,
                 s.misses,
                 s.corrupt,
@@ -1496,7 +1469,7 @@ fn render_statsz(shared: &Shared) -> String {
     );
     sync_scrape_gauges(shared);
     format!(
-        "{{\"queue_depth\":{queue_depth},\"queue_capacity\":{},\"workers\":{},\
+        "{{\"instance\":{},\"queue_depth\":{queue_depth},\"queue_capacity\":{},\"workers\":{},\
          \"inflight_evals\":{},\"connections\":{},\"requests\":{},\"coalesce_hits\":{},\
          \"rejected_queue_full\":{},\"rejected_busy\":{},\"evaluations\":{},\
          \"store\":{store},\"tape_cache\":{{\"hits\":{},\"misses\":{},\
@@ -1507,15 +1480,16 @@ fn render_statsz(shared: &Shared) -> String {
          \"trace\":{{\"captured\":{},\"slow_threshold_us\":{}}},\
          \"cluster\":{cluster},\
          \"metrics\":{}}}",
+        c.instance,
         shared.config.queue_capacity,
         shared.config.workers,
         shared.inflight_evals.load(Ordering::SeqCst),
-        c.connections.load(Ordering::Relaxed),
-        c.requests.load(Ordering::Relaxed),
-        c.coalesce_hits.load(Ordering::Relaxed),
-        c.rejected_queue_full.load(Ordering::Relaxed),
-        c.rejected_busy.load(Ordering::Relaxed),
-        c.evaluations.load(Ordering::Relaxed),
+        c.connections.get(),
+        c.requests.get(),
+        c.coalesce_waiters.get(),
+        c.rejected_queue_full.get(),
+        c.rejected_busy.get(),
+        c.evaluations.get(),
         tc.hits,
         tc.misses,
         tc.store_hits,
@@ -1524,9 +1498,9 @@ fn render_statsz(shared: &Shared) -> String {
         uptime_seconds(shared.started),
         BUILD_VERSION,
         BUILD_GIT_HASH,
-        c.by_class[0].load(Ordering::Relaxed),
-        c.by_class[1].load(Ordering::Relaxed),
-        c.by_class[2].load(Ordering::Relaxed),
+        c.by_class[0].get(),
+        c.by_class[1].get(),
+        c.by_class[2].get(),
         shared.tracez.len(),
         slow_threshold_micros(shared) as u64,
         nvm_llc_obs::metrics::render_json(),
@@ -1559,9 +1533,12 @@ const BUILD_GIT_HASH: &str = env!("NVM_LLC_BUILD_GIT_HASH");
 /// Refreshes the gauges that are cheaper to set at scrape time than to
 /// maintain on every transition.
 fn sync_scrape_gauges(shared: &Shared) {
-    metrics::uptime_seconds().set(uptime_seconds(shared.started));
-    metrics::queue_depth().set(shared.queue.lock().expect("queue lock").len() as u64);
-    metrics::inflight_evals().set(shared.inflight_evals.load(Ordering::SeqCst) as u64);
+    let c = &shared.counters;
+    c.uptime_seconds.set(uptime_seconds(shared.started));
+    c.queue_depth
+        .set(shared.queue.lock().expect("queue lock").len() as u64);
+    c.inflight_evals
+        .set(shared.inflight_evals.load(Ordering::SeqCst) as u64);
 }
 
 /// `GET /metricsz`: the whole process-wide registry in Prometheus text

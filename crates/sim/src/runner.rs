@@ -109,11 +109,11 @@ fn map_indices<T: Send + Sync>(threads: usize, n: usize, f: impl Fn(usize) -> T 
 
 /// Evaluator counters in the process-wide [`nvm_llc_obs`] registry.
 pub mod metrics {
-    use nvm_llc_obs::metrics::{counter, Counter};
+    use nvm_llc_obs::metrics::Counter;
 
     /// `nvmllc_eval_runs_total`
     pub fn runs() -> &'static Counter {
-        counter(
+        nvm_llc_obs::counter!(
             "nvmllc_eval_runs_total",
             "Calls to Evaluator::run_all (whole-matrix evaluations).",
         )
@@ -121,7 +121,7 @@ pub mod metrics {
 
     /// `nvmllc_eval_cells_total`
     pub fn cells() -> &'static Counter {
-        counter(
+        nvm_llc_obs::counter!(
             "nvmllc_eval_cells_total",
             "Workload x technology cells evaluated (excludes cells served \
              from the persistent result tier).",
@@ -130,7 +130,7 @@ pub mod metrics {
 
     /// `nvmllc_eval_groups_total`
     pub fn groups() -> &'static Counter {
-        counter(
+        nvm_llc_obs::counter!(
             "nvmllc_eval_groups_total",
             "Tape-key groups scheduled (one functional pass + one batched \
              replay each).",
@@ -139,7 +139,7 @@ pub mod metrics {
 
     /// `nvmllc_eval_result_tier_hits_total`
     pub fn result_tier_hits() -> &'static Counter {
-        counter(
+        nvm_llc_obs::counter!(
             "nvmllc_eval_result_tier_hits_total",
             "Cells filled straight from the persistent result store, \
              skipping evaluation entirely.",

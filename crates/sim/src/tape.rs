@@ -501,8 +501,9 @@ pub mod cache {
     //! Mirrors `nvm_llc_trace::cache`: concurrent fetches of one key race
     //! to install a slot, exactly one runs [`System::record`], the rest
     //! block on the slot's `OnceLock` and receive the same
-    //! `Arc<OutcomeTape>`. [`stats`] exposes hit/miss/byte/eviction
-    //! counters so experiment binaries can log cache effectiveness.
+    //! `Arc<OutcomeTape>`. The cache counts into the [`metrics`]
+    //! registry handles and nowhere else; [`stats`] is a snapshot of
+    //! them, so experiment binaries log what `/metricsz` shows.
     //!
     //! Residency is bounded by a byte budget (default
     //! [`DEFAULT_BUDGET_BYTES`], overridable via the [`BUDGET_ENV`]
@@ -515,7 +516,6 @@ pub mod cache {
 
     use std::collections::HashMap;
     use std::fmt;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex, OnceLock};
 
     use nvm_llc_trace::Trace;
@@ -586,21 +586,15 @@ pub mod cache {
         })
     }
 
-    static HITS: AtomicU64 = AtomicU64::new(0);
-    static MISSES: AtomicU64 = AtomicU64::new(0);
-    static STORE_HITS: AtomicU64 = AtomicU64::new(0);
-    static BYTES: AtomicU64 = AtomicU64::new(0);
-    static EVICTIONS: AtomicU64 = AtomicU64::new(0);
-
-    /// The same counters, mirrored into the process-wide [`nvm_llc_obs`]
-    /// registry (plus a residency gauge) so `/metricsz` and `/statsz`
-    /// expose them without a bespoke snapshot path.
+    /// The cache's counters and residency gauge in the process-wide
+    /// [`nvm_llc_obs`] registry — the only copy of these facts, read by
+    /// [`stats`], `/metricsz` and `/statsz` alike.
     pub mod metrics {
-        use nvm_llc_obs::metrics::{counter, gauge, Counter, Gauge};
+        use nvm_llc_obs::metrics::{Counter, Gauge};
 
         /// `nvmllc_tape_cache_hits_total`
         pub fn hits() -> &'static Counter {
-            counter(
+            nvm_llc_obs::counter!(
                 "nvmllc_tape_cache_hits_total",
                 "Tape cache fetches served by an already-installed slot.",
             )
@@ -608,7 +602,7 @@ pub mod cache {
 
         /// `nvmllc_tape_cache_misses_total`
         pub fn misses() -> &'static Counter {
-            counter(
+            nvm_llc_obs::counter!(
                 "nvmllc_tape_cache_misses_total",
                 "Tape cache fetches that found no resident tape.",
             )
@@ -616,16 +610,25 @@ pub mod cache {
 
         /// `nvmllc_tape_cache_store_hits_total`
         pub fn store_hits() -> &'static Counter {
-            counter(
+            nvm_llc_obs::counter!(
                 "nvmllc_tape_cache_store_hits_total",
                 "Tape cache misses satisfied by decoding a persisted tape \
                  instead of re-running the functional pass.",
             )
         }
 
+        /// `nvmllc_tape_cache_taped_bytes_total`
+        pub fn taped_bytes() -> &'static Counter {
+            nvm_llc_obs::counter!(
+                "nvmllc_tape_cache_taped_bytes_total",
+                "Bytes of outcome tape recorded or loaded into the cache, \
+                 evicted tapes included.",
+            )
+        }
+
         /// `nvmllc_tape_cache_evictions_total`
         pub fn evictions() -> &'static Counter {
-            counter(
+            nvm_llc_obs::counter!(
                 "nvmllc_tape_cache_evictions_total",
                 "Tapes evicted to stay under the residency byte budget.",
             )
@@ -633,7 +636,7 @@ pub mod cache {
 
         /// `nvmllc_tape_cache_resident_bytes`
         pub fn resident_bytes() -> &'static Gauge {
-            gauge(
+            nvm_llc_obs::gauge!(
                 "nvmllc_tape_cache_resident_bytes",
                 "Bytes of outcome tape currently resident.",
             )
@@ -644,6 +647,7 @@ pub mod cache {
             hits();
             misses();
             store_hits();
+            taped_bytes();
             evictions();
             resident_bytes();
             for (name, help) in [
@@ -670,7 +674,8 @@ pub mod cache {
         }
     }
 
-    /// Counters describing the cache's effectiveness so far.
+    /// Counters describing the cache's effectiveness so far: a snapshot
+    /// of the [`metrics`] handles.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct CacheStats {
         /// Fetches served by an already-installed tape slot.
@@ -701,7 +706,9 @@ pub mod cache {
                 self.hits,
                 self.misses,
                 self.store_hits,
-                self.misses - self.store_hits,
+                // Each handle is read on its own, so a snapshot taken
+                // mid-fetch can see a store hit before its miss.
+                self.misses.saturating_sub(self.store_hits),
                 self.bytes as f64 / (1024.0 * 1024.0),
                 self.evictions,
             )
@@ -758,10 +765,8 @@ pub mod cache {
         // installer counts the miss, everyone else a hit (they reuse the
         // single functional pass either way).
         if fresh {
-            MISSES.fetch_add(1, Ordering::Relaxed);
             metrics::misses().inc();
         } else {
-            HITS.fetch_add(1, Ordering::Relaxed);
             metrics::hits().inc();
         }
         let tape = Arc::clone(slot.get_or_init(|| {
@@ -775,7 +780,6 @@ pub mod cache {
                 .filter(|tape| tape.cores() == system.config().cores);
             let tape = match stored {
                 Some(tape) => {
-                    STORE_HITS.fetch_add(1, Ordering::Relaxed);
                     metrics::store_hits().inc();
                     tape
                 }
@@ -787,7 +791,7 @@ pub mod cache {
                     tape
                 }
             };
-            BYTES.fetch_add(tape.bytes() as u64, Ordering::Relaxed);
+            metrics::taped_bytes().add(tape.bytes() as u64);
             Arc::new(tape)
         }));
         if fresh {
@@ -823,7 +827,6 @@ pub mod cache {
             let Some(key) = victim else { break };
             let entry = inner.map.remove(&key).expect("victim key resident");
             inner.resident -= entry.bytes;
-            EVICTIONS.fetch_add(1, Ordering::Relaxed);
             metrics::evictions().inc();
         }
     }
@@ -858,14 +861,13 @@ pub mod cache {
 
     /// Snapshot of the process-wide cache counters.
     pub fn stats() -> CacheStats {
-        let resident_bytes = inner().lock().expect("tape cache lock").resident;
         CacheStats {
-            hits: HITS.load(Ordering::Relaxed),
-            misses: MISSES.load(Ordering::Relaxed),
-            store_hits: STORE_HITS.load(Ordering::Relaxed),
-            bytes: BYTES.load(Ordering::Relaxed),
-            evictions: EVICTIONS.load(Ordering::Relaxed),
-            resident_bytes,
+            hits: metrics::hits().get(),
+            misses: metrics::misses().get(),
+            store_hits: metrics::store_hits().get(),
+            bytes: metrics::taped_bytes().get(),
+            evictions: metrics::evictions().get(),
+            resident_bytes: metrics::resident_bytes().get(),
         }
     }
 }

@@ -57,97 +57,95 @@ pub mod wire;
 #[cfg(all(unix, feature = "mmap"))]
 pub use mmap::MappedPayload;
 
-/// Process-wide store counters in the [`nvm_llc_obs`] registry.
+/// Store counters in the [`nvm_llc_obs`] registry.
 ///
-/// A process can open several [`Store`]s; the per-instance
-/// [`StoreStats`] stay per-instance while these aggregate across all of
-/// them (the daemon opens exactly one, so there they coincide).
+/// Every [`Store`] resolves its own handles when it opens, labelled
+/// `instance="<n>"` ([`Store::instance`]), and keeps no other copy of
+/// these facts: [`Store::stats`] reads the same handles `/metricsz`
+/// renders.
 pub mod metrics {
-    use nvm_llc_obs::metrics::{counter, gauge, Counter, Gauge};
+    use nvm_llc_obs::metrics::{counter_with, declare_counter, gauge_with, Counter, Gauge};
 
-    /// `nvmllc_store_hits_total`
-    pub fn hits() -> &'static Counter {
-        counter(
+    /// The store's counter families, in [`Handles`] field order.
+    const COUNTERS: [(&str, &str); 8] = [
+        (
             "nvmllc_store_hits_total",
             "Store reads that returned a valid payload.",
-        )
-    }
-
-    /// `nvmllc_store_misses_total`
-    pub fn misses() -> &'static Counter {
-        counter(
+        ),
+        (
             "nvmllc_store_misses_total",
             "Store reads that found no usable record (corrupt included).",
-        )
-    }
-
-    /// `nvmllc_store_corrupt_total`
-    pub fn corrupt() -> &'static Counter {
-        counter(
+        ),
+        (
             "nvmllc_store_corrupt_total",
             "Records rejected by validation and deleted for recompute.",
-        )
-    }
-
-    /// `nvmllc_store_insertions_total`
-    pub fn insertions() -> &'static Counter {
-        counter(
+        ),
+        (
             "nvmllc_store_insertions_total",
             "Records written and renamed into place.",
-        )
-    }
-
-    /// `nvmllc_store_evictions_total`
-    pub fn evictions() -> &'static Counter {
-        counter(
+        ),
+        (
             "nvmllc_store_evictions_total",
             "Records deleted to stay under the byte budget.",
-        )
-    }
-
-    /// `nvmllc_store_bytes_read_total`
-    pub fn bytes_read() -> &'static Counter {
-        counter(
+        ),
+        (
             "nvmllc_store_bytes_read_total",
             "Payload bytes returned by store hits.",
-        )
-    }
-
-    /// `nvmllc_store_mmap_bytes_total`
-    pub fn mmap_bytes() -> &'static Counter {
-        counter(
+        ),
+        (
             "nvmllc_store_mmap_bytes_total",
             "Payload bytes served zero-copy from mmap-backed reads.",
-        )
-    }
-
-    /// `nvmllc_store_bytes_written_total`
-    pub fn bytes_written() -> &'static Counter {
-        counter(
+        ),
+        (
             "nvmllc_store_bytes_written_total",
             "File bytes written by store insertions (header + payload).",
-        )
+        ),
+    ];
+
+    /// One store's handles.
+    pub(crate) struct Handles {
+        pub hits: &'static Counter,
+        pub misses: &'static Counter,
+        pub corrupt: &'static Counter,
+        pub insertions: &'static Counter,
+        pub evictions: &'static Counter,
+        pub bytes_read: &'static Counter,
+        pub mmap_bytes: &'static Counter,
+        pub bytes_written: &'static Counter,
+        pub resident_bytes: &'static Gauge,
     }
 
-    /// `nvmllc_store_resident_bytes`
-    pub fn resident_bytes() -> &'static Gauge {
-        gauge(
-            "nvmllc_store_resident_bytes",
-            "Record bytes currently indexed across open stores.",
-        )
+    impl Handles {
+        /// Resolves every handle under `instance="<instance>"`.
+        pub fn new(instance: u64) -> Handles {
+            let id = instance.to_string();
+            let labels = [("instance", id.as_str())];
+            let [hits, misses, corrupt, insertions, evictions, bytes_read, mmap_bytes, bytes_written] =
+                COUNTERS.map(|(name, help)| counter_with(name, help, &labels));
+            Handles {
+                hits,
+                misses,
+                corrupt,
+                insertions,
+                evictions,
+                bytes_read,
+                mmap_bytes,
+                bytes_written,
+                resident_bytes: gauge_with(
+                    "nvmllc_store_resident_bytes",
+                    "Record bytes currently indexed by the store.",
+                    &labels,
+                ),
+            }
+        }
     }
 
-    /// Pre-registers the store's metric inventory.
+    /// Declares the store's counter families, so a scrape lists them
+    /// even while no store is open.
     pub fn register() {
-        hits();
-        misses();
-        corrupt();
-        insertions();
-        evictions();
-        bytes_read();
-        mmap_bytes();
-        bytes_written();
-        resident_bytes();
+        for (name, help) in COUNTERS {
+            declare_counter(name, help);
+        }
     }
 }
 
@@ -236,7 +234,8 @@ impl fmt::Display for Key {
     }
 }
 
-/// Counters describing one store's traffic since it was opened.
+/// Counters describing one store's traffic since it was opened: a
+/// snapshot of the store's registry handles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
     /// `get` calls that returned a valid payload.
@@ -325,13 +324,8 @@ pub struct Store {
     budget: u64,
     index: Mutex<Index>,
     tmp_seq: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    corrupt: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    bytes_read: AtomicU64,
-    bytes_written: AtomicU64,
+    instance: u64,
+    metrics: metrics::Handles,
 }
 
 impl fmt::Debug for Store {
@@ -395,19 +389,16 @@ impl Store {
                 },
             );
         }
+        let instance = nvm_llc_obs::metrics::next_instance();
         let store = Store {
             dir,
             budget,
             index: Mutex::new(index),
             tmp_seq: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            bytes_read: AtomicU64::new(0),
-            bytes_written: AtomicU64::new(0),
+            instance,
+            metrics: metrics::Handles::new(instance),
         };
+        store.metrics.resident_bytes.set(store.resident_bytes());
         store.evict_over_budget(None);
         Ok(store)
     }
@@ -420,6 +411,11 @@ impl Store {
     /// The residency budget in bytes.
     pub fn byte_budget(&self) -> u64 {
         self.budget
+    }
+
+    /// This store's `instance` label in the metrics registry.
+    pub fn instance(&self) -> u64 {
+        self.instance
     }
 
     fn record_path(&self, key: &Key) -> PathBuf {
@@ -435,27 +431,21 @@ impl Store {
         let bytes = match fs::read(&path) {
             Ok(bytes) => bytes,
             Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                metrics::misses().inc();
+                self.metrics.misses.inc();
                 self.forget(key);
                 return None;
             }
         };
         match validate_record(&bytes) {
             Some(payload) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                metrics::hits().inc();
-                self.bytes_read
-                    .fetch_add(payload.len() as u64, Ordering::Relaxed);
-                metrics::bytes_read().add(payload.len() as u64);
+                self.metrics.hits.inc();
+                self.metrics.bytes_read.add(payload.len() as u64);
                 self.touch(key, bytes.len() as u64);
                 Some(payload.to_vec())
             }
             None => {
-                self.corrupt.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                metrics::corrupt().inc();
-                metrics::misses().inc();
+                self.metrics.corrupt.inc();
+                self.metrics.misses.inc();
                 nvm_llc_obs::debug!(
                     "store", "corrupt record deleted; caller will recompute";
                     "key" => key.hex(),
@@ -487,8 +477,7 @@ impl Store {
         {
             let path = self.record_path(key);
             let Ok(file) = fs::File::open(&path) else {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                metrics::misses().inc();
+                self.metrics.misses.inc();
                 self.forget(key);
                 return None;
             };
@@ -504,19 +493,15 @@ impl Store {
             match validate_record(&map) {
                 Some(payload) => {
                     let payload_len = payload.len() as u64;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    metrics::hits().inc();
-                    self.bytes_read.fetch_add(payload_len, Ordering::Relaxed);
-                    metrics::bytes_read().add(payload_len);
-                    metrics::mmap_bytes().add(payload_len);
+                    self.metrics.hits.inc();
+                    self.metrics.bytes_read.add(payload_len);
+                    self.metrics.mmap_bytes.add(payload_len);
                     self.touch(key, map.len() as u64);
                     Some(Payload::Mapped(MappedPayload::new(map)))
                 }
                 None => {
-                    self.corrupt.fetch_add(1, Ordering::Relaxed);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    metrics::corrupt().inc();
-                    metrics::misses().inc();
+                    self.metrics.corrupt.inc();
+                    self.metrics.misses.inc();
                     nvm_llc_obs::debug!(
                         "store", "corrupt record deleted; caller will recompute";
                         "key" => key.hex(),
@@ -561,11 +546,8 @@ impl Store {
             let _ = fs::remove_file(&tmp);
             return Err(e);
         }
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        metrics::insertions().inc();
-        self.bytes_written
-            .fetch_add(record.len() as u64, Ordering::Relaxed);
-        metrics::bytes_written().add(record.len() as u64);
+        self.metrics.insertions.inc();
+        self.metrics.bytes_written.add(record.len() as u64);
         self.touch(key, record.len() as u64);
         self.evict_over_budget(Some(key));
         Ok(())
@@ -597,14 +579,15 @@ impl Store {
 
     /// Snapshot of this store's traffic counters.
     pub fn stats(&self) -> StoreStats {
+        let m = &self.metrics;
         StoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.bytes_written.load(Ordering::Relaxed),
+            hits: m.hits.get(),
+            misses: m.misses.get(),
+            corrupt: m.corrupt.get(),
+            insertions: m.insertions.get(),
+            evictions: m.evictions.get(),
+            bytes_read: m.bytes_read.get(),
+            bytes_written: m.bytes_written.get(),
         }
     }
 
@@ -632,7 +615,7 @@ impl Store {
                 );
             }
         }
-        metrics::resident_bytes().set(index.resident);
+        self.metrics.resident_bytes.set(index.resident);
     }
 
     /// Drops `key` from the index (its file is already gone or bad).
@@ -640,7 +623,7 @@ impl Store {
         let mut index = self.index.lock().expect("store index");
         if let Some(entry) = index.map.remove(key) {
             index.resident -= entry.bytes;
-            metrics::resident_bytes().set(index.resident);
+            self.metrics.resident_bytes.set(index.resident);
         }
     }
 
@@ -664,9 +647,16 @@ impl Store {
             let Some(key) = victim else { return };
             let _ = fs::remove_file(self.record_path(&key));
             self.forget(&key);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            metrics::evictions().inc();
+            self.metrics.evictions.inc();
         }
+    }
+}
+
+impl Drop for Store {
+    /// A closed store indexes nothing: its residency sample drops to
+    /// zero (its counters stay, as counters do).
+    fn drop(&mut self) {
+        self.metrics.resident_bytes.set(0);
     }
 }
 
@@ -944,5 +934,46 @@ mod tests {
         let text = s.to_string();
         assert!(text.contains("3 hits"));
         assert!(text.contains("1 corrupt"));
+    }
+
+    #[test]
+    fn stores_sharing_a_process_keep_their_own_samples() {
+        let (dir_a, dir_b) = (TempDir::new("instance-a"), TempDir::new("instance-b"));
+        let a = Store::open(&dir_a.0).unwrap();
+        let b = Store::open(&dir_b.0).unwrap();
+        assert_ne!(a.instance(), b.instance());
+        let key = Key::digest(b"only in a");
+        a.put(&key, &[1u8; 100]).unwrap();
+        assert!(a.get(&key).is_some());
+        assert_eq!(
+            b.stats(),
+            StoreStats::default(),
+            "b saw none of a's traffic"
+        );
+
+        let sample = |family: &str, instance: u64| {
+            let scrape = nvm_llc_obs::federate::parse(&nvm_llc_obs::metrics::render_prometheus());
+            let labels = format!("{{instance=\"{instance}\"}}");
+            scrape
+                .scalar_samples(family)
+                .iter()
+                .find(|(l, _)| *l == labels)
+                .map(|(_, v)| *v)
+                .unwrap_or_else(|| panic!("no {family}{labels} sample"))
+        };
+        let (ia, ib) = (a.instance(), b.instance());
+        assert_eq!(sample("nvmllc_store_hits_total", ia), 1.0);
+        assert_eq!(sample("nvmllc_store_insertions_total", ia), 1.0);
+        assert_eq!(sample("nvmllc_store_hits_total", ib), 0.0);
+        assert_eq!(sample("nvmllc_store_resident_bytes", ia), 124.0);
+        assert_eq!(sample("nvmllc_store_resident_bytes", ib), 0.0);
+        let reopened = Store::open(&dir_a.0).unwrap();
+        drop(a);
+        assert_eq!(sample("nvmllc_store_resident_bytes", ia), 0.0, "closed");
+        assert_eq!(
+            sample("nvmllc_store_resident_bytes", reopened.instance()),
+            124.0,
+            "closing one store leaves another's residency alone"
+        );
     }
 }

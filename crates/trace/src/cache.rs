@@ -102,11 +102,11 @@ pub fn fetch(profile: &WorkloadProfile, seed: u64, accesses_per_thread: usize) -
 /// Process-wide counters for this cache, registered in the
 /// [`nvm_llc_obs`] registry.
 pub mod metrics {
-    use nvm_llc_obs::metrics::{counter, Counter};
+    use nvm_llc_obs::metrics::Counter;
 
     /// `nvmllc_trace_cache_hits_total`
     pub fn hits() -> &'static Counter {
-        counter(
+        nvm_llc_obs::counter!(
             "nvmllc_trace_cache_hits_total",
             "Trace cache fetches served from an already generated trace.",
         )
@@ -114,7 +114,7 @@ pub mod metrics {
 
     /// `nvmllc_trace_cache_misses_total`
     pub fn misses() -> &'static Counter {
-        counter(
+        nvm_llc_obs::counter!(
             "nvmllc_trace_cache_misses_total",
             "Trace cache fetches that ran the workload generator.",
         )
