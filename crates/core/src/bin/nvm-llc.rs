@@ -103,16 +103,12 @@ fn apply_tape_cache_budget(args: &[String]) -> Result<(), String> {
         return Ok(());
     };
     let value = args.get(i + 1).map(String::as_str);
-    match value.and_then(|v| v.parse::<u64>().ok()) {
-        Some(0) => {
-            nvm_llc::sim::tape::cache::set_byte_budget(u64::MAX);
+    match value.map(nvm_llc::sim::tape::cache::parse_budget_mib) {
+        Some(Ok(bytes)) => {
+            nvm_llc::sim::tape::cache::set_byte_budget(bytes);
             Ok(())
         }
-        Some(mib) => {
-            nvm_llc::sim::tape::cache::set_byte_budget(mib << 20);
-            Ok(())
-        }
-        None => Err(format!(
+        _ => Err(format!(
             "bad --tape-cache-mb value {value:?} (want an integer >= 0)"
         )),
     }
@@ -163,15 +159,17 @@ fn apply_trace_out(args: &[String]) -> Result<Option<std::path::PathBuf>, String
 }
 
 /// After an evaluation artifact finishes, say how well the process-wide
-/// caches did — generated traces held and the tape cache's
-/// functional-pass accounting — and, with `--store-dir`, the store's
+/// caches did — the trace cache's residency and evictions and the tape
+/// cache's functional-pass accounting — and, with `--store-dir`, the store's
 /// traffic and the trace cache's hits and misses. Opt-in via `--stats`;
 /// every number is read from the registry handles `/metricsz` renders.
 fn log_cache_stats() {
     let tc = nvm_llc::sim::tape::cache::stats();
     nvm_llc::obs::info!(
         "cli", "cache stats";
-        "generated_traces" => nvm_llc::trace::cache::len(),
+        "resident_traces" => nvm_llc::trace::cache::len(),
+        "trace_resident_bytes" => nvm_llc::trace::cache::metrics::resident_bytes().get(),
+        "trace_evictions" => nvm_llc::trace::cache::metrics::evictions().get(),
         "tape_cache" => tc.to_string(),
         "tape_hits" => tc.hits,
         "tape_misses" => tc.misses,

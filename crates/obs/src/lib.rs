@@ -35,6 +35,9 @@
 //!   sum counters and merge same-bounds histograms, and re-render one
 //!   cluster-level Prometheus view for `/clusterz`.
 //!
+//! [`memo`] is the workspace's one cache: a keyed, single-flight,
+//! byte-budgeted LRU memo that counts into registry handles.
+//!
 //! Metric names follow `nvmllc_<subsystem>_<name>_<unit>` (see
 //! DESIGN.md §"Observability"). The registry is canonical by name and
 //! labels: registering the same identity twice returns the same
@@ -49,6 +52,7 @@
 
 pub mod federate;
 pub mod log;
+pub mod memo;
 pub mod metrics;
 pub mod span;
 pub mod trace;

@@ -161,7 +161,7 @@ pub mod metrics {
     }
 }
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -169,6 +169,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use nvm_llc_circuit::{reference, LlcModel};
+use nvm_llc_obs::memo::{Memo, MemoMetrics};
 use nvm_llc_obs::metrics::{counter_with, gauge_with, Counter, Gauge};
 use nvm_llc_sim::{persist, Evaluator, PolicyKind};
 use nvm_llc_store::Store;
@@ -429,37 +430,6 @@ impl Counters {
 /// plus error message.
 type EvalOutcome = Result<Arc<String>, (u16, String)>;
 
-/// The coalescing rendezvous for one in-flight evaluation key: the
-/// leader publishes exactly once, waiters block until it does.
-struct EvalSlot {
-    state: Mutex<Option<EvalOutcome>>,
-    ready: Condvar,
-}
-
-impl EvalSlot {
-    fn new() -> EvalSlot {
-        EvalSlot {
-            state: Mutex::new(None),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn publish(&self, outcome: EvalOutcome) {
-        *self.state.lock().expect("slot lock") = Some(outcome);
-        self.ready.notify_all();
-    }
-
-    fn wait(&self) -> EvalOutcome {
-        let mut state = self.state.lock().expect("slot lock");
-        loop {
-            if let Some(outcome) = state.as_ref() {
-                return outcome.clone();
-            }
-            state = self.ready.wait(state).expect("slot lock");
-        }
-    }
-}
-
 /// Everything cluster-aware dispatch needs: the ring, this node's
 /// identity (routers have none), one upstream pool per peer, and the
 /// placement counters ([`metrics::PROXY_HOPS`]), each routed request
@@ -542,7 +512,9 @@ struct Shared {
     queue_cv: Condvar,
     stop: AtomicBool,
     counters: Counters,
-    coalesce: Mutex<HashMap<String, Arc<EvalSlot>>>,
+    /// In-flight evaluations by request key. The entry's runner removes
+    /// it on completion, so the memo retains nothing.
+    coalesce: Memo<String, EvalOutcome>,
     inflight_evals: AtomicUsize,
     store: Option<Arc<Store>>,
     started: Instant,
@@ -617,14 +589,23 @@ impl Server {
             Role::Router(_) => "router".to_owned(),
             Role::Node => "node".to_owned(),
         };
+        let counters = Counters::new(instance);
+        let coalesce = Memo::new(
+            u64::MAX,
+            |_| 0,
+            MemoMetrics {
+                hits: Some(counters.coalesce_waiters),
+                ..MemoMetrics::default()
+            },
+        );
         let shared = Arc::new(Shared {
             config,
             role,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             stop: AtomicBool::new(false),
-            counters: Counters::new(instance),
-            coalesce: Mutex::new(HashMap::new()),
+            counters,
+            coalesce,
             inflight_evals: AtomicUsize::new(0),
             store,
             started: Instant::now(),
@@ -1328,35 +1309,19 @@ fn router_forward(
     (502, error_json("no shard reachable"))
 }
 
-/// Evaluates one validated request behind the coalescing map.
+/// Evaluates one validated request behind the coalescing memo: the
+/// caller that runs the evaluation leads, and every identical request
+/// arriving meanwhile waits on its slot (counted as a coalesce waiter).
 fn eval_parsed(shared: &Shared, parsed: &EvalRequest) -> (u16, String) {
     let key = parsed.key();
-    let (slot, leader) = {
-        let mut map = shared.coalesce.lock().expect("coalesce lock");
-        match map.get(&key) {
-            Some(slot) => (Arc::clone(slot), false),
-            None => {
-                let slot = Arc::new(EvalSlot::new());
-                map.insert(key.clone(), Arc::clone(&slot));
-                (slot, true)
-            }
-        }
-    };
-    if !leader {
-        shared.counters.coalesce_waiters.inc();
-        return match slot.wait() {
-            Ok(body) => (200, (*body).clone()),
-            Err((status, body)) => (status, body),
-        };
+    let (outcome, leader) = shared
+        .coalesce
+        .get_or_make(&key, || evaluate(shared, parsed).map(Arc::new));
+    if leader {
+        shared.coalesce.remove(&key);
     }
-    let outcome = evaluate(shared, parsed);
-    slot.publish(match &outcome {
-        Ok(body) => Ok(Arc::new(body.clone())),
-        Err(err) => Err(err.clone()),
-    });
-    shared.coalesce.lock().expect("coalesce lock").remove(&key);
     match outcome {
-        Ok(body) => (200, body),
+        Ok(body) => (200, Arc::unwrap_or_clone(body)),
         Err((status, body)) => (status, body),
     }
 }

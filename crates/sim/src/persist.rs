@@ -17,10 +17,10 @@
 //!    behavior changes — old records become unreachable rather than
 //!    silently wrong;
 //! 3. the artifact's identity payload: the trace's
-//!    [content hash](nvm_llc_trace::Trace::content_hash) (never the
-//!    process-local `uid`) plus either the tape key's functional
-//!    geometry ([`TapeKey::persist_bytes`]) or the full system
-//!    fingerprint (every timing, energy, and policy knob).
+//!    [content hash](nvm_llc_trace::Trace::content_hash) plus either
+//!    the tape key's functional geometry ([`TapeKey::persist_bytes`])
+//!    or the full system fingerprint (every timing, energy, and policy
+//!    knob).
 //!
 //! Decoding is strict: version-tagged, length-checked by the store's
 //! record header, and rejected on any trailing or missing bytes, so a
@@ -61,8 +61,7 @@ fn derive_key(tag: &str, payload: &[u8]) -> Key {
 }
 
 /// Store key of the outcome tape identified by `key`: the functional
-/// geometry plus the trace's content hash (the process-local trace uid
-/// is deliberately excluded — see [`TapeKey::persist_bytes`]).
+/// geometry plus the trace's content hash ([`TapeKey::persist_bytes`]).
 pub fn tape_store_key(key: &TapeKey) -> Key {
     derive_key("tape", &key.persist_bytes())
 }
@@ -605,8 +604,8 @@ mod tests {
     #[test]
     fn keys_are_content_derived_not_process_local() {
         let system = sample_system();
-        // Two separately built traces with identical events: distinct
-        // uids, identical persistent keys.
+        // Two separately built traces with identical events: identical
+        // persistent keys.
         let a = sample_trace();
         let b = workloads::by_name("tonto")
             .unwrap()

@@ -239,7 +239,6 @@ pub struct Evaluator {
     cores: Option<u32>,
     warmup: f64,
     threads: Option<usize>,
-    tape_cache_bytes: Option<u64>,
     store: Option<Arc<Store>>,
     policy: Option<PolicyKind>,
 }
@@ -255,7 +254,6 @@ impl Evaluator {
             cores: None,
             warmup: DEFAULT_WARMUP,
             threads: None,
-            tape_cache_bytes: None,
             store: None,
             policy: None,
         }
@@ -299,15 +297,6 @@ impl Evaluator {
     /// threads are spawned). Takes precedence over [`THREADS_ENV`].
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Overrides the process-wide outcome-tape cache byte budget for
-    /// this evaluator's runs (applied via
-    /// [`crate::tape::cache::set_byte_budget`] at the start of each
-    /// [`Evaluator::run_all`]).
-    pub fn tape_cache_bytes(mut self, bytes: u64) -> Self {
-        self.tape_cache_bytes = Some(bytes);
         self
     }
 
@@ -415,9 +404,6 @@ impl Evaluator {
     ) -> Vec<PolicyMatrix> {
         let _span = nvm_llc_obs::span!("eval_run_all");
         metrics::runs().inc();
-        if let Some(bytes) = self.tape_cache_bytes {
-            crate::tape::cache::set_byte_budget(bytes);
-        }
         let store = self.effective_store();
         let threads = self.effective_threads();
         // The trace cache generates each distinct key exactly once, even

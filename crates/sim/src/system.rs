@@ -719,7 +719,6 @@ impl System {
     pub fn tape_key(&self, trace: &Trace) -> TapeKey {
         let cfg = &self.config;
         TapeKey::new(
-            trace.uid(),
             trace.content_hash(),
             cfg.cores,
             (
@@ -1521,8 +1520,11 @@ mod tests {
         ))
         .with_warmup(0.25);
         assert_ne!(sram.tape_key(&trace), warmed.tape_key(&trace));
-        // And so does the trace identity.
-        let other = workloads::by_name("tonto").unwrap().generate(42, 1_000);
+        // The trace's identity is its content: a regenerated copy shares
+        // the key, a different seed splits it.
+        let again = workloads::by_name("tonto").unwrap().generate(42, 1_000);
+        assert_eq!(sram.tape_key(&trace), sram.tape_key(&again));
+        let other = workloads::by_name("tonto").unwrap().generate(43, 1_000);
         assert_ne!(sram.tape_key(&trace), sram.tape_key(&other));
     }
 

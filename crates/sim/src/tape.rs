@@ -24,12 +24,14 @@
 //! store boundary ([`crate::persist::encode_tape`] and
 //! [`crate::persist::decode_tape`]).
 //!
-//! [`cache`] memoizes tapes process-wide (exactly-once generation behind
-//! `Arc<OnceLock>`, the same discipline as `nvm_llc_trace::cache`), so an
+//! [`cache`] memoizes tapes process-wide on the same single-flight LRU
+//! memo as `nvm_llc_trace::cache` ([`nvm_llc_obs::memo::Memo`]), so an
 //! evaluation matrix performs one functional pass per distinct geometry
-//! and replays everything else. The cache is bounded by a byte budget
-//! with LRU eviction (default 256 MiB, [`cache::BUDGET_ENV`] override),
-//! charged with each tape's resident lane and side-stream capacity.
+//! and replays everything else. Tapes key on the trace's content hash,
+//! so a trace regenerated after eviction still hits. The cache is
+//! bounded by a byte budget (default 256 MiB, [`cache::BUDGET_ENV`]
+//! override), charged with each tape's resident lane and side-stream
+//! capacity.
 //!
 //! [`System::replay_batch`]: crate::system::System::replay_batch
 
@@ -419,11 +421,8 @@ impl OutcomeTape {
 /// those only shape Phase B.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TapeKey {
-    trace_uid: u64,
-    /// Content-derived trace identity ([`Trace::content_hash`]) — the
-    /// process-independent half of the key, used by persistence
-    /// ([`TapeKey::persist_bytes`]) where `trace_uid` would not survive
-    /// a restart.
+    /// Content-derived trace identity ([`Trace::content_hash`]): equal
+    /// in every process and for every regeneration of one trace.
     trace_hash: u128,
     cores: u32,
     /// (capacity, associativity, block) per private level.
@@ -441,7 +440,6 @@ pub struct TapeKey {
 impl TapeKey {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        trace_uid: u64,
         trace_hash: u128,
         cores: u32,
         l1d: (u64, u32, u32),
@@ -454,7 +452,6 @@ impl TapeKey {
         llc_bypass: bool,
     ) -> TapeKey {
         TapeKey {
-            trace_uid,
             trace_hash,
             cores,
             l1d,
@@ -468,9 +465,7 @@ impl TapeKey {
         }
     }
 
-    /// The key's process-independent identity, serialized for content
-    /// addressing: every field **except** the process-local `trace_uid`
-    /// (the trace's content hash stands in for it). Two processes
+    /// The key serialized for content addressing. Two processes
     /// evaluating identical traces on identical geometries produce the
     /// same bytes — that is what lets a persistent store serve one's
     /// tapes to the other.
@@ -496,34 +491,20 @@ impl TapeKey {
 
 pub mod cache {
     //! Process-wide outcome-tape cache: one functional pass per distinct
-    //! `(trace, geometry)` key, shared by every technology replaying it.
-    //!
-    //! Mirrors `nvm_llc_trace::cache`: concurrent fetches of one key race
-    //! to install a slot, exactly one runs [`System::record`], the rest
-    //! block on the slot's `OnceLock` and receive the same
-    //! `Arc<OutcomeTape>`. The cache counts into the [`metrics`]
-    //! registry handles and nowhere else; [`stats`] is a snapshot of
-    //! them, so experiment binaries log what `/metricsz` shows.
-    //!
-    //! Residency is bounded by a byte budget (default
-    //! [`DEFAULT_BUDGET_BYTES`], overridable via the [`BUDGET_ENV`]
-    //! environment variable or [`set_byte_budget`] — the
-    //! `Evaluator::tape_cache_bytes` builder routes through the latter).
-    //! When recorded tapes exceed the budget, least-recently-fetched
-    //! entries are evicted; in-flight `Arc`s stay alive until their
-    //! holders drop them, and a re-fetch of an evicted key simply records
-    //! again.
+    //! `(trace content, geometry)` key, shared by every technology
+    //! replaying it. A [`Memo`] like `nvm_llc_trace::cache`, bounded by
+    //! [`DEFAULT_BUDGET_BYTES`] ([`BUDGET_ENV`], [`set_byte_budget`])
+    //! with LRU eviction; a re-fetch of an evicted key records again.
+    //! [`stats`] snapshots the [`metrics`] handles `/metricsz` renders.
 
-    use std::collections::HashMap;
     use std::fmt;
-    use std::sync::{Arc, Mutex, OnceLock};
+    use std::sync::{Arc, OnceLock};
 
+    use nvm_llc_obs::memo::{Memo, MemoMetrics};
     use nvm_llc_trace::Trace;
 
     use super::{OutcomeTape, TapeKey};
     use crate::system::System;
-
-    type Slot = Arc<OnceLock<Arc<OutcomeTape>>>;
 
     /// Default residency budget: ~256 MiB of tape.
     pub const DEFAULT_BUDGET_BYTES: u64 = 256 << 20;
@@ -533,28 +514,11 @@ pub mod cache {
     /// changes go through [`set_byte_budget`].
     pub const BUDGET_ENV: &str = "NVM_LLC_TAPE_CACHE_MB";
 
-    struct Entry {
-        slot: Slot,
-        /// Resident size, filled in once the tape is recorded (`0` while
-        /// the functional pass is still in flight — such entries are
-        /// never evicted).
-        bytes: u64,
-        /// Lamport-style recency stamp from `Inner::clock`.
-        last_used: u64,
-    }
-
-    struct Inner {
-        map: HashMap<TapeKey, Entry>,
-        clock: u64,
-        /// Total bytes of resident, fully recorded tapes.
-        resident: u64,
-        budget: u64,
-    }
-
-    /// Parses a [`BUDGET_ENV`] value into a byte budget (`0` lifts the
-    /// bound). `Err` carries the one-line warning to print: the variable
-    /// name, the rejected value, and the fallback that applies.
-    pub(crate) fn parse_budget_mib(raw: &str) -> Result<u64, String> {
+    /// Parses a budget in MiB (the [`BUDGET_ENV`] value, or the CLI's
+    /// `--tape-cache-mb`) into bytes; `0` lifts the bound. `Err` carries
+    /// the one-line warning to print: the variable name, the rejected
+    /// value, and the fallback that applies.
+    pub fn parse_budget_mib(raw: &str) -> Result<u64, String> {
         match raw.trim().parse::<u64>() {
             Ok(0) => Ok(u64::MAX),
             Ok(mib) => Ok(mib << 20),
@@ -567,9 +531,9 @@ pub mod cache {
         }
     }
 
-    fn inner() -> &'static Mutex<Inner> {
-        static INNER: OnceLock<Mutex<Inner>> = OnceLock::new();
-        INNER.get_or_init(|| {
+    fn memo() -> &'static Memo<TapeKey, Arc<OutcomeTape>> {
+        static MEMO: OnceLock<Memo<TapeKey, Arc<OutcomeTape>>> = OnceLock::new();
+        MEMO.get_or_init(|| {
             let budget = match std::env::var(BUDGET_ENV) {
                 Ok(raw) => parse_budget_mib(&raw).unwrap_or_else(|warning| {
                     eprintln!("{warning}");
@@ -577,12 +541,16 @@ pub mod cache {
                 }),
                 Err(_) => DEFAULT_BUDGET_BYTES,
             };
-            Mutex::new(Inner {
-                map: HashMap::new(),
-                clock: 0,
-                resident: 0,
+            Memo::new(
                 budget,
-            })
+                |tape| tape.bytes() as u64,
+                MemoMetrics {
+                    hits: Some(metrics::hits()),
+                    misses: Some(metrics::misses()),
+                    evictions: Some(metrics::evictions()),
+                    resident: Some(metrics::resident_bytes()),
+                },
+            )
         })
     }
 
@@ -738,38 +706,7 @@ pub mod cache {
     ) -> Arc<OutcomeTape> {
         let _span = nvm_llc_obs::span!("tape_fetch");
         let key = system.tape_key(trace);
-        let (slot, fresh) = {
-            let mut inner = inner().lock().expect("tape cache lock");
-            inner.clock += 1;
-            let now = inner.clock;
-            match inner.map.get_mut(&key) {
-                Some(entry) => {
-                    entry.last_used = now;
-                    (Arc::clone(&entry.slot), false)
-                }
-                None => {
-                    let slot: Slot = Arc::new(OnceLock::new());
-                    inner.map.insert(
-                        key.clone(),
-                        Entry {
-                            slot: Arc::clone(&slot),
-                            bytes: 0,
-                            last_used: now,
-                        },
-                    );
-                    (slot, true)
-                }
-            }
-        };
-        // A slot found in the map may still be mid-generation; only the
-        // installer counts the miss, everyone else a hit (they reuse the
-        // single functional pass either way).
-        if fresh {
-            metrics::misses().inc();
-        } else {
-            metrics::hits().inc();
-        }
-        let tape = Arc::clone(slot.get_or_init(|| {
+        let (tape, _) = memo().get_or_make(&key, || {
             let store_key = store.map(|_| crate::persist::tape_store_key(&key));
             // The key carries the core count, so a stored tape of any
             // other count is damage and falls through to recompute.
@@ -793,70 +730,30 @@ pub mod cache {
             };
             metrics::taped_bytes().add(tape.bytes() as u64);
             Arc::new(tape)
-        }));
-        if fresh {
-            // Charge the recorded size to the residency account and shed
-            // least-recently-used entries over budget. The key just
-            // fetched is exempt: a budget smaller than one tape must not
-            // turn every fetch into a record.
-            let mut guard = inner().lock().expect("tape cache lock");
-            let inner = &mut *guard;
-            if let Some(entry) = inner.map.get_mut(&key) {
-                if entry.bytes == 0 {
-                    entry.bytes = tape.bytes() as u64;
-                    inner.resident += entry.bytes;
-                }
-            }
-            evict_over_budget(inner, Some(&key));
-            metrics::resident_bytes().set(inner.resident);
-        }
+        });
         tape
-    }
-
-    /// Removes least-recently-used recorded entries until residency fits
-    /// the budget. Entries mid-recording (`bytes == 0`) and the `keep`
-    /// key are never shed.
-    fn evict_over_budget(inner: &mut Inner, keep: Option<&TapeKey>) {
-        while inner.resident > inner.budget {
-            let victim = inner
-                .map
-                .iter()
-                .filter(|(k, e)| e.bytes > 0 && Some(*k) != keep)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            let Some(key) = victim else { break };
-            let entry = inner.map.remove(&key).expect("victim key resident");
-            inner.resident -= entry.bytes;
-            metrics::evictions().inc();
-        }
     }
 
     /// Sets the residency budget in bytes (process-wide) and immediately
     /// sheds LRU entries down to it. `u64::MAX` lifts the bound.
     pub fn set_byte_budget(bytes: u64) {
-        let mut inner = inner().lock().expect("tape cache lock");
-        inner.budget = bytes;
-        evict_over_budget(&mut inner, None);
-        metrics::resident_bytes().set(inner.resident);
+        memo().set_budget(bytes);
     }
 
     /// The current residency budget in bytes.
     pub fn byte_budget() -> u64 {
-        inner().lock().expect("tape cache lock").budget
+        memo().budget()
     }
 
     /// Drops every cached tape (cold-cache benchmarking; in-flight `Arc`s
     /// stay alive until their holders drop them). Counters keep running.
     pub fn clear() {
-        let mut inner = inner().lock().expect("tape cache lock");
-        inner.map.clear();
-        inner.resident = 0;
-        metrics::resident_bytes().set(0);
+        memo().clear();
     }
 
     /// Number of cached tape slots.
     pub fn len() -> usize {
-        inner().lock().expect("tape cache lock").map.len()
+        memo().len()
     }
 
     /// Snapshot of the process-wide cache counters.
@@ -1096,7 +993,6 @@ mod tests {
     fn tape_keys_distinguish_every_functional_knob() {
         let base = || {
             TapeKey::new(
-                1,
                 0xABCD,
                 4,
                 (32768, 8, 64),
@@ -1112,8 +1008,7 @@ mod tests {
         assert_eq!(base(), base());
         let mut variants = vec![
             TapeKey::new(
-                2,
-                0xABCD,
+                0xABCE,
                 4,
                 (32768, 8, 64),
                 (262144, 8, 64),
@@ -1125,7 +1020,6 @@ mod tests {
                 false,
             ),
             TapeKey::new(
-                1,
                 0xABCD,
                 8,
                 (32768, 8, 64),
@@ -1138,7 +1032,6 @@ mod tests {
                 false,
             ),
             TapeKey::new(
-                1,
                 0xABCD,
                 4,
                 (32768, 8, 64),
@@ -1151,7 +1044,6 @@ mod tests {
                 false,
             ),
             TapeKey::new(
-                1,
                 0xABCD,
                 4,
                 (32768, 8, 64),
@@ -1164,7 +1056,6 @@ mod tests {
                 false,
             ),
             TapeKey::new(
-                1,
                 0xABCD,
                 4,
                 (32768, 8, 64),
@@ -1177,7 +1068,6 @@ mod tests {
                 false,
             ),
             TapeKey::new(
-                1,
                 0xABCD,
                 4,
                 (32768, 8, 64),
@@ -1190,7 +1080,6 @@ mod tests {
                 false,
             ),
             TapeKey::new(
-                1,
                 0xABCD,
                 4,
                 (32768, 8, 64),
@@ -1203,7 +1092,6 @@ mod tests {
                 false,
             ),
             TapeKey::new(
-                1,
                 0xABCD,
                 4,
                 (32768, 8, 64),
@@ -1216,7 +1104,6 @@ mod tests {
                 false,
             ),
             TapeKey::new(
-                1,
                 0xABCD,
                 4,
                 (32768, 8, 64),
@@ -1229,7 +1116,6 @@ mod tests {
                 false,
             ),
             TapeKey::new(
-                1,
                 0xABCD,
                 4,
                 (32768, 8, 64),
@@ -1242,7 +1128,6 @@ mod tests {
                 false,
             ),
             TapeKey::new(
-                1,
                 0xABCD,
                 4,
                 (32768, 8, 64),
@@ -1255,7 +1140,6 @@ mod tests {
                 false,
             ),
             TapeKey::new(
-                1,
                 0xABCD,
                 4,
                 (32768, 8, 64),

@@ -23,10 +23,12 @@
 //!   same directory and `rename(2)`s it into place, so concurrent
 //!   readers (other threads *or other processes* sharing the directory)
 //!   only ever observe absent or complete records.
-//! * **Bounded residency.** Like the in-memory tape cache, the store
-//!   holds an LRU byte budget (default [`DEFAULT_BUDGET_BYTES`]):
-//!   inserts that push the resident total over budget evict the
-//!   least-recently-fetched records.
+//! * **Bounded residency.** The store's index is the same LRU memo as
+//!   the in-memory trace and tape caches ([`nvm_llc_obs::memo::Memo`]),
+//!   charged with each record's file size against a byte budget
+//!   (default [`DEFAULT_BUDGET_BYTES`]): inserts that push the resident
+//!   total over budget evict the least-recently-fetched records, whose
+//!   files are deleted outside the index lock.
 //! * **Zero-copy warm reads.** On unix (with the default `mmap`
 //!   feature), [`Store::get_mapped`] memory-maps a record, validates
 //!   the header in place, and returns a [`Payload`] borrowing the
@@ -42,13 +44,13 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+
+use nvm_llc_obs::memo::{Memo, MemoMetrics};
 
 #[cfg(all(unix, feature = "mmap"))]
 mod mmap;
@@ -265,19 +267,6 @@ impl fmt::Display for StoreStats {
     }
 }
 
-struct IndexEntry {
-    /// Full record size on disk (header + payload).
-    bytes: u64,
-    /// Recency stamp from `Index::clock` (higher = fresher).
-    last_used: u64,
-}
-
-struct Index {
-    map: HashMap<Key, IndexEntry>,
-    clock: u64,
-    resident: u64,
-}
-
 /// A payload returned by [`Store::get_mapped`]: either an owned buffer
 /// (the portable path) or a zero-copy view into a memory-mapped record.
 ///
@@ -321,8 +310,9 @@ impl AsRef<[u8]> for Payload {
 /// the worst cross-process race is a redundant recompute.
 pub struct Store {
     dir: PathBuf,
-    budget: u64,
-    index: Mutex<Index>,
+    /// Every indexed record, charged its full size on disk (header +
+    /// payload).
+    index: Memo<Key, u64>,
     tmp_seq: AtomicU64,
     instance: u64,
     metrics: metrics::Handles,
@@ -332,7 +322,7 @@ impl fmt::Debug for Store {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Store")
             .field("dir", &self.dir)
-            .field("budget", &self.budget)
+            .field("budget", &self.byte_budget())
             .finish_non_exhaustive()
     }
 }
@@ -373,33 +363,28 @@ impl Store {
             found.push((key, meta.len(), mtime));
         }
         found.sort_by_key(|(_, _, mtime)| *mtime);
-        let mut index = Index {
-            map: HashMap::new(),
-            clock: 0,
-            resident: 0,
-        };
-        for (key, bytes, _) in found {
-            index.clock += 1;
-            index.resident += bytes;
-            index.map.insert(
-                key,
-                IndexEntry {
-                    bytes,
-                    last_used: index.clock,
-                },
-            );
-        }
         let instance = nvm_llc_obs::metrics::next_instance();
+        let metrics = metrics::Handles::new(instance);
+        let index = Memo::new(
+            u64::MAX,
+            |bytes| *bytes,
+            MemoMetrics {
+                evictions: Some(metrics.evictions),
+                resident: Some(metrics.resident_bytes),
+                ..MemoMetrics::default()
+            },
+        );
+        for (key, bytes, _) in found {
+            index.put(key, bytes);
+        }
         let store = Store {
             dir,
-            budget,
-            index: Mutex::new(index),
+            index,
             tmp_seq: AtomicU64::new(0),
             instance,
-            metrics: metrics::Handles::new(instance),
+            metrics,
         };
-        store.metrics.resident_bytes.set(store.resident_bytes());
-        store.evict_over_budget(None);
+        store.delete_records(store.index.set_budget(budget));
         Ok(store)
     }
 
@@ -410,7 +395,7 @@ impl Store {
 
     /// The residency budget in bytes.
     pub fn byte_budget(&self) -> u64 {
-        self.budget
+        self.index.budget()
     }
 
     /// This store's `instance` label in the metrics registry.
@@ -427,35 +412,14 @@ impl Store {
     /// [`StoreStats::corrupt`], deleted (best-effort), and reported as a
     /// miss — the caller recomputes and may re-`put`.
     pub fn get(&self, key: &Key) -> Option<Vec<u8>> {
-        let path = self.record_path(key);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(_) => {
-                self.metrics.misses.inc();
-                self.forget(key);
-                return None;
-            }
+        let Ok(bytes) = fs::read(self.record_path(key)) else {
+            return self.miss(key, None);
         };
-        match validate_record(&bytes) {
-            Some(payload) => {
-                self.metrics.hits.inc();
-                self.metrics.bytes_read.add(payload.len() as u64);
-                self.touch(key, bytes.len() as u64);
-                Some(payload.to_vec())
-            }
-            None => {
-                self.metrics.corrupt.inc();
-                self.metrics.misses.inc();
-                nvm_llc_obs::debug!(
-                    "store", "corrupt record deleted; caller will recompute";
-                    "key" => key.hex(),
-                    "bytes" => bytes.len(),
-                );
-                let _ = fs::remove_file(&path);
-                self.forget(key);
-                None
-            }
-        }
+        let Some(payload) = validate_record(&bytes) else {
+            return self.miss(key, Some(bytes.len()));
+        };
+        self.hit(key, payload.len(), bytes.len());
+        Some(payload.to_vec())
     }
 
     /// [`Store::get`] without the copy, where the platform allows it.
@@ -475,11 +439,8 @@ impl Store {
     pub fn get_mapped(&self, key: &Key) -> Option<Payload> {
         #[cfg(all(unix, feature = "mmap"))]
         {
-            let path = self.record_path(key);
-            let Ok(file) = fs::File::open(&path) else {
-                self.metrics.misses.inc();
-                self.forget(key);
-                return None;
+            let Ok(file) = fs::File::open(self.record_path(key)) else {
+                return self.miss(key, None);
             };
             let len = file.metadata().map(|m| m.len()).unwrap_or(0);
             let Some(map) = mmap::Mmap::map(&file, len) else {
@@ -490,29 +451,14 @@ impl Store {
                 drop(file);
                 return self.get(key).map(Payload::Owned);
             };
-            match validate_record(&map) {
-                Some(payload) => {
-                    let payload_len = payload.len() as u64;
-                    self.metrics.hits.inc();
-                    self.metrics.bytes_read.add(payload_len);
-                    self.metrics.mmap_bytes.add(payload_len);
-                    self.touch(key, map.len() as u64);
-                    Some(Payload::Mapped(MappedPayload::new(map)))
-                }
-                None => {
-                    self.metrics.corrupt.inc();
-                    self.metrics.misses.inc();
-                    nvm_llc_obs::debug!(
-                        "store", "corrupt record deleted; caller will recompute";
-                        "key" => key.hex(),
-                        "bytes" => map.len(),
-                    );
-                    drop(map);
-                    let _ = fs::remove_file(&path);
-                    self.forget(key);
-                    None
-                }
-            }
+            let Some(payload) = validate_record(&map) else {
+                let bytes = map.len();
+                drop(map);
+                return self.miss(key, Some(bytes));
+            };
+            self.metrics.mmap_bytes.add(payload.len() as u64);
+            self.hit(key, payload.len(), map.len());
+            Some(Payload::Mapped(MappedPayload::new(map)))
         }
         #[cfg(not(all(unix, feature = "mmap")))]
         {
@@ -549,22 +495,17 @@ impl Store {
         self.metrics.insertions.inc();
         self.metrics.bytes_written.add(record.len() as u64);
         self.touch(key, record.len() as u64);
-        self.evict_over_budget(Some(key));
         Ok(())
     }
 
     /// Whether a record (valid or not) is currently indexed under `key`.
     pub fn contains(&self, key: &Key) -> bool {
-        self.index
-            .lock()
-            .expect("store index")
-            .map
-            .contains_key(key)
+        self.index.contains(key)
     }
 
     /// Number of indexed records.
     pub fn len(&self) -> usize {
-        self.index.lock().expect("store index").map.len()
+        self.index.len()
     }
 
     /// Whether the store holds no records.
@@ -574,7 +515,7 @@ impl Store {
 
     /// Total record bytes currently indexed.
     pub fn resident_bytes(&self) -> u64 {
-        self.index.lock().expect("store index").resident
+        self.metrics.resident_bytes.get()
     }
 
     /// Snapshot of this store's traffic counters.
@@ -591,63 +532,44 @@ impl Store {
         }
     }
 
-    /// Marks `key` as just-used (inserting the index entry if the record
-    /// appeared behind our back, e.g. written by another process).
+    /// Counts a hit returning `payload` bytes from a `record`-byte file
+    /// and marks `key` as just used.
+    fn hit(&self, key: &Key, payload: usize, record: usize) {
+        self.metrics.hits.inc();
+        self.metrics.bytes_read.add(payload as u64);
+        self.touch(key, record as u64);
+    }
+
+    /// Counts a miss and unindexes `key`. A `corrupt` record (its size
+    /// in bytes) is also counted and deleted, so the caller recomputes
+    /// and the next [`Store::put`] heals the entry.
+    fn miss<T>(&self, key: &Key, corrupt: Option<usize>) -> Option<T> {
+        self.metrics.misses.inc();
+        if let Some(bytes) = corrupt {
+            self.metrics.corrupt.inc();
+            nvm_llc_obs::debug!(
+                "store", "corrupt record deleted; caller will recompute";
+                "key" => key.hex(),
+                "bytes" => bytes,
+            );
+            let _ = fs::remove_file(self.record_path(key));
+        }
+        self.index.remove(key);
+        None
+    }
+
+    /// Marks `key` as just-used (indexing it if the record appeared
+    /// behind our back, e.g. written by another process) and deletes
+    /// the least-recently-fetched records over budget, never `key` (a
+    /// budget smaller than one record must not churn every insert).
     fn touch(&self, key: &Key, bytes: u64) {
-        let mut guard = self.index.lock().expect("store index");
-        let index = &mut *guard;
-        index.clock += 1;
-        let now = index.clock;
-        match index.map.get_mut(key) {
-            Some(entry) => {
-                index.resident = index.resident - entry.bytes + bytes;
-                entry.bytes = bytes;
-                entry.last_used = now;
-            }
-            None => {
-                index.resident += bytes;
-                index.map.insert(
-                    *key,
-                    IndexEntry {
-                        bytes,
-                        last_used: now,
-                    },
-                );
-            }
-        }
-        self.metrics.resident_bytes.set(index.resident);
+        self.delete_records(self.index.put(*key, bytes));
     }
 
-    /// Drops `key` from the index (its file is already gone or bad).
-    fn forget(&self, key: &Key) {
-        let mut index = self.index.lock().expect("store index");
-        if let Some(entry) = index.map.remove(key) {
-            index.resident -= entry.bytes;
-            self.metrics.resident_bytes.set(index.resident);
-        }
-    }
-
-    /// Deletes least-recently-fetched records until residency fits the
-    /// budget, never shedding `keep` (a budget smaller than one record
-    /// must not churn every insert).
-    fn evict_over_budget(&self, keep: Option<&Key>) {
-        loop {
-            let victim = {
-                let index = self.index.lock().expect("store index");
-                if index.resident <= self.budget {
-                    return;
-                }
-                index
-                    .map
-                    .iter()
-                    .filter(|(k, _)| Some(*k) != keep)
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| *k)
-            };
-            let Some(key) = victim else { return };
+    /// Deletes evicted records' files, outside the index lock.
+    fn delete_records(&self, victims: Vec<Key>) {
+        for key in victims {
             let _ = fs::remove_file(self.record_path(&key));
-            self.forget(&key);
-            self.metrics.evictions.inc();
         }
     }
 }

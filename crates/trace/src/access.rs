@@ -10,14 +10,6 @@ use std::fmt;
 /// Cache block size assumed throughout the system (Table IV: 64 B blocks).
 pub const BLOCK_BYTES: u64 = 64;
 
-/// Monotone trace-identity source. Starts at 1 so the derived
-/// `Trace::default()` (uid 0, no events) can never alias a built trace.
-fn next_uid() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
 /// The kind of a memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
@@ -84,13 +76,12 @@ impl TraceEvent {
 pub struct Trace {
     events: Vec<TraceEvent>,
     threads: u8,
-    uid: u64,
     content_hash: u128,
 }
 
 /// 128-bit FNV-1a over every event field plus the thread count: a
-/// process-independent identity for persistent (on-disk) memoization,
-/// where [`Trace::uid`]'s process-local counter cannot be used.
+/// process-independent identity that every memoization downstream of
+/// the trace (outcome tapes, stored results) keys on.
 fn content_hash(events: &[TraceEvent], threads: u8) -> u128 {
     const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
     let mut hash = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58du128;
@@ -127,28 +118,23 @@ impl Trace {
         Trace {
             events,
             threads,
-            uid: next_uid(),
             content_hash,
         }
     }
 
-    /// Process-unique identity of this trace object, assigned at
-    /// construction and shared by clones (a clone has identical events).
-    ///
-    /// Downstream memoization (the simulator's outcome-tape cache) keys on
-    /// this instead of hashing millions of events: traces obtained from
-    /// [`crate::cache`] are themselves deduplicated, so equal-content
-    /// traces normally share one uid via the same `Arc`.
-    pub fn uid(&self) -> u64 {
-        self.uid
-    }
-
     /// Content-derived identity: a 128-bit digest of the thread count and
-    /// every event, stable across processes and runs. Persistent caches
-    /// (the simulator's on-disk result store) key on this; in-process
-    /// memoization keeps using the cheaper [`Trace::uid`].
+    /// every event, stable across processes and runs. The outcome-tape
+    /// cache and the on-disk result store both key on it, so a trace
+    /// regenerated after eviction finds everything recorded for its
+    /// first copy.
     pub fn content_hash(&self) -> u128 {
         self.content_hash
+    }
+
+    /// Resident heap bytes: the event buffer's capacity. This is what
+    /// the trace cache charges against its budget.
+    pub fn bytes(&self) -> usize {
+        self.events.capacity() * std::mem::size_of::<TraceEvent>()
     }
 
     /// Number of threads.
@@ -257,21 +243,10 @@ mod tests {
     }
 
     #[test]
-    fn uids_are_unique_per_construction_and_shared_by_clones() {
-        let a = Trace::new(vec![ev(0, 0, AccessKind::Read, 0)], 1);
-        let b = Trace::new(vec![ev(0, 0, AccessKind::Read, 0)], 1);
-        assert_ne!(a.uid(), b.uid(), "distinct constructions, distinct uids");
-        assert_eq!(a.uid(), a.clone().uid(), "a clone has identical events");
-        assert_ne!(a.uid(), 0, "built traces never collide with default()");
-        assert_eq!(Trace::default().uid(), 0);
-    }
-
-    #[test]
     fn content_hash_follows_content_not_identity() {
         let a = Trace::new(vec![ev(0, 64, AccessKind::Read, 3)], 1);
         let b = Trace::new(vec![ev(0, 64, AccessKind::Read, 3)], 1);
-        // Same events: same content hash despite distinct uids.
-        assert_ne!(a.uid(), b.uid());
+        // Same events: same content hash.
         assert_eq!(a.content_hash(), b.content_hash());
         // Any field change moves the hash.
         let addr = Trace::new(vec![ev(0, 128, AccessKind::Read, 3)], 1);

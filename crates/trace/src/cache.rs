@@ -1,54 +1,44 @@
-//! Process-wide trace cache: generate each synthetic trace exactly once.
+//! Process-wide trace cache: fig1, fig4, table5 and the selection study
+//! all replay the same `(profile, seed, accesses per thread)` traces, so
+//! generation is memoized behind shared [`Arc`] handles.
 //!
-//! Every experiment in the repository replays traces keyed by
-//! `(workload name, threads, seed, accesses per thread)` — fig1, fig4,
-//! table5, and the selection study all regenerate identical traces from
-//! scratch. This module memoizes generation behind [`Arc`] handles so a
-//! repeated key costs a map lookup instead of a full generator run, and so
-//! parallel evaluation workers share one immutable trace instead of
-//! cloning events.
-//!
-//! Guarantees:
-//!
-//! * **Exactly-once generation.** Concurrent fetches of the same key race
-//!   to install a slot, but only one caller runs the generator (the others
-//!   block on the slot's [`OnceLock`]); every caller receives a
-//!   pointer-equal `Arc<Trace>`.
-//! * **Collision safety.** Two distinct profiles that happen to share a
-//!   name and thread count (e.g. a weak-scaling copy with a larger
-//!   footprint) never alias: the full profile is compared before a cached
-//!   trace is reused.
-//! * **Process lifetime.** Entries are never evicted; [`clear`] exists for
-//!   benchmarks that need a cold cache. A full evaluation's working set is
-//!   tens of traces, far below memory pressure.
+//! The cache is an [`nvm_llc_obs::memo::Memo`]: concurrent fetches of
+//! one key run the generator once and share a pointer-equal
+//! `Arc<Trace>`. The key encodes every profile field exactly, so a
+//! weak-scaling copy that keeps its workload's name never aliases it.
+//! Resident traces are charged [`Trace::bytes`] against [`BUDGET_BYTES`]
+//! with LRU eviction; a re-fetch of an evicted key regenerates identical
+//! events, and [`clear`] gives benchmarks a cold cache.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
+
+use nvm_llc_obs::memo::{Memo, MemoMetrics};
 
 use crate::access::Trace;
 use crate::profile::WorkloadProfile;
 
-/// Cache key: the reproducibility tuple every experiment runner uses.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Key {
-    name: String,
-    threads: u8,
-    seed: u64,
-    accesses_per_thread: usize,
+/// Residency budget: 256 MiB of trace events. The 20 fig1/fig2 traces
+/// at default scale take 74 MiB together.
+pub const BUDGET_BYTES: u64 = 256 << 20;
+
+fn memo() -> &'static Memo<Vec<u8>, Arc<Trace>> {
+    static MEMO: OnceLock<Memo<Vec<u8>, Arc<Trace>>> = OnceLock::new();
+    MEMO.get_or_init(|| {
+        Memo::new(
+            BUDGET_BYTES,
+            |trace| trace.bytes() as u64,
+            MemoMetrics {
+                hits: Some(metrics::hits()),
+                misses: Some(metrics::misses()),
+                evictions: Some(metrics::evictions()),
+                resident: Some(metrics::resident_bytes()),
+            },
+        )
+    })
 }
 
-/// One key's entries: `(full profile, lazily generated trace)` pairs.
-/// Almost always a single element; more only if differently-parameterized
-/// profiles share a `(name, threads)` pair.
-type Entries = Vec<(WorkloadProfile, Arc<OnceLock<Arc<Trace>>>)>;
-
-fn cache() -> &'static Mutex<HashMap<Key, Entries>> {
-    static CACHE: OnceLock<Mutex<HashMap<Key, Entries>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Fetches (generating at most once per process) the trace for
-/// `profile.generate(seed, accesses_per_thread)`.
+/// Fetches (generating at most once while the key stays resident) the
+/// trace for `profile.generate(seed, accesses_per_thread)`.
 ///
 /// Repeated fetches of the same `(profile, seed, accesses_per_thread)`
 /// return pointer-equal `Arc`s:
@@ -64,45 +54,19 @@ fn cache() -> &'static Mutex<HashMap<Key, Entries>> {
 /// assert_eq!(a.len(), 1_000);
 /// ```
 pub fn fetch(profile: &WorkloadProfile, seed: u64, accesses_per_thread: usize) -> Arc<Trace> {
-    let key = Key {
-        name: profile.name().to_owned(),
-        threads: profile.threads(),
-        seed,
-        accesses_per_thread,
-    };
-    // Phase 1: find or install this profile's slot under the map lock.
-    let slot = {
-        let mut map = cache().lock().expect("trace cache lock");
-        let entries = map.entry(key).or_default();
-        match entries.iter().find(|(p, _)| p == profile) {
-            Some((_, slot)) => Arc::clone(slot),
-            None => {
-                let slot = Arc::new(OnceLock::new());
-                entries.push((profile.clone(), Arc::clone(&slot)));
-                slot
-            }
-        }
-    };
-    // Phase 2: generate outside the map lock so distinct keys generate in
-    // parallel; OnceLock serializes same-key racers onto one generation.
-    let mut fresh = false;
-    let trace = Arc::clone(slot.get_or_init(|| {
-        fresh = true;
-        let _span = nvm_llc_obs::span!("trace_generate");
-        Arc::new(profile.generate(seed, accesses_per_thread))
-    }));
-    if fresh {
-        metrics::misses().inc();
-    } else {
-        metrics::hits().inc();
-    }
-    trace
+    let key = profile.cache_key(seed, accesses_per_thread);
+    memo()
+        .get_or_make(&key, || {
+            let _span = nvm_llc_obs::span!("trace_generate");
+            Arc::new(profile.generate(seed, accesses_per_thread))
+        })
+        .0
 }
 
 /// Process-wide counters for this cache, registered in the
 /// [`nvm_llc_obs`] registry.
 pub mod metrics {
-    use nvm_llc_obs::metrics::Counter;
+    use nvm_llc_obs::metrics::{Counter, Gauge};
 
     /// `nvmllc_trace_cache_hits_total`
     pub fn hits() -> &'static Counter {
@@ -120,11 +84,29 @@ pub mod metrics {
         )
     }
 
+    /// `nvmllc_trace_cache_evictions_total`
+    pub fn evictions() -> &'static Counter {
+        nvm_llc_obs::counter!(
+            "nvmllc_trace_cache_evictions_total",
+            "Traces evicted to stay under the residency byte budget.",
+        )
+    }
+
+    /// `nvmllc_trace_cache_resident_bytes`
+    pub fn resident_bytes() -> &'static Gauge {
+        nvm_llc_obs::gauge!(
+            "nvmllc_trace_cache_resident_bytes",
+            "Bytes of trace events currently resident.",
+        )
+    }
+
     /// Pre-registers this module's metrics so scrapes show zeros before
     /// the first fetch.
     pub fn register() {
         hits();
         misses();
+        evictions();
+        resident_bytes();
         nvm_llc_obs::metrics::histogram(
             "nvmllc_trace_generate_seconds",
             "Wall time of the `trace_generate` span.",
@@ -135,17 +117,12 @@ pub mod metrics {
 /// Drops every cached trace (cold-cache benchmarking; in-flight `Arc`s
 /// stay alive until their holders drop them).
 pub fn clear() {
-    cache().lock().expect("trace cache lock").clear();
+    memo().clear();
 }
 
-/// Number of cached `(profile, seed, accesses)` slots.
+/// Number of resident `(profile, seed, accesses)` entries.
 pub fn len() -> usize {
-    cache()
-        .lock()
-        .expect("trace cache lock")
-        .values()
-        .map(Vec::len)
-        .sum()
+    memo().len()
 }
 
 #[cfg(test)]

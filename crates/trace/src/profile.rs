@@ -194,6 +194,60 @@ impl WorkloadProfile {
         Trace::new(events, threads)
     }
 
+    /// The exact identity of `self.generate(seed, accesses_per_thread)`:
+    /// every field (strings length-prefixed, f64s by bit pattern), then
+    /// the seed and length. Equal bytes mean equal profiles, so the
+    /// trace cache keys on it and weak-scaling copies that keep their
+    /// name never alias.
+    pub(crate) fn cache_key(&self, seed: u64, accesses_per_thread: usize) -> Vec<u8> {
+        // Destructured without `..`: a new field fails to compile here
+        // until it joins the key.
+        let WorkloadProfile {
+            name,
+            suite,
+            description,
+            threads,
+            mem_ratio,
+            read_fraction,
+            footprint_blocks,
+            hot_fraction,
+            hot_probability,
+            zipf_alpha,
+            stream_fraction,
+            write_footprint_fraction,
+            shared_fraction,
+            relative_volume,
+            stream_dwell,
+            paper_mpki,
+        } = self;
+        let mut key = Vec::with_capacity(160 + name.len() + description.len());
+        for text in [name, description] {
+            key.extend_from_slice(&(text.len() as u64).to_le_bytes());
+            key.extend_from_slice(text.as_bytes());
+        }
+        key.extend_from_slice(&[*suite as u8, *threads]);
+        let words = [
+            mem_ratio.to_bits(),
+            read_fraction.to_bits(),
+            *footprint_blocks,
+            hot_fraction.to_bits(),
+            hot_probability.to_bits(),
+            zipf_alpha.to_bits(),
+            stream_fraction.to_bits(),
+            write_footprint_fraction.to_bits(),
+            shared_fraction.to_bits(),
+            relative_volume.to_bits(),
+            u64::from(*stream_dwell),
+            paper_mpki.to_bits(),
+            seed,
+            accesses_per_thread as u64,
+        ];
+        for word in words {
+            key.extend_from_slice(&word.to_le_bytes());
+        }
+        key
+    }
+
     /// Like [`WorkloadProfile::generate`], but memoized through the
     /// process-wide [`crate::cache`]: the first call generates, later
     /// calls with the same `(profile, seed, length)` return a
