@@ -29,7 +29,6 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use nvm_llc::serve::cluster::RouterConfig;
 use nvm_llc::serve::{cluster, http, ServeConfig, Server};
 use nvm_llc::sim::persist;
 
@@ -157,8 +156,7 @@ fn cluster_phase(tmp: &std::path::Path, standalone: SocketAddr) -> ClusterReport
                 base_accesses: CLUSTER_ACCESSES,
                 store_dir: Some(tmp.join(format!("shard-{id}"))),
                 cluster: Some(cluster::ClusterConfig {
-                    shard_id: id,
-                    shard_count: SHARDS,
+                    shard_id: Some(id),
                     peers: peers.clone(),
                 }),
                 ..ServeConfig::default()
@@ -166,10 +164,13 @@ fn cluster_phase(tmp: &std::path::Path, standalone: SocketAddr) -> ClusterReport
             .expect("start shard")
         })
         .collect();
-    let router = Server::start_router(RouterConfig {
+    let router = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
-        peers: peers.clone(),
-        ..RouterConfig::default()
+        cluster: Some(cluster::ClusterConfig {
+            shard_id: None,
+            peers: peers.clone(),
+        }),
+        ..ServeConfig::default()
     })
     .expect("start router");
 

@@ -12,8 +12,8 @@
 //!   cell <name>          print one technology's .cell model
 //!   characterize <bmk>   Table VI features for one workload
 //!   mrc <bmk>            reuse-distance miss-ratio curve
-//!   serve [options]      run the nvm-llcd evaluation service
-//!   route [options]      run a thin router over nvm-llcd shards
+//!   serve [options]      run the nvm-llcd evaluation service (a shard
+//!                        or thin router with --peers)
 //! ```
 
 use std::process::ExitCode;
@@ -35,8 +35,7 @@ fn usage() -> ExitCode {
          \x20               [--trace-out PATH]    (write a chrome://tracing span trace)\n\
          artifacts: table2 table3 table4 table5 table6 fig1 fig2 fig4 sweep\n\
          \x20          lifetime selection dl all | cell <name> | characterize <bmk> | mrc <bmk>\n\
-         \x20          serve [options]   (see `nvm-llc serve --help`)\n\
-         \x20          route [options]   (see `nvm-llc route --help`)"
+         \x20          serve [options]   (see `nvm-llc serve --help`)"
     );
     ExitCode::from(2)
 }
@@ -211,33 +210,6 @@ fn main() -> ExitCode {
             Ok(()) => ExitCode::SUCCESS,
             Err(error) => {
                 eprintln!("nvm-llc serve: {error}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if artifact == "route" {
-        let rest = &args[1..];
-        if rest.iter().any(|a| a == "--help" || a == "-h") {
-            println!(
-                "usage: nvm-llc route [options]\n\n{}",
-                nvm_llc::serve::cluster::ROUTER_USAGE
-            );
-            return ExitCode::SUCCESS;
-        }
-        let config = match nvm_llc::serve::cluster::RouterConfig::parse_args(rest) {
-            Ok(config) => config,
-            Err(message) => {
-                eprintln!(
-                    "nvm-llc route: {message}\n\n{}",
-                    nvm_llc::serve::cluster::ROUTER_USAGE
-                );
-                return ExitCode::from(2);
-            }
-        };
-        return match nvm_llc::serve::run_router(config) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(error) => {
-                eprintln!("nvm-llc route: {error}");
                 ExitCode::FAILURE
             }
         };

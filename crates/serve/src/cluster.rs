@@ -1,7 +1,10 @@
 //! Consistent-hash cluster serving over the persist keyspace.
 //!
-//! A cluster is `N` `nvm-llcd` shards plus (optionally) thin routers.
-//! Every participant builds the same [`ShardMap`]: a consistent-hash
+//! A cluster is `N` `nvm-llcd` shards plus (optionally) thin routers,
+//! all the same server: `--peers` lists every shard in shard-id order,
+//! and `--shard-id` makes a node a shard; without it the node routes
+//! ([`ClusterConfig`]). Every participant builds the same
+//! [`ShardMap`]: a consistent-hash
 //! ring of [`VNODES`] virtual points per shard over the 64-bit fold of
 //! the 128-bit content-addressed keyspace
 //! ([`nvm_llc_store::Key::ring_point`]). A request's owner is the shard
@@ -110,38 +113,32 @@ impl ShardMap {
     }
 }
 
-/// Shard-mode configuration for one `nvm-llcd`.
+/// Cluster membership for one `nvm-llcd`: a shard when `shard_id` is
+/// set, a thin router when it is not.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterConfig {
-    /// This node's shard id in `0..shard_count`.
-    pub shard_id: usize,
-    /// Total shards on the ring.
-    pub shard_count: usize,
-    /// Every shard's address, indexed by shard id (`peers[shard_id]`
-    /// is this node's own public address and is never dialed).
+    /// This node's shard id in `0..peers.len()`; `None` runs a router
+    /// that forwards everything and evaluates nothing.
+    pub shard_id: Option<usize>,
+    /// Every shard's address, indexed by shard id; the shard count is
+    /// `peers.len()`. A shard's own entry is its public address and is
+    /// never dialed.
     pub peers: Vec<String>,
 }
 
 impl ClusterConfig {
-    /// Validates the id/count/peers triple.
+    /// Checks that there is a ring and that the shard id is on it.
     pub fn validate(&self) -> Result<(), String> {
-        if self.shard_count < 1 {
-            return Err("--shard-count wants an integer >= 1".into());
+        if self.peers.is_empty() {
+            return Err("--peers names no shards".into());
         }
-        if self.shard_id >= self.shard_count {
-            return Err(format!(
-                "--shard-id {} out of range for --shard-count {}",
-                self.shard_id, self.shard_count
-            ));
+        match self.shard_id {
+            Some(id) if id >= self.peers.len() => Err(format!(
+                "--shard-id {id} out of range for {} peers",
+                self.peers.len()
+            )),
+            _ => Ok(()),
         }
-        if self.peers.len() != self.shard_count {
-            return Err(format!(
-                "--peers names {} addresses but --shard-count is {}",
-                self.peers.len(),
-                self.shard_count
-            ));
-        }
-        Ok(())
     }
 }
 
@@ -157,89 +154,6 @@ pub fn parse_peers(raw: &str) -> Result<Vec<String>, String> {
         return Err("--peers wants a comma-separated list of host:port".into());
     }
     Ok(peers)
-}
-
-/// Router-mode configuration (`nvm-llc route`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouterConfig {
-    /// Listen address (`127.0.0.1:7870`; port `0` picks one).
-    pub addr: String,
-    /// Every shard's address, indexed by shard id.
-    pub peers: Vec<String>,
-    /// Worker threads handling client connections.
-    pub workers: usize,
-    /// Bounded accept queue; a full queue answers `503`.
-    pub queue_capacity: usize,
-    /// Tail-sampling slowness threshold in milliseconds: requests at or
-    /// above it retain their span tree in `/tracez`. `None` tracks the
-    /// live p99 of the handler-latency histogram; `Some(0)` captures
-    /// every traced request.
-    pub trace_slow_ms: Option<u64>,
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        RouterConfig {
-            addr: "127.0.0.1:7870".to_owned(),
-            peers: Vec::new(),
-            workers: 8,
-            queue_capacity: 128,
-            trace_slow_ms: None,
-        }
-    }
-}
-
-/// One-line flag summary for `nvm-llc route --help`.
-pub const ROUTER_USAGE: &str = "\
-options:
-  --addr HOST:PORT       listen address (default 127.0.0.1:7870)
-  --peers A,B,C          shard addresses in shard-id order (required)
-  --workers N            connection worker threads (default 8)
-  --queue-capacity N     pending-connection bound; full => 503 (default 128)
-  --trace-slow-ms N      tail-sample traces at/above N ms (0 = every
-                         traced request; default: track the live p99)";
-
-impl RouterConfig {
-    /// Parses router flags (see [`ROUTER_USAGE`]).
-    pub fn parse_args(args: &[String]) -> Result<RouterConfig, String> {
-        let mut config = RouterConfig::default();
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let mut value = || {
-                it.next()
-                    .map(String::as_str)
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
-            match flag.as_str() {
-                "--addr" => config.addr = value()?.to_owned(),
-                "--peers" => config.peers = parse_peers(value()?)?,
-                "--workers" => {
-                    config.workers = value()?
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("{flag} wants an integer >= 1"))?;
-                }
-                "--queue-capacity" => {
-                    config.queue_capacity = value()?
-                        .parse()
-                        .map_err(|_| format!("{flag} wants an integer >= 0"))?;
-                }
-                "--trace-slow-ms" => {
-                    config.trace_slow_ms = Some(
-                        value()?
-                            .parse()
-                            .map_err(|_| format!("{flag} wants an integer >= 0"))?,
-                    );
-                }
-                other => return Err(format!("unknown flag {other:?}")),
-            }
-        }
-        if config.peers.is_empty() {
-            return Err("router mode requires --peers".into());
-        }
-        Ok(config)
-    }
 }
 
 #[cfg(test)]
@@ -315,40 +229,50 @@ mod tests {
     }
 
     #[test]
-    fn cluster_config_validates() {
-        let good = ClusterConfig {
-            shard_id: 1,
-            shard_count: 3,
-            peers: vec!["a:1".into(), "b:2".into(), "c:3".into()],
-        };
-        assert!(good.validate().is_ok());
-        let mut bad = good.clone();
-        bad.shard_id = 3;
-        assert!(bad.validate().is_err(), "id out of range");
-        let mut bad = good.clone();
-        bad.peers.pop();
-        assert!(bad.validate().is_err(), "peer count mismatch");
-    }
-
-    #[test]
     fn router_args_parse_and_reject_junk() {
+        // A router is a `ServeConfig` with `--peers` and no `--shard-id`.
         let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let c = RouterConfig::parse_args(&s(&[
+        let c = crate::ServeConfig::parse_args(&s(&[
             "--addr",
             "0.0.0.0:0",
             "--peers",
-            "a:1, b:2 ,c:3",
+            "a:1, b:2 ,,c:3",
             "--workers",
             "2",
             "--trace-slow-ms",
             "250",
         ]))
         .unwrap();
-        assert_eq!(c.peers, vec!["a:1", "b:2", "c:3"]);
+        let cluster = c.cluster.expect("router mode");
+        assert_eq!(cluster.shard_id, None);
+        assert_eq!(cluster.peers, vec!["a:1", "b:2", "c:3"]);
+        assert_eq!(c.addr, "0.0.0.0:0");
         assert_eq!(c.workers, 2);
         assert_eq!(c.trace_slow_ms, Some(250));
-        assert!(RouterConfig::parse_args(&s(&[])).is_err(), "peers required");
-        assert!(RouterConfig::parse_args(&s(&["--peers", ""])).is_err());
-        assert!(RouterConfig::parse_args(&s(&["--peers", "a:1", "--nope"])).is_err());
+        let parse = |v: &[&str]| crate::ServeConfig::parse_args(&s(v));
+        assert!(parse(&[]).unwrap().cluster.is_none(), "no peers: a node");
+        assert!(parse(&["--peers", ""]).is_err());
+        assert!(parse(&["--peers", " , "]).is_err());
+        assert!(parse(&["--peers", "a:1", "--nope"]).is_err());
+    }
+
+    #[test]
+    fn cluster_config_validates() {
+        let good = ClusterConfig {
+            shard_id: Some(1),
+            peers: vec!["a:1".into(), "b:2".into(), "c:3".into()],
+        };
+        assert!(good.validate().is_ok());
+        let router = ClusterConfig {
+            shard_id: None,
+            ..good.clone()
+        };
+        assert!(router.validate().is_ok(), "no shard id: a router");
+        let mut bad = good.clone();
+        bad.shard_id = Some(3);
+        assert!(bad.validate().is_err(), "id out of range");
+        let mut bad = router;
+        bad.peers.clear();
+        assert!(bad.validate().is_err(), "no peers");
     }
 }

@@ -394,10 +394,11 @@ impl Response {
 
 /// A client-side keep-alive connection: send one or many pipelined
 /// `GET`s, then read the same number of `Content-Length`-framed
-/// responses back in order.
+/// responses back in order. Generic over the byte stream so the
+/// response decoder can be driven from memory.
 #[derive(Debug)]
-pub struct ClientConn {
-    stream: TcpStream,
+pub struct ClientConn<S = TcpStream> {
+    stream: S,
     buf: Vec<u8>,
     start: usize,
 }
@@ -417,9 +418,11 @@ impl ClientConn {
             start: 0,
         })
     }
+}
 
+impl<S: Read + Write> ClientConn<S> {
     /// Wraps an already-connected stream (a pooled upstream).
-    pub fn from_stream(stream: TcpStream) -> ClientConn {
+    pub fn from_stream(stream: S) -> ClientConn<S> {
         ClientConn {
             stream,
             buf: Vec::new(),
@@ -438,14 +441,19 @@ impl ClientConn {
         self.stream.flush()
     }
 
-    /// Reads one complete response (head + exact-length body).
+    /// Reads one complete response (head + exact-length body). A head
+    /// that has not terminated within [`MAX_HEAD_BYTES`] is an
+    /// `InvalidData` error, like a truncated response.
     pub fn recv(&mut self) -> std::io::Result<Response> {
         let malformed =
             |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_owned());
         // Buffer until the head terminates.
         let end = loop {
-            if let Some(end) = head_end(&self.buf[self.start..], 0) {
-                break end;
+            let pending = &self.buf[self.start..];
+            match head_end(pending, 0) {
+                Some(end) if end <= MAX_HEAD_BYTES => break end,
+                None if pending.len() < MAX_HEAD_BYTES => {}
+                _ => return Err(malformed("response head too large")),
             }
             if self.start > 0 {
                 self.buf.drain(..self.start);
@@ -680,6 +688,189 @@ mod tests {
         assert!(String::from_utf8(out)
             .unwrap()
             .contains("Connection: keep-alive\r\n"));
+    }
+
+    /// Seeded nonzero bytes to XOR in (splitmix64), so a failure
+    /// reproduces.
+    fn flips() -> impl FnMut() -> u8 {
+        let mut state = 0x5EED_u64;
+        move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % 255 + 1) as u8
+        }
+    }
+
+    /// Every prefix of `valid`, then `valid` with each byte flipped once.
+    fn damaged(valid: &[u8]) -> impl Iterator<Item = (bool, Vec<u8>)> + '_ {
+        let mut flip = flips();
+        let cuts = (0..=valid.len()).map(|cut| (true, valid[..cut].to_vec()));
+        cuts.chain((0..valid.len()).map(move |i| {
+            let mut bytes = valid.to_vec();
+            bytes[i] ^= flip();
+            (false, bytes)
+        }))
+    }
+
+    /// Every request a server connection would parse out of `input`.
+    fn requests_in(input: &[u8]) -> Vec<Request> {
+        let mut buf = ConnBuffer::new();
+        let mut reader = input;
+        while buf.fill(&mut reader).unwrap() > 0 {}
+        let mut out = Vec::new();
+        loop {
+            match buf.next_request() {
+                Ok(Some(request)) => out.push(request),
+                Err(ParseError::Malformed(_)) => {}
+                Ok(None) | Err(ParseError::TooLarge) => return out,
+            }
+        }
+    }
+
+    fn pair_bytes(pairs: &[(String, String)]) -> usize {
+        pairs.iter().map(|(k, v)| k.len() + v.len()).sum()
+    }
+
+    /// Decoded bytes a request holds. Each field is a lossily decoded
+    /// slice of the head (at most 3 bytes out per byte in), and the
+    /// target shows up twice: raw, and as path plus query.
+    fn request_bytes(r: &Request) -> usize {
+        r.method.len()
+            + r.path.len()
+            + r.raw_target.len()
+            + pair_bytes(&r.query)
+            + pair_bytes(&r.headers)
+    }
+
+    #[test]
+    fn conn_buffer_is_total_on_truncated_and_mutated_streams() {
+        let mut valid = Vec::new();
+        write_get_conn(&mut valid, "/row?workload=tonto&accesses=6000", true, &[]).unwrap();
+        write_get_conn(
+            &mut valid,
+            "/eval?tech=Jan%5FS&x=a+b",
+            true,
+            &[("x-nvmllc-hop", "1")],
+        )
+        .unwrap();
+        valid.extend_from_slice(b"\r\nGET /healthz HTTP/1.0\nConnection: keep-alive\n\n");
+        write_get_conn(&mut valid, "/statsz", false, &[]).unwrap();
+        let full = requests_in(&valid);
+        let targets: Vec<&str> = full.iter().map(|r| r.raw_target.as_str()).collect();
+        assert_eq!(
+            targets,
+            [
+                "/row?workload=tonto&accesses=6000",
+                "/eval?tech=Jan%5FS&x=a+b",
+                "/healthz",
+                "/statsz"
+            ]
+        );
+        assert_eq!(full[1].param("tech"), Some("Jan_S"));
+        assert_eq!(full[1].header("x-nvmllc-hop"), Some("1"));
+        assert_eq!(
+            full.iter().map(|r| r.close).collect::<Vec<_>>(),
+            [false, false, false, true]
+        );
+        for (truncated, input) in damaged(&valid) {
+            let parsed = requests_in(&input);
+            let bytes: usize = parsed.iter().map(request_bytes).sum();
+            assert!(bytes <= 6 * input.len(), "{bytes} bytes from {input:?}");
+            assert!(
+                parsed.len() <= input.len(),
+                "{} requests from {input:?}",
+                parsed.len()
+            );
+            if truncated {
+                assert_eq!(parsed, full[..parsed.len()], "a prefix parses to a prefix");
+            }
+        }
+    }
+
+    /// Every response a client connection reads out of `input`, up to the
+    /// first error.
+    fn responses_in(input: &[u8]) -> Vec<Response> {
+        let mut conn = ClientConn::from_stream(std::io::Cursor::new(input.to_vec()));
+        std::iter::from_fn(|| conn.recv().ok()).collect()
+    }
+
+    #[test]
+    fn client_recv_is_total_on_truncated_and_mutated_streams() {
+        let spans = vec![(
+            "x-nvmllc-trace-spans".to_owned(),
+            "node=shard-1;a,1,0,0,5".to_owned(),
+        )];
+        let mut valid = Vec::new();
+        respond_conn_ext(
+            &mut valid,
+            200,
+            "application/json",
+            "{\"ipc\":1.5}",
+            true,
+            &spans,
+        )
+        .unwrap();
+        respond_conn(&mut valid, 404, "text/plain", "", true).unwrap();
+        respond_conn(&mut valid, 200, "text/plain", "a\r\n\r\nb \u{e9}", true).unwrap();
+        respond_conn(&mut valid, 503, "application/json", "{}", false).unwrap();
+        let full = responses_in(&valid);
+        let shape: Vec<(u16, bool, &str)> = full
+            .iter()
+            .map(|r| (r.status, r.close, r.body.as_str()))
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                (200, false, "{\"ipc\":1.5}"),
+                (404, false, ""),
+                (200, false, "a\r\n\r\nb \u{e9}"),
+                (503, true, "{}"),
+            ]
+        );
+        assert_eq!(
+            full[0].header("x-nvmllc-trace-spans"),
+            Some(spans[0].1.as_str())
+        );
+        for (truncated, input) in damaged(&valid) {
+            let read = responses_in(&input);
+            let bytes: usize = read
+                .iter()
+                .map(|r| r.body.len() + pair_bytes(&r.headers))
+                .sum();
+            assert!(bytes <= 3 * input.len(), "{bytes} bytes from {input:?}");
+            assert!(
+                read.len() <= input.len(),
+                "{} responses from {input:?}",
+                read.len()
+            );
+            if truncated {
+                assert_eq!(read, full[..read.len()], "a prefix reads as a prefix");
+            }
+        }
+    }
+
+    #[test]
+    fn client_recv_rejects_an_oversized_head_without_buffering_it() {
+        for terminated in [false, true] {
+            let mut input = format!(
+                "HTTP/1.1 200 OK\r\nX-Pad: {}\r\n",
+                "y".repeat(4 * MAX_HEAD_BYTES)
+            );
+            if terminated {
+                input.push_str("Content-Length: 0\r\n\r\n");
+            }
+            let mut conn = ClientConn::from_stream(std::io::Cursor::new(input.into_bytes()));
+            let err = conn.recv().expect_err("oversized head");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("too large"), "{err}");
+            assert!(
+                conn.buf.len() < MAX_HEAD_BYTES + 4096,
+                "buffered {}",
+                conn.buf.len()
+            );
+        }
     }
 
     #[test]

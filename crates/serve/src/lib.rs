@@ -34,13 +34,13 @@
 //!
 //! ## Cluster serving
 //!
-//! With `--shard-id/--shard-count/--peers` the daemon joins a
+//! With `--peers A,B,C` and `--shard-id N` the daemon is shard `N` of a
 //! consistent-hash cluster over the persist keyspace (see [`cluster`]):
 //! it answers the requests it owns, and forwards the rest a single hop
 //! to the owning shard over pooled keep-alive connections ([`pool`]),
 //! evaluating locally whenever the owner is unreachable or the request
-//! already hopped once — a valid key is never 404'd. `nvm-llc route`
-//! runs the same server as a thin router that only forwards.
+//! already hopped once — a valid key is never 404'd. With `--peers` and
+//! no `--shard-id` the same server is a thin router that only forwards.
 //!
 //! ## Behavior under load
 //!
@@ -58,7 +58,9 @@
 //! * **Graceful shutdown** — SIGTERM/SIGINT (or [`Server::stop`]) stops
 //!   accepting, drains queued and in-flight requests (keep-alive
 //!   connections get `Connection: close` on their next response), then
-//!   joins every worker.
+//!   joins every worker. The accept thread blocks in `accept` and idle
+//!   workers block on the queue condvar; `stop` wakes both, the accept
+//!   thread with one loopback connection to the bound port.
 //!
 //! ## Distributed tracing
 //!
@@ -162,7 +164,7 @@ pub mod metrics {
 }
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -175,7 +177,7 @@ use nvm_llc_sim::{persist, Evaluator, PolicyKind};
 use nvm_llc_store::Store;
 use nvm_llc_trace::workloads;
 
-use cluster::{ClusterConfig, RouterConfig, ShardMap, HOP_HEADER};
+use cluster::{ClusterConfig, ShardMap, HOP_HEADER};
 use nvm_llc_obs::trace::{self, RetainedTrace, TailBuffer, TraceContext};
 use pool::Pool;
 
@@ -206,7 +208,8 @@ pub struct ServeConfig {
     pub max_requests_per_conn: usize,
     /// How long an idle keep-alive connection is held open, ms.
     pub idle_timeout_ms: u64,
-    /// Consistent-hash shard membership (none: standalone node).
+    /// Consistent-hash cluster membership: none is a standalone node, a
+    /// shard id a shard, and peers alone a thin router.
     pub cluster: Option<ClusterConfig>,
     /// Tail-sampling slowness threshold in milliseconds: traced
     /// requests at or above it retain their span tree in `/tracez`.
@@ -246,16 +249,16 @@ options:
   --store-dir PATH       persistent content-addressed result store
   --max-requests-per-conn N  keep-alive requests per connection (default 1000)
   --idle-timeout-ms N    idle keep-alive connection timeout (default 5000)
-  --shard-id N           this node's shard id (cluster mode)
-  --shard-count N        total shards on the consistent-hash ring
-  --peers A,B,C          every shard's address, in shard-id order
+  --peers A,B,C          every shard's address, in shard-id order; alone,
+                         this node is a thin router over them
+  --shard-id N           with --peers: this node is shard N of the ring
   --trace-slow-ms N      tail-sample traces at/above N ms (0 = every
                          traced request; default: track the live p99)";
 
 impl ServeConfig {
     /// Parses daemon flags (see [`USAGE`]). Unknown flags, missing
-    /// values, out-of-range numbers, and inconsistent cluster triples
-    /// are errors.
+    /// values, out-of-range numbers, and an invalid cluster
+    /// ([`ClusterConfig::validate`]) are errors.
     pub fn parse_args(args: &[String]) -> Result<ServeConfig, String> {
         fn next<'a>(
             it: &mut impl Iterator<Item = &'a String>,
@@ -273,7 +276,6 @@ impl ServeConfig {
         }
         let mut config = ServeConfig::default();
         let mut shard_id: Option<usize> = None;
-        let mut shard_count: Option<usize> = None;
         let mut peers: Option<Vec<String>> = None;
         let mut it = args.iter();
         while let Some(flag) = it.next() {
@@ -308,7 +310,6 @@ impl ServeConfig {
                             .map_err(|_| format!("{flag} wants an integer >= 0, got {raw:?}"))?,
                     );
                 }
-                "--shard-count" => shard_count = Some(positive(next(&mut it, flag)?, flag)?),
                 "--peers" => peers = Some(cluster::parse_peers(next(&mut it, flag)?)?),
                 "--trace-slow-ms" => {
                     let raw = next(&mut it, flag)?;
@@ -320,21 +321,13 @@ impl ServeConfig {
                 other => return Err(format!("unknown flag {other:?}")),
             }
         }
-        config.cluster = match (shard_id, shard_count, peers) {
-            (None, None, None) => None,
-            (Some(shard_id), Some(shard_count), Some(peers)) => {
-                let cluster = ClusterConfig {
-                    shard_id,
-                    shard_count,
-                    peers,
-                };
+        config.cluster = match (shard_id, peers) {
+            (None, None) => None,
+            (Some(_), None) => return Err("--shard-id needs --peers".to_owned()),
+            (shard_id, Some(peers)) => {
+                let cluster = ClusterConfig { shard_id, peers };
                 cluster.validate()?;
                 Some(cluster)
-            }
-            _ => {
-                return Err(
-                    "cluster mode needs all of --shard-id, --shard-count, and --peers".to_owned(),
-                )
             }
         };
         Ok(config)
@@ -450,7 +443,8 @@ struct ClusterState {
 }
 
 impl ClusterState {
-    fn new(self_id: Option<usize>, peers: &[String], instance: u64) -> ClusterState {
+    fn new(config: &ClusterConfig, instance: u64) -> ClusterState {
+        let peers = &config.peers;
         let id = instance.to_string();
         let (name, help) = metrics::PROXY_HOPS;
         let hops = |result, peer: Option<&str>| {
@@ -460,7 +454,7 @@ impl ClusterState {
         };
         ClusterState {
             map: ShardMap::new(peers.len()),
-            self_id,
+            self_id: config.shard_id,
             peers: peers.iter().map(Pool::new).collect(),
             local: hops("local", None),
             forwards: (0..peers.len())
@@ -495,26 +489,19 @@ impl ClusterState {
     }
 }
 
-/// What this server instance does with `/eval` and `/row`.
-enum Role {
-    /// Standalone node: evaluate everything locally.
-    Node,
-    /// Cluster shard: evaluate owned keys, forward the rest one hop.
-    Shard(ClusterState),
-    /// Thin router: forward everything, evaluate nothing.
-    Router(ClusterState),
-}
-
 struct Shared {
     config: ServeConfig,
-    role: Role,
+    /// `None` on a standalone node, which evaluates everything locally.
+    /// A shard evaluates the keys it owns and forwards the rest one
+    /// hop; a router forwards everything and evaluates nothing.
+    cluster: Option<ClusterState>,
     queue: Mutex<VecDeque<(TcpStream, Instant)>>,
     queue_cv: Condvar,
     stop: AtomicBool,
     counters: Counters,
-    /// In-flight evaluations by request key. The entry's runner removes
-    /// it on completion, so the memo retains nothing.
-    coalesce: Memo<String, EvalOutcome>,
+    /// In-flight evaluations by [`EvalRequest::route_key`]. The entry's
+    /// runner removes it on completion, so the memo retains nothing.
+    coalesce: Memo<nvm_llc_store::Key, EvalOutcome>,
     inflight_evals: AtomicUsize,
     store: Option<Arc<Store>>,
     started: Instant,
@@ -543,51 +530,30 @@ impl std::fmt::Debug for Server {
 impl Server {
     /// Binds, opens the store (when configured), and spawns the accept
     /// thread plus the worker pool. Returns once the service accepts.
+    /// The role (node, shard or router) follows [`ServeConfig::cluster`];
+    /// an invalid cluster ([`ClusterConfig::validate`]) is `InvalidInput`.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
-        let instance = nvm_llc_obs::metrics::next_instance();
-        let role = match &config.cluster {
-            Some(c) => Role::Shard(ClusterState::new(Some(c.shard_id), &c.peers, instance)),
-            None => Role::Node,
-        };
-        Server::start_with_role(config, role, instance)
-    }
-
-    /// Starts a thin router: same transport, queue, and worker pool,
-    /// but `/eval` and `/row` only forward to the owning shard.
-    pub fn start_router(config: RouterConfig) -> std::io::Result<Server> {
-        if config.peers.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "router mode requires at least one peer",
-            ));
+        if let Some(c) = &config.cluster {
+            c.validate()
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         }
         let instance = nvm_llc_obs::metrics::next_instance();
-        let role = Role::Router(ClusterState::new(None, &config.peers, instance));
-        let serve = ServeConfig {
-            addr: config.addr,
-            workers: config.workers,
-            queue_capacity: config.queue_capacity,
-            trace_slow_ms: config.trace_slow_ms,
-            // Routers never evaluate; the remaining knobs are inert.
-            ..ServeConfig::default()
-        };
-        Server::start_with_role(serve, role, instance)
-    }
-
-    fn start_with_role(config: ServeConfig, role: Role, instance: u64) -> std::io::Result<Server> {
+        let cluster = config
+            .cluster
+            .as_ref()
+            .map(|c| ClusterState::new(c, instance));
         metrics::register();
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let store = match &config.store_dir {
             Some(dir) => Some(Arc::new(Store::open(dir)?)),
             None => None,
         };
         let workers = config.workers.max(1);
-        let node_label = match &role {
-            Role::Shard(state) => format!("shard-{}", state.self_id.unwrap_or(0)),
-            Role::Router(_) => "router".to_owned(),
-            Role::Node => "node".to_owned(),
+        let node_label = match cluster.as_ref().map(|c| c.self_id) {
+            None => "node".to_owned(),
+            Some(None) => "router".to_owned(),
+            Some(Some(id)) => format!("shard-{id}"),
         };
         let counters = Counters::new(instance);
         let coalesce = Memo::new(
@@ -600,7 +566,7 @@ impl Server {
         );
         let shared = Arc::new(Shared {
             config,
-            role,
+            cluster,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             stop: AtomicBool::new(false),
@@ -645,8 +611,30 @@ impl Server {
     /// Requests shutdown: stop accepting, drain queued and in-flight
     /// work. Idempotent; [`Server::join`] completes it.
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
+        if self.shared.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // Taking the queue lock orders the flag before any worker's next
+        // check-then-wait, so the notify below cannot be lost.
+        drop(self.shared.queue.lock().expect("queue lock"));
         self.shared.queue_cv.notify_all();
+        // Wake the blocked accept; it sees the flag and drops this
+        // connection. An unspecified bind address is reachable on
+        // loopback.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if let Err(e) = TcpStream::connect_timeout(&wake, Duration::from_secs(1)) {
+            nvm_llc_obs::error!(
+                "serve", "accept wake-up failed; join waits for the next connection";
+                "addr" => wake.to_string(),
+                "error" => e.to_string(),
+            );
+        }
     }
 
     /// Whether shutdown has been requested.
@@ -684,44 +672,46 @@ impl Server {
 }
 
 fn accept_loop(shared: &Shared, listener: TcpListener) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                // The listener is nonblocking (so shutdown can interrupt
-                // the accept loop); handled streams must not be.
-                let _ = stream.set_nonblocking(false);
-                let mut queue = shared.queue.lock().expect("queue lock");
-                if queue.len() >= shared.config.queue_capacity {
-                    drop(queue);
-                    shared.counters.rejected_queue_full.inc();
-                    shared.counters.count_status(503);
-                    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-                    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-                    // Drain the request head before answering: closing
-                    // with unread bytes resets the connection and can
-                    // discard the 503 before the client sees it.
-                    let _ = http::read_request(&mut stream);
-                    let _ = http::respond(
-                        &mut stream,
-                        503,
-                        "application/json",
-                        "{\"error\":\"request queue full\"}",
-                    );
-                } else {
-                    queue.push_back((stream, Instant::now()));
-                    shared.counters.queue_depth.set(queue.len() as u64);
-                    drop(queue);
-                    shared.queue_cv.notify_one();
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+    loop {
+        let mut stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(_) if shared.stop.load(Ordering::SeqCst) => break,
+            // A persistent error (EMFILE) would otherwise spin the thread.
+            Err(_) => {
                 std::thread::sleep(Duration::from_millis(10));
+                continue;
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        };
+        let mut queue = shared.queue.lock().expect("queue lock");
+        // Checked under the queue lock, which `stop` takes after setting
+        // the flag: a connection queued here is one the workers drain,
+        // and one accepted after stop (the wake-up among them) is dropped.
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        if queue.len() >= shared.config.queue_capacity {
+            drop(queue);
+            shared.counters.rejected_queue_full.inc();
+            shared.counters.count_status(503);
+            let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+            let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
+            // Drain the request head before answering: closing with
+            // unread bytes resets the connection and can discard the 503
+            // before the client sees it.
+            let _ = http::read_request(&mut stream);
+            let _ = http::respond(
+                &mut stream,
+                503,
+                "application/json",
+                "{\"error\":\"request queue full\"}",
+            );
+        } else {
+            queue.push_back((stream, Instant::now()));
+            shared.counters.queue_depth.set(queue.len() as u64);
+            drop(queue);
+            shared.queue_cv.notify_one();
         }
     }
-    // Wake any idle worker so it can observe the stop flag.
-    shared.queue_cv.notify_all();
 }
 
 fn worker_loop(shared: &Shared) {
@@ -737,11 +727,7 @@ fn worker_loop(shared: &Shared) {
                 if shared.stop.load(Ordering::SeqCst) {
                     break None;
                 }
-                let (guard, _) = shared
-                    .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(100))
-                    .expect("queue lock");
-                queue = guard;
+                queue = shared.queue_cv.wait(queue).expect("queue lock");
             }
         };
         match stream {
@@ -760,7 +746,8 @@ fn error_json(message: &str) -> String {
 }
 
 /// How often a blocked connection read wakes to re-check the stop flag
-/// and the idle deadline.
+/// and the idle deadline. This poll stays: an idle keep-alive read has
+/// no other wakeup without a per-connection registry to shut it down.
 const READ_POLL: Duration = Duration::from_millis(200);
 
 /// Serves one connection to completion: parse every request the socket
@@ -1122,19 +1109,8 @@ struct EvalRequest {
 }
 
 impl EvalRequest {
-    fn key(&self) -> String {
-        format!(
-            "{}|{}|{}|{}|{}",
-            self.tech.as_deref().unwrap_or("<row>"),
-            self.models,
-            self.workload,
-            self.accesses,
-            self.policy,
-        )
-    }
-
     /// The request's point in the persist keyspace — what the cluster
-    /// shards on.
+    /// shards on and what identical requests coalesce on.
     fn route_key(&self) -> nvm_llc_store::Key {
         persist::request_key(
             &self.models,
@@ -1213,10 +1189,10 @@ fn eval_or_forward(shared: &Shared, request: &http::Request) -> (u16, String) {
         Ok(parsed) => parsed,
         Err(message) => return (400, error_json(&message)),
     };
-    match &shared.role {
-        Role::Node => eval_parsed(shared, &parsed),
-        Role::Shard(state) => shard_dispatch(shared, state, request, &parsed),
-        Role::Router(state) => router_forward(state, request, &parsed),
+    match &shared.cluster {
+        None => eval_parsed(shared, &parsed),
+        Some(state) if state.self_id.is_some() => shard_dispatch(shared, state, request, &parsed),
+        Some(state) => router_forward(state, request, &parsed),
     }
 }
 
@@ -1313,7 +1289,7 @@ fn router_forward(
 /// caller that runs the evaluation leads, and every identical request
 /// arriving meanwhile waits on its slot (counted as a coalesce waiter).
 fn eval_parsed(shared: &Shared, parsed: &EvalRequest) -> (u16, String) {
-    let key = parsed.key();
+    let key = parsed.route_key();
     let (outcome, leader) = shared
         .coalesce
         .get_or_make(&key, || evaluate(shared, parsed).map(Arc::new));
@@ -1400,7 +1376,6 @@ fn uptime_seconds(started: Instant) -> u64 {
 }
 
 fn render_statsz(shared: &Shared) -> String {
-    let queue_depth = shared.queue.lock().expect("queue lock").len();
     let c = &shared.counters;
     let store = match &shared.store {
         Some(store) => {
@@ -1422,10 +1397,10 @@ fn render_statsz(shared: &Shared) -> String {
         }
         None => "null".to_owned(),
     };
-    let cluster = match &shared.role {
-        Role::Node => "null".to_owned(),
-        Role::Shard(state) | Role::Router(state) => state.render_json(),
-    };
+    let cluster = shared
+        .cluster
+        .as_ref()
+        .map_or_else(|| "null".to_owned(), ClusterState::render_json);
     let tc = nvm_llc_sim::tape::cache::stats();
     let latency = format!(
         "{{\"request\":{},\"queue_wait\":{}}}",
@@ -1434,7 +1409,7 @@ fn render_statsz(shared: &Shared) -> String {
     );
     sync_scrape_gauges(shared);
     format!(
-        "{{\"instance\":{},\"queue_depth\":{queue_depth},\"queue_capacity\":{},\"workers\":{},\
+        "{{\"instance\":{},\"queue_depth\":{},\"queue_capacity\":{},\"workers\":{},\
          \"inflight_evals\":{},\"connections\":{},\"requests\":{},\"coalesce_hits\":{},\
          \"rejected_queue_full\":{},\"rejected_busy\":{},\"evaluations\":{},\
          \"store\":{store},\"tape_cache\":{{\"hits\":{},\"misses\":{},\
@@ -1446,6 +1421,7 @@ fn render_statsz(shared: &Shared) -> String {
          \"cluster\":{cluster},\
          \"metrics\":{}}}",
         c.instance,
+        c.queue_depth.get(),
         shared.config.queue_capacity,
         shared.config.workers,
         shared.inflight_evals.load(Ordering::SeqCst),
@@ -1496,12 +1472,11 @@ const BUILD_VERSION: &str = env!("CARGO_PKG_VERSION");
 const BUILD_GIT_HASH: &str = env!("NVM_LLC_BUILD_GIT_HASH");
 
 /// Refreshes the gauges that are cheaper to set at scrape time than to
-/// maintain on every transition.
+/// maintain on every transition. (`queue_depth` needs no refresh: every
+/// push and pop sets it under the queue lock.)
 fn sync_scrape_gauges(shared: &Shared) {
     let c = &shared.counters;
     c.uptime_seconds.set(uptime_seconds(shared.started));
-    c.queue_depth
-        .set(shared.queue.lock().expect("queue lock").len() as u64);
     c.inflight_evals
         .set(shared.inflight_evals.load(Ordering::SeqCst) as u64);
 }
@@ -1527,12 +1502,12 @@ fn render_clusterz(shared: &Shared) -> String {
     // One scrape per shard, in shard-id order; `None` marks a shard
     // that is down or failed to answer. A standalone node federates
     // its own registry so the endpoint has one shape everywhere.
-    let shards: Vec<(String, Option<Scrape>)> = match &shared.role {
-        Role::Node => vec![(
+    let shards: Vec<(String, Option<Scrape>)> = match &shared.cluster {
+        None => vec![(
             "self".to_owned(),
             Some(federate::parse(&render_metricsz(shared))),
         )],
-        Role::Shard(state) | Role::Router(state) => state
+        Some(state) => state
             .peers
             .iter()
             .enumerate()
@@ -1655,33 +1630,29 @@ pub mod signals {
 }
 
 /// Runs the daemon: start, serve until SIGTERM/SIGINT, drain, report.
-/// This is the whole of `nvm-llcd` and of `nvm-llc serve`.
+/// This is the whole of `nvm-llcd` and of `nvm-llc serve`, in every
+/// role.
 pub fn run(config: ServeConfig) -> std::io::Result<()> {
-    let shard = config
-        .cluster
-        .as_ref()
-        .map(|c| format!("shard {}/{}", c.shard_id, c.shard_count));
-    serve_until_signal(Server::start(config)?, shard.as_deref())
-}
-
-/// Runs a thin router until SIGTERM/SIGINT. This is the whole of
-/// `nvm-llc route`.
-pub fn run_router(config: RouterConfig) -> std::io::Result<()> {
-    let role = format!("router over {} shards", config.peers.len());
-    serve_until_signal(Server::start_router(config)?, Some(&role))
-}
-
-fn serve_until_signal(server: Server, role: Option<&str>) -> std::io::Result<()> {
+    let role = match &config.cluster {
+        None => "standalone".to_owned(),
+        Some(c) => match c.shard_id {
+            Some(id) => format!("shard {id}/{}", c.peers.len()),
+            None => format!("router over {} shards", c.peers.len()),
+        },
+    };
+    let server = Server::start(config)?;
     // The daemon defaults to lifecycle logging; NVM_LLC_LOG still wins.
     nvm_llc_obs::log::set_default_level(nvm_llc_obs::log::Level::Info);
     signals::install();
     nvm_llc_obs::info!(
         "serve", "listening";
         "addr" => format!("http://{}", server.addr()),
-        "role" => role.unwrap_or("standalone"),
+        "role" => role,
         "version" => BUILD_VERSION,
         "git_hash" => BUILD_GIT_HASH,
     );
+    // This poll stays: a signal handler may only store a flag, so
+    // nothing can wake a blocked wait from it.
     while !signals::STOP.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(100));
     }
@@ -1743,40 +1714,26 @@ mod tests {
     #[test]
     fn parse_args_assembles_the_cluster_triple() {
         let s = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let c = ServeConfig::parse_args(&s(&[
-            "--shard-id",
-            "1",
-            "--shard-count",
-            "3",
-            "--peers",
-            "a:1,b:2,c:3",
-        ]))
-        .unwrap();
+        let c =
+            ServeConfig::parse_args(&s(&["--shard-id", "1", "--peers", "a:1,b:2,c:3"])).unwrap();
         let cluster = c.cluster.expect("cluster mode");
-        assert_eq!(cluster.shard_id, 1);
-        assert_eq!(cluster.shard_count, 3);
+        assert_eq!(cluster.shard_id, Some(1));
+        // The shard count is the peer count; there is no flag for it.
         assert_eq!(cluster.peers.len(), 3);
-        // Partial triples and inconsistent ones are rejected.
-        assert!(ServeConfig::parse_args(&s(&["--shard-id", "0"])).is_err());
-        assert!(ServeConfig::parse_args(&s(&["--peers", "a:1,b:2"])).is_err());
-        assert!(ServeConfig::parse_args(&s(&[
-            "--shard-id",
-            "3",
-            "--shard-count",
-            "3",
-            "--peers",
-            "a:1,b:2,c:3",
-        ]))
-        .is_err());
         assert!(ServeConfig::parse_args(&s(&[
             "--shard-id",
             "0",
             "--shard-count",
-            "2",
+            "3",
             "--peers",
             "a:1,b:2,c:3",
         ]))
         .is_err());
+        // A shard id needs peers, and must be on the ring.
+        assert!(ServeConfig::parse_args(&s(&["--shard-id", "0"])).is_err());
+        assert!(
+            ServeConfig::parse_args(&s(&["--shard-id", "3", "--peers", "a:1,b:2,c:3"])).is_err()
+        );
     }
 
     #[test]
@@ -1789,6 +1746,32 @@ mod tests {
         assert!(ServeConfig::parse_args(&s(&["--max-requests-per-conn", "0"])).is_err());
         assert!(ServeConfig::parse_args(&s(&["--idle-timeout-ms", "0"])).is_err());
         assert!(ServeConfig::parse_args(&[]).is_ok());
+    }
+
+    #[test]
+    fn start_rejects_an_invalid_cluster() {
+        let start = |shard_id, peers: &[&str]| {
+            Server::start(ServeConfig {
+                addr: "127.0.0.1:0".into(),
+                cluster: Some(ClusterConfig {
+                    shard_id,
+                    peers: peers.iter().map(|p| p.to_string()).collect(),
+                }),
+                ..ServeConfig::default()
+            })
+            .map(Server::shutdown)
+            .map_err(|e| e.kind())
+        };
+        let invalid = Err(std::io::ErrorKind::InvalidInput);
+        assert_eq!(start(None, &[]), invalid, "router without peers");
+        assert_eq!(start(Some(0), &[]), invalid, "shard without peers");
+        assert_eq!(
+            start(Some(2), &["a:1", "b:2"]),
+            invalid,
+            "shard id off the ring"
+        );
+        assert_eq!(start(Some(1), &["a:1", "b:2"]), Ok(()));
+        assert_eq!(start(None, &["a:1"]), Ok(()));
     }
 
     #[test]

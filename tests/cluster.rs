@@ -1,13 +1,15 @@
 //! End-to-end tests of consistent-hash cluster serving: a 3-shard
 //! cluster plus a thin router serves `/row` byte-identical to a direct
 //! evaluation, every shard takes traffic, a non-owner shard proxies (or
-//! falls back) transparently, and a shard restart warm-reloads from its
+//! falls back) transparently, a shard whose owner misbehaves answers
+//! the same bytes itself, and a shard restart warm-reloads from its
 //! store.
 
-use std::net::{SocketAddr, TcpListener};
+use std::io::{Read as _, Write as _};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 
 use nvm_llc::prelude::*;
-use nvm_llc::serve::cluster::{ClusterConfig, RouterConfig, ShardMap};
+use nvm_llc::serve::cluster::{ClusterConfig, ShardMap};
 use nvm_llc::serve::{http, json, ServeConfig, Server};
 use nvm_llc::sim::persist;
 
@@ -46,8 +48,7 @@ fn shard_config(dir: &std::path::Path, peers: &[String], id: usize) -> ServeConf
         base_accesses: ACCESSES,
         store_dir: Some(dir.join(format!("shard-{id}"))),
         cluster: Some(ClusterConfig {
-            shard_id: id,
-            shard_count: peers.len(),
+            shard_id: Some(id),
             peers: peers.to_vec(),
         }),
         ..ServeConfig::default()
@@ -62,13 +63,16 @@ fn start_cluster(dir: &std::path::Path) -> (Vec<Server>, Server, Vec<String>) {
     let shards: Vec<Server> = (0..SHARDS)
         .map(|id| Server::start(shard_config(dir, &peers, id)).expect("start shard"))
         .collect();
-    let router = Server::start_router(RouterConfig {
+    let router = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
-        peers: peers.clone(),
+        cluster: Some(ClusterConfig {
+            shard_id: None,
+            peers: peers.clone(),
+        }),
         // Tail-sample every traced request so the tests below can
         // assert on stitched span trees deterministically.
         trace_slow_ms: Some(0),
-        ..RouterConfig::default()
+        ..ServeConfig::default()
     })
     .expect("start router");
     (shards, router, peers)
@@ -321,4 +325,74 @@ fn a_routed_request_stitches_one_trace_and_clusterz_federates_all_shards() {
         shard.shutdown();
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Reads part of the request, sends a head and the start of a long
+/// body, then closes with the rest of the request unread: a reset
+/// mid-body.
+fn reset_mid_body(mut stream: TcpStream) {
+    let mut start = [0u8; 8];
+    stream.read_exact(&mut start).unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    stream
+        .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 100000\r\n\r\n{\"workload\"")
+        .unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(50));
+}
+
+/// Reads the request, then sends a response head that never ends.
+fn endless_head(mut stream: TcpStream) {
+    http::read_request(&mut stream).unwrap();
+    let pad = [b'a'; 4096];
+    let _ = stream.write_all(b"HTTP/1.1 200 OK\r\nX-Pad: ");
+    while stream.write_all(&pad).is_ok() {}
+}
+
+/// A shard whose owning peer misbehaves falls back to evaluating the
+/// request itself: same bytes as a direct evaluation, counted as one
+/// `fallback` and no forward.
+#[test]
+fn a_misbehaving_owner_falls_back_to_identical_local_bytes() {
+    let map = ShardMap::new(2);
+    let (workload, accesses) = ["tonto", "x264", "milc", "leela"]
+        .into_iter()
+        .flat_map(|w| (0..4).map(move |step| (w, ACCESSES + step * 500)))
+        .find(|&(w, a)| {
+            let key = persist::request_key("fixed_capacity", w, None, a, PolicyKind::Lru);
+            map.owner(&key) == 1
+        })
+        .expect("a row owned by shard 1");
+    let target = format!("/row?workload={workload}&accesses={accesses}");
+    let expected = expected_row(workload, accesses);
+
+    for misbehave in [reset_mid_body as fn(TcpStream), endless_head] {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let bad_peer = listener.local_addr().unwrap().to_string();
+        let upstream = std::thread::spawn(move || misbehave(listener.accept().unwrap().0));
+        let own = reserve_ports(1)[0].to_string();
+        let shard = Server::start(ServeConfig {
+            addr: own.clone(),
+            base_accesses: ACCESSES,
+            cluster: Some(ClusterConfig {
+                shard_id: Some(0),
+                peers: vec![own, bad_peer],
+            }),
+            ..ServeConfig::default()
+        })
+        .expect("start shard");
+
+        let (status, body) = http::get(shard.addr(), &target).unwrap();
+        assert_eq!(status, 200, "{target}: {body}");
+        assert_eq!(body, expected, "fallback must answer the direct bytes");
+        let (_, stats) = http::get(shard.addr(), "/statsz").unwrap();
+        assert_eq!(
+            field_after(&stats, "\"cluster\":", "fallbacks"),
+            1,
+            "{stats}"
+        );
+        assert!(stats.contains("\"forwards\":[0,0]"), "{stats}");
+
+        shard.shutdown();
+        upstream.join().expect("misbehaving peer");
+    }
 }

@@ -14,7 +14,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Barrier};
 
 use nvm_llc::obs::federate::{self, Scrape};
-use nvm_llc::serve::cluster::{ClusterConfig, RouterConfig, ShardMap};
+use nvm_llc::serve::cluster::{ClusterConfig, ShardMap};
 use nvm_llc::serve::{http, ServeConfig, Server};
 use nvm_llc::sim::{persist, PolicyKind};
 use nvm_llc::trace::workloads;
@@ -245,8 +245,7 @@ fn every_statsz_counter_equals_its_own_metricsz_sample() {
         Server::start(ServeConfig {
             addr: peers[id].clone(),
             cluster: Some(ClusterConfig {
-                shard_id: id,
-                shard_count: 2,
+                shard_id: Some(id),
                 peers: peers.clone(),
             }),
             ..standalone(&format!("shard-{id}"))
@@ -254,10 +253,13 @@ fn every_statsz_counter_equals_its_own_metricsz_sample() {
         .expect("start shard")
     };
     let (shard0, shard1) = (shard(0), shard(1));
-    let router = Server::start_router(RouterConfig {
+    let router = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
-        peers: peers.clone(),
-        ..RouterConfig::default()
+        cluster: Some(ClusterConfig {
+            shard_id: None,
+            peers: peers.clone(),
+        }),
+        ..ServeConfig::default()
     })
     .expect("start router");
     let map = ShardMap::new(2);
