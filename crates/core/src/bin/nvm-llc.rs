@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! nvm-llc <artifact> [--scale smoke|default|full] [--threads N]
-//!         [--tape-cache-mb N] [--store-dir PATH] [--stats]
+//!         [--policy NAME] [--store-dir PATH] [--stats]
 //!         [--trace-out PATH]
 //!
 //! artifacts:
@@ -16,11 +16,13 @@
 //!                        or thin router with --peers)
 //! ```
 
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use nvm_llc::experiments::{
     core_sweep, dl_extension, fig1, fig2, fig4, lifetime, selection, table2, table3, table4,
-    table5, table6,
+    table5, table6, Run,
 };
 use nvm_llc::obs::trace;
 use nvm_llc::prelude::*;
@@ -29,7 +31,6 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: nvm-llc <artifact> [--scale smoke|default|full] [--threads N]\n\
          \x20               [--policy lru|random|srrip|drrip|ship|endurance]\n\
-         \x20               [--tape-cache-mb N]   (0 lifts the tape-cache bound)\n\
          \x20               [--store-dir PATH]    (persistent result store)\n\
          \x20               [--stats]             (log cache counters on exit)\n\
          \x20               [--trace-out PATH]    (write a chrome://tracing span trace)\n\
@@ -40,121 +41,103 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn parse_scale(args: &[String]) -> Result<Scale, String> {
-    match args.iter().position(|a| a == "--scale") {
-        None => Ok(Scale::DEFAULT),
-        Some(i) => match args.get(i + 1).map(String::as_str) {
-            Some("smoke") => Ok(Scale::SMOKE),
-            Some("default") => Ok(Scale::DEFAULT),
-            Some("full") => Ok(Scale::FULL),
-            other => Err(format!("bad --scale value {other:?}")),
-        },
-    }
+/// One parsed command line (everything but `serve`, whose options
+/// [`nvm_llc::serve::ServeConfig::parse_args`] owns).
+struct Cli {
+    artifact: String,
+    /// The one positional argument `cell`, `characterize` and `mrc` take.
+    name: Option<String>,
+    /// Scale, worker count, replacement policy and store of every
+    /// evaluation this invocation runs.
+    run: Run,
+    /// `--stats`: log cache counters on exit.
+    stats: bool,
+    /// `--trace-out PATH`: write the run's span tree here.
+    trace_out: Option<PathBuf>,
 }
 
-/// `--threads N` pins the evaluation worker-pool size by exporting
-/// `NVM_LLC_THREADS` before any experiment spawns workers. Explicit
-/// `Evaluator::threads(..)` calls still win; without the flag the env
-/// var (if set by the caller) and then `available_parallelism` apply.
-fn apply_threads(args: &[String]) -> Result<(), String> {
-    let Some(i) = args.iter().position(|a| a == "--threads") else {
-        return Ok(());
-    };
-    let value = args.get(i + 1).map(String::as_str);
-    match value.and_then(|v| v.parse::<usize>().ok()) {
-        Some(n) if n >= 1 => {
-            std::env::set_var(nvm_llc::sim::runner::THREADS_ENV, n.to_string());
-            Ok(())
+impl Cli {
+    /// Parses `args` (artifact first) in one pass. Unknown flags,
+    /// missing or bad values and stray positional arguments are errors;
+    /// `--store-dir` opens (creating if needed) its store last, so a
+    /// bad flag creates no store directory.
+    fn parse(args: &[String]) -> Result<Cli, String> {
+        fn next<'a>(
+            it: &mut impl Iterator<Item = &'a String>,
+            flag: &str,
+        ) -> Result<&'a str, String> {
+            it.next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("{flag} needs a value"))
         }
-        _ => Err(format!(
-            "bad --threads value {value:?} (want an integer >= 1)"
-        )),
-    }
-}
-
-/// `--policy NAME` pins the LLC replacement policy every evaluation in
-/// this process runs under by exporting `NVM_LLC_POLICY` before any
-/// experiment builds an `Evaluator`. Explicit `Evaluator::policy(..)`
-/// calls still win; without the flag the env var (if set by the caller)
-/// and then LRU apply. An unknown name on the command line is a hard
-/// usage error — only a set-but-invalid *environment* value downgrades
-/// to a warning.
-fn apply_policy(args: &[String]) -> Result<(), String> {
-    let Some(i) = args.iter().position(|a| a == "--policy") else {
-        return Ok(());
-    };
-    let value = args.get(i + 1).map(String::as_str);
-    match value.and_then(nvm_llc::sim::PolicyKind::parse) {
-        Some(policy) => {
-            std::env::set_var(nvm_llc::sim::POLICY_ENV, policy.name());
-            Ok(())
+        let (artifact, rest) = args.split_first().ok_or("missing artifact")?;
+        let takes_name = matches!(artifact.as_str(), "cell" | "characterize" | "mrc");
+        let mut cli = Cli {
+            artifact: artifact.clone(),
+            name: None,
+            run: Run::default(),
+            stats: false,
+            trace_out: None,
+        };
+        let mut store_dir = None;
+        let mut it = rest.iter();
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
+                "--scale" => {
+                    cli.run.scale = match next(&mut it, arg)? {
+                        "smoke" => Scale::SMOKE,
+                        "default" => Scale::DEFAULT,
+                        "full" => Scale::FULL,
+                        other => return Err(format!("bad --scale value {other:?}")),
+                    }
+                }
+                "--threads" => {
+                    let raw = next(&mut it, arg)?;
+                    let threads = raw.parse::<usize>().ok().filter(|&n| n >= 1);
+                    cli.run.threads = Some(threads.ok_or_else(|| {
+                        format!("bad --threads value {raw:?} (want an integer >= 1)")
+                    })?);
+                }
+                "--policy" => {
+                    let raw = next(&mut it, arg)?;
+                    cli.run.policy = PolicyKind::parse(raw).ok_or_else(|| {
+                        format!(
+                            "bad --policy value {raw:?} \
+                             (want one of lru, random, srrip, drrip, ship, endurance)"
+                        )
+                    })?;
+                }
+                "--store-dir" => store_dir = Some(next(&mut it, arg)?),
+                "--stats" => cli.stats = true,
+                "--trace-out" => cli.trace_out = Some(PathBuf::from(next(&mut it, arg)?)),
+                flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
+                name if takes_name && cli.name.is_none() => cli.name = Some(name.to_owned()),
+                other => return Err(format!("unexpected argument {other:?}")),
+            }
         }
-        None => Err(format!(
-            "bad --policy value {value:?} (want one of lru, random, srrip, drrip, ship, endurance)"
-        )),
-    }
-}
-
-/// `--tape-cache-mb N` bounds the process-wide outcome-tape cache to
-/// `N` MiB (`0` lifts the bound entirely, the default is ~256 MiB).
-fn apply_tape_cache_budget(args: &[String]) -> Result<(), String> {
-    let Some(i) = args.iter().position(|a| a == "--tape-cache-mb") else {
-        return Ok(());
-    };
-    let value = args.get(i + 1).map(String::as_str);
-    match value.map(nvm_llc::sim::tape::cache::parse_budget_mib) {
-        Some(Ok(bytes)) => {
-            nvm_llc::sim::tape::cache::set_byte_budget(bytes);
-            Ok(())
+        if let Some(path) = store_dir {
+            let store = nvm_llc::store::Store::open(path)
+                .map_err(|e| format!("--store-dir {path}: {e}"))?;
+            cli.run.store = Some(Arc::new(store));
         }
-        _ => Err(format!(
-            "bad --tape-cache-mb value {value:?} (want an integer >= 0)"
-        )),
+        Ok(cli)
     }
 }
 
-/// `--store-dir PATH` opens (creating if needed) the persistent
-/// content-addressed result store at `PATH` and installs it process-
-/// wide: every evaluation reads finished results and outcome tapes
-/// through it and writes fresh ones back, so a re-run — even in a new
-/// process — skips completed work.
-fn apply_store_dir(args: &[String]) -> Result<(), String> {
-    let Some(i) = args.iter().position(|a| a == "--store-dir") else {
-        return Ok(());
-    };
-    let Some(path) = args.get(i + 1) else {
-        return Err("--store-dir needs a path".to_owned());
-    };
-    let store =
-        nvm_llc::store::Store::open(path).map_err(|e| format!("--store-dir {path}: {e}"))?;
-    nvm_llc::sim::persist::set_global_store(Some(std::sync::Arc::new(store)));
-    Ok(())
-}
-
-/// `--trace-out PATH` traces the whole run under one root trace
-/// collector and writes its span tree as chrome://tracing JSON on exit.
-/// An unwritable path warns once on stderr and disables tracing — the
-/// run itself proceeds (matching the `NVM_LLC_THREADS` /
-/// `NVM_LLC_TAPE_CACHE_MB` fallback convention). Returns the path to
-/// write on success, `Err` only for a missing value.
-fn apply_trace_out(args: &[String]) -> Result<Option<std::path::PathBuf>, String> {
-    let Some(i) = args.iter().position(|a| a == "--trace-out") else {
-        return Ok(None);
-    };
-    let Some(path) = args.get(i + 1) else {
-        return Err("--trace-out needs a path".to_owned());
-    };
-    let path = std::path::PathBuf::from(path);
-    // Probe writability up front so a typo'd directory fails before an
-    // hour-long run, not after.
-    if let Err(e) = std::fs::File::create(&path) {
-        eprintln!(
-            "warning: ignoring unwritable --trace-out {}: {e}; no trace will be written",
-            path.display()
-        );
-        return Ok(None);
+/// Probes that `--trace-out PATH` is writable up front, so a typo'd
+/// directory fails before an hour-long run, not after. An unwritable
+/// path warns once on stderr and disables tracing; the run proceeds.
+fn writable_trace_out(path: PathBuf) -> Option<PathBuf> {
+    match std::fs::File::create(&path) {
+        Ok(_) => Some(path),
+        Err(e) => {
+            eprintln!(
+                "warning: ignoring unwritable --trace-out {}: {e}; no trace will be written",
+                path.display()
+            );
+            None
+        }
     }
-    Ok(Some(path))
 }
 
 /// After an evaluation artifact finishes, say how well the process-wide
@@ -162,7 +145,7 @@ fn apply_trace_out(args: &[String]) -> Result<Option<std::path::PathBuf>, String
 /// cache's functional-pass accounting — and, with `--store-dir`, the store's
 /// traffic and the trace cache's hits and misses. Opt-in via `--stats`;
 /// every number is read from the registry handles `/metricsz` renders.
-fn log_cache_stats() {
+fn log_cache_stats(store: Option<&nvm_llc::store::Store>) {
     let tc = nvm_llc::sim::tape::cache::stats();
     nvm_llc::obs::info!(
         "cli", "cache stats";
@@ -175,7 +158,7 @@ fn log_cache_stats() {
         "tape_store_hits" => tc.store_hits,
         "tape_evictions" => tc.evictions,
     );
-    if let Some(store) = nvm_llc::sim::persist::global_store() {
+    if let Some(store) = store {
         nvm_llc::obs::info!(
             "cli", "store stats";
             "store" => store.stats().to_string(),
@@ -187,10 +170,7 @@ fn log_cache_stats() {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(artifact) = args.first() else {
-        return usage();
-    };
-    if artifact == "serve" {
+    if args.first().is_some_and(|a| a == "serve") {
         let rest = &args[1..];
         if rest.iter().any(|a| a == "--help" || a == "-h") {
             println!(
@@ -214,36 +194,21 @@ fn main() -> ExitCode {
             }
         };
     }
-    let scale = match parse_scale(&args) {
-        Ok(s) => s,
+    let Cli {
+        artifact,
+        name,
+        run,
+        stats,
+        trace_out,
+    } = match Cli::parse(&args) {
+        Ok(cli) => cli,
         Err(e) => {
             eprintln!("{e}");
             return usage();
         }
     };
-    if let Err(e) = apply_threads(&args) {
-        eprintln!("{e}");
-        return usage();
-    }
-    if let Err(e) = apply_policy(&args) {
-        eprintln!("{e}");
-        return usage();
-    }
-    if let Err(e) = apply_tape_cache_budget(&args) {
-        eprintln!("{e}");
-        return usage();
-    }
-    if let Err(e) = apply_store_dir(&args) {
-        eprintln!("{e}");
-        return usage();
-    }
-    let trace_out = match apply_trace_out(&args) {
-        Ok(path) => path,
-        Err(e) => {
-            eprintln!("{e}");
-            return usage();
-        }
-    };
+    let scale = run.scale;
+    let trace_out = trace_out.and_then(writable_trace_out);
     let root_trace = trace_out
         .as_ref()
         .map(|_| trace::Collector::begin(None, trace::MAX_SPANS_PER_RUN));
@@ -251,13 +216,13 @@ fn main() -> ExitCode {
 
     // `--stats` reports through the structured logger; make sure the
     // report is visible even with NVM_LLC_LOG unset (env still wins).
-    if args.iter().any(|a| a == "--stats") {
+    if stats {
         nvm_llc::obs::log::set_default_level(nvm_llc::obs::log::Level::Info);
     }
 
     // Cache-effectiveness logging is opt-in (`--stats`), and only
     // artifacts that drive the evaluation engine have anything to say.
-    let evaluates = args.iter().any(|a| a == "--stats")
+    let evaluates = stats
         && !matches!(
             artifact.as_str(),
             "table2" | "table3" | "table4" | "cell" | "characterize" | "mrc"
@@ -267,31 +232,31 @@ fn main() -> ExitCode {
         "table2" => println!("{}", table2::run().render()),
         "table3" => println!("{}", table3::run().render()),
         "table4" => println!("{}", table4::render_default()),
-        "table5" => println!("{}", table5::run(scale).render()),
+        "table5" => println!("{}", table5::run(run.clone()).render()),
         "table6" => println!("{}", table6::run(scale).render()),
-        "fig1" => println!("{}", fig1::run(scale).render()),
-        "fig2" => println!("{}", fig2::run(scale).render()),
-        "fig4" => println!("{}", fig4::run(scale).render()),
-        "sweep" => println!("{}", core_sweep::run(scale).render()),
-        "lifetime" => println!("{}", lifetime::run(scale).render()),
-        "selection" => println!("{}", selection::run(scale).render()),
-        "dl" => println!("{}", dl_extension::run(scale).render()),
+        "fig1" => println!("{}", fig1::run(run.clone()).render()),
+        "fig2" => println!("{}", fig2::run(run.clone()).render()),
+        "fig4" => println!("{}", fig4::run(run.clone()).render()),
+        "sweep" => println!("{}", core_sweep::run(run.clone()).render()),
+        "lifetime" => println!("{}", lifetime::run(run.clone()).render()),
+        "selection" => println!("{}", selection::run(run.clone()).render()),
+        "dl" => println!("{}", dl_extension::run(run.clone()).render()),
         "all" => {
             println!("{}\n", table2::run().render());
             println!("{}\n", table3::run().render());
             println!("{}\n", table4::render_default());
-            println!("{}\n", table5::run(scale).render());
+            println!("{}\n", table5::run(run.clone()).render());
             println!("{}\n", table6::run(scale).render());
-            println!("{}\n", fig1::run(scale).render());
-            println!("{}\n", fig2::run(scale).render());
-            println!("{}\n", core_sweep::run(scale).render());
-            println!("{}\n", fig4::run(scale).render());
-            println!("{}\n", lifetime::run(scale).render());
-            println!("{}\n", selection::run(scale).render());
-            println!("{}", dl_extension::run(scale).render());
+            println!("{}\n", fig1::run(run.clone()).render());
+            println!("{}\n", fig2::run(run.clone()).render());
+            println!("{}\n", core_sweep::run(run.clone()).render());
+            println!("{}\n", fig4::run(run.clone()).render());
+            println!("{}\n", lifetime::run(run.clone()).render());
+            println!("{}\n", selection::run(run.clone()).render());
+            println!("{}", dl_extension::run(run.clone()).render());
         }
         "cell" => {
-            let Some(name) = args.get(1) else {
+            let Some(name) = &name else {
                 return usage();
             };
             match Catalog::paper().get(name) {
@@ -303,7 +268,7 @@ fn main() -> ExitCode {
             }
         }
         "characterize" => {
-            let Some(name) = args.get(1) else {
+            let Some(name) = &name else {
                 return usage();
             };
             let Some(workload) = workloads::by_name(name) else {
@@ -316,7 +281,7 @@ fn main() -> ExitCode {
             println!("{features}");
         }
         "mrc" => {
-            let Some(name) = args.get(1) else {
+            let Some(name) = &name else {
                 return usage();
             };
             let Some(workload) = workloads::by_name(name) else {
@@ -340,7 +305,7 @@ fn main() -> ExitCode {
         _ => return usage(),
     }
     if evaluates {
-        log_cache_stats();
+        log_cache_stats(run.store.as_deref());
     }
     if let (Some(path), Some(root)) = (trace_out, root_trace) {
         if let Err(e) = std::fs::write(&path, root.render_chrome("nvm-llc")) {

@@ -7,7 +7,7 @@ use nvm_llc_sim::runner::Evaluator;
 use nvm_llc_sim::MatrixRow;
 use nvm_llc_trace::workloads;
 
-use crate::scale::Scale;
+use crate::experiments::Run;
 use crate::tables::{num, TextTable};
 
 /// Core counts the study sweeps (the paper discusses 1–32).
@@ -35,12 +35,14 @@ pub struct CoreSweep {
 }
 
 /// Runs the sweep on the fixed-area models (where capacity matters most).
-pub fn run(scale: Scale) -> CoreSweep {
-    run_with(scale, &CORE_COUNTS, &SWEEP_WORKLOADS)
+pub fn run(run: impl Into<Run>) -> CoreSweep {
+    run_with(run, &CORE_COUNTS, &SWEEP_WORKLOADS)
 }
 
 /// Runs the sweep for explicit core counts and workloads.
-pub fn run_with(scale: Scale, core_counts: &[u32], workload_names: &[&str]) -> CoreSweep {
+pub fn run_with(run: impl Into<Run>, core_counts: &[u32], workload_names: &[&str]) -> CoreSweep {
+    let run = run.into();
+    let scale = run.scale;
     let models = reference::fixed_area();
     let baseline = reference::by_name(&models, "SRAM").expect("SRAM row");
     let nvms: Vec<_> = models.into_iter().filter(|m| m.name != "SRAM").collect();
@@ -55,10 +57,12 @@ pub fn run_with(scale: Scale, core_counts: &[u32], workload_names: &[&str]) -> C
             // Weak scaling keeps per-thread work constant: the volume
             // multiplier and thread divisor in `scaled_accesses` cancel,
             // so total replayed work grows with the core count.
-            let eval = Evaluator::new(baseline.clone(), nvms.clone())
-                .base_accesses(scale.base_accesses / 4)
-                .seed(scale.seed)
-                .cores(cores);
+            let eval = run.apply(
+                Evaluator::new(baseline.clone(), nvms.clone())
+                    .base_accesses(scale.base_accesses / 4)
+                    .seed(scale.seed)
+                    .cores(cores),
+            );
             let row = eval.run_workload(&threaded);
             points.push(SweepPoint {
                 workload: (*name).to_owned(),

@@ -8,8 +8,7 @@
 use nvm_llc_sim::MatrixRow;
 use nvm_llc_trace::workloads;
 
-use crate::experiments::{evaluator, Configuration};
-use crate::scale::Scale;
+use crate::experiments::{Configuration, Run};
 use crate::tables::{num, TextTable};
 
 /// The DL-extension evaluation output.
@@ -22,11 +21,12 @@ pub struct DlExtension {
 }
 
 /// Runs the DL extension suite through both configurations.
-pub fn run(scale: Scale) -> DlExtension {
+pub fn run(run: impl Into<Run>) -> DlExtension {
+    let run = run.into();
     let dl = workloads::deep_learning();
     DlExtension {
-        fixed_capacity: evaluator(Configuration::FixedCapacity, scale).run_all(&dl),
-        fixed_area: evaluator(Configuration::FixedArea, scale).run_all(&dl),
+        fixed_capacity: run.evaluator(Configuration::FixedCapacity).run_all(&dl),
+        fixed_area: run.evaluator(Configuration::FixedArea).run_all(&dl),
     }
 }
 
@@ -86,6 +86,7 @@ impl DlExtension {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::Scale;
 
     fn ext() -> &'static DlExtension {
         // Evaluation scale: the embedding table's capacity sensitivity

@@ -5,8 +5,7 @@
 use nvm_llc_sim::MatrixRow;
 use nvm_llc_trace::workloads;
 
-use crate::experiments::{evaluator, Configuration};
-use crate::scale::Scale;
+use crate::experiments::{Configuration, Run};
 use crate::tables::{num, TextTable};
 
 /// A full figure: both threading panels.
@@ -21,13 +20,13 @@ pub struct Figure {
 }
 
 /// Runs the fixed-capacity evaluation (Figure 1).
-pub fn run(scale: Scale) -> Figure {
-    run_configuration(Configuration::FixedCapacity, scale)
+pub fn run(run: impl Into<Run>) -> Figure {
+    run_configuration(Configuration::FixedCapacity, run)
 }
 
 /// Shared driver for Figures 1 and 2.
-pub fn run_configuration(configuration: Configuration, scale: Scale) -> Figure {
-    let eval = evaluator(configuration, scale);
+pub fn run_configuration(configuration: Configuration, run: impl Into<Run>) -> Figure {
+    let eval = run.into().evaluator(configuration);
     Figure {
         configuration,
         single_threaded: eval.run_all(&workloads::single_threaded()),

@@ -3,12 +3,11 @@
 //! capacity.
 
 use crate::experiments::fig1::{run_configuration, Figure};
-use crate::experiments::Configuration;
-use crate::scale::Scale;
+use crate::experiments::{Configuration, Run};
 
 /// Runs the fixed-area evaluation (Figure 2).
-pub fn run(scale: Scale) -> Figure {
-    run_configuration(Configuration::FixedArea, scale)
+pub fn run(run: impl Into<Run>) -> Figure {
+    run_configuration(Configuration::FixedArea, run)
 }
 
 #[cfg(test)]

@@ -9,8 +9,7 @@ use nvm_llc_prism::{profiler, FeatureKind, FeatureVector};
 use nvm_llc_sim::MatrixRow;
 use nvm_llc_trace::workloads;
 
-use crate::experiments::{evaluator, Configuration};
-use crate::scale::Scale;
+use crate::experiments::{Configuration, Run};
 
 /// The NVMs Section VI studies: the best-performing / most
 /// energy-efficient technologies.
@@ -39,7 +38,9 @@ pub struct Fig4 {
 }
 
 /// Runs the full correlation study.
-pub fn run(scale: Scale) -> Fig4 {
+pub fn run(run: impl Into<Run>) -> Fig4 {
+    let run = run.into();
+    let scale = run.scale;
     let characterized = workloads::characterized();
     // Feature vectors for every characterized workload, measured on the
     // exact traces the simulations replay.
@@ -54,7 +55,7 @@ pub fn run(scale: Scale) -> Fig4 {
     let mut ai_panels = Vec::new();
     let mut general_panels = Vec::new();
     for configuration in Configuration::ALL {
-        let rows = evaluator(configuration, scale).run_all(&characterized);
+        let rows = run.evaluator(configuration).run_all(&characterized);
         for nvm in STUDY_NVMS {
             let all = observations(&rows, &features, nvm, None);
             let ai = observations(&rows, &features, nvm, Some(&AI_WORKLOADS));

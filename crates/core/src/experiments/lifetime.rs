@@ -8,7 +8,7 @@ use nvm_llc_sim::endurance::EnduranceReport;
 use nvm_llc_sim::{ArchConfig, System, WearPolicy};
 use nvm_llc_trace::workloads;
 
-use crate::scale::Scale;
+use crate::experiments::Run;
 use crate::tables::TextTable;
 
 /// Workloads spanning the write-behaviour spectrum: write-balanced (ft),
@@ -34,8 +34,10 @@ pub struct Lifetime {
     pub cells: Vec<LifetimeCell>,
 }
 
-/// Runs the study on the fixed-capacity models.
-pub fn run(scale: Scale) -> Lifetime {
+/// Runs the study on the fixed-capacity models under the run's
+/// replacement policy.
+pub fn run(run: impl Into<Run>) -> Lifetime {
+    let Run { scale, policy, .. } = run.into();
     let models = reference::fixed_capacity();
     let mut cells = Vec::new();
     for name in LIFETIME_WORKLOADS {
@@ -49,6 +51,7 @@ pub fn run(scale: Scale) -> Lifetime {
             let result = System::new(ArchConfig::gainestown(model.clone()))
                 .with_endurance_tracking(WearPolicy::None)
                 .with_warmup(0.25)
+                .with_replacement(policy)
                 .run(&trace);
             cells.push(LifetimeCell {
                 workload: name.to_owned(),
@@ -102,6 +105,8 @@ impl Lifetime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::Scale;
+    use nvm_llc_sim::PolicyKind;
 
     fn study() -> Lifetime {
         run(Scale::SMOKE)
@@ -135,6 +140,25 @@ mod tests {
         let dsj = s.cell("deepsjeng", "Kang_P").unwrap().report.total_writes;
         let cg = s.cell("cg", "Kang_P").unwrap().report.total_writes;
         assert!(dsj > cg, "{dsj} vs {cg}");
+    }
+
+    #[test]
+    fn replacement_policy_reaches_every_system() {
+        // deepsjeng is the write-heavy row: evicting clean lines first
+        // must move its LLC write traffic, so its cells differ from LRU.
+        let endurance = run(Run {
+            policy: PolicyKind::Endurance,
+            ..Run::from(Scale::SMOKE)
+        });
+        let lru = study();
+        let moved = lru
+            .cells
+            .iter()
+            .zip(&endurance.cells)
+            .filter(|(l, e)| l.workload == "deepsjeng" && l.report != e.report)
+            .count();
+        assert!(moved > 0, "no deepsjeng cell moved under endurance");
+        assert_ne!(lru.render(), endurance.render());
     }
 
     #[test]

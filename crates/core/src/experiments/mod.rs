@@ -30,8 +30,12 @@ pub mod table4;
 pub mod table5;
 pub mod table6;
 
+use std::sync::Arc;
+
 use nvm_llc_circuit::{reference, LlcModel};
 use nvm_llc_sim::runner::Evaluator;
+use nvm_llc_sim::PolicyKind;
+use nvm_llc_store::Store;
 
 use crate::scale::Scale;
 
@@ -80,6 +84,53 @@ pub fn evaluator(config: Configuration, scale: Scale) -> Evaluator {
     Evaluator::new(baseline, nvms)
         .base_accesses(scale.base_accesses)
         .seed(scale.seed)
+}
+
+/// How one invocation evaluates: the trace [`Scale`] plus the knobs
+/// that change how (never what) a cell computes — worker count and
+/// persistent store — and the replacement policy every evaluated system
+/// runs under. Every evaluating experiment takes `impl Into<Run>`, so a
+/// bare [`Scale`] is the default run at that scale: all cores, LRU, no
+/// store.
+#[derive(Debug, Clone, Default)]
+pub struct Run {
+    /// Trace-length budget and seed.
+    pub scale: Scale,
+    /// Evaluation worker count; `None` uses every available core.
+    pub threads: Option<usize>,
+    /// LLC replacement policy of every evaluated system.
+    pub policy: PolicyKind,
+    /// Persistent result store evaluations read and write through.
+    pub store: Option<Arc<Store>>,
+}
+
+impl From<Scale> for Run {
+    fn from(scale: Scale) -> Run {
+        Run {
+            scale,
+            ..Run::default()
+        }
+    }
+}
+
+impl Run {
+    /// [`evaluator`] for a configuration at this run's scale, under its
+    /// policy, worker count and store.
+    pub fn evaluator(&self, config: Configuration) -> Evaluator {
+        self.apply(evaluator(config, self.scale))
+    }
+
+    /// Applies this run's policy, worker count and store to `eval`.
+    pub fn apply(&self, eval: Evaluator) -> Evaluator {
+        let mut eval = eval.policy(self.policy);
+        if let Some(threads) = self.threads {
+            eval = eval.threads(threads);
+        }
+        if let Some(store) = &self.store {
+            eval = eval.store(Arc::clone(store));
+        }
+        eval
+    }
 }
 
 #[cfg(test)]
@@ -137,6 +188,46 @@ mod tests {
         }
         assert_eq!(Configuration::FixedCapacity.label(), "fixed-capacity");
         assert_eq!(Configuration::FixedArea.to_string(), "fixed-area");
+    }
+
+    #[test]
+    fn default_run_renders_are_pinned() {
+        // The LRU default of the two experiments that build their own
+        // systems: FNV-1a digests of the smoke-scale renders.
+        let digest = |text: String| format!("{:016x}", nvm_llc_store::fnv1a64(text.as_bytes()));
+        assert_eq!(
+            digest(table5::run(Scale::SMOKE).render()),
+            "0bb33cc3b62dbe1f"
+        );
+        assert_eq!(
+            digest(lifetime::run(Scale::SMOKE).render()),
+            "3c3af5c8c16df884"
+        );
+    }
+
+    #[test]
+    fn run_applies_policy_threads_and_store_to_the_evaluator() {
+        let dir = std::env::temp_dir().join(format!("nvm-llc-run-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(Store::open(&dir).unwrap());
+        let run = Run {
+            scale: Scale::SMOKE,
+            threads: Some(2),
+            policy: PolicyKind::Srrip,
+            store: Some(Arc::clone(&store)),
+        };
+        let tonto = nvm_llc_trace::workloads::by_name("tonto").unwrap();
+        let row = run
+            .evaluator(Configuration::FixedCapacity)
+            .run_workload(&tonto);
+        let plain = evaluator(Configuration::FixedCapacity, Scale::SMOKE);
+        assert_eq!(
+            row,
+            plain.clone().policy(PolicyKind::Srrip).run_workload(&tonto)
+        );
+        assert_ne!(row, plain.run_workload(&tonto), "the run's policy applied");
+        assert!(store.stats().insertions > 0, "the run's store was written");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -8,8 +8,7 @@ use nvm_llc_prism::{profiler, FeatureVector};
 use nvm_llc_sim::MatrixRow;
 use nvm_llc_trace::workloads;
 
-use crate::experiments::{evaluator, fig4::STUDY_NVMS, Configuration};
-use crate::scale::Scale;
+use crate::experiments::{fig4::STUDY_NVMS, Configuration, Run};
 
 /// Selection traces per (NVM, configuration).
 #[derive(Debug, Clone)]
@@ -20,7 +19,9 @@ pub struct Selection {
 
 /// Runs greedy forward selection for every study NVM in both sizing
 /// configurations.
-pub fn run(scale: Scale) -> Selection {
+pub fn run(run: impl Into<Run>) -> Selection {
+    let run = run.into();
+    let scale = run.scale;
     let characterized = workloads::characterized();
     let features: Vec<FeatureVector> = characterized
         .iter()
@@ -32,7 +33,7 @@ pub fn run(scale: Scale) -> Selection {
 
     let mut traces = Vec::new();
     for configuration in Configuration::ALL {
-        let rows = evaluator(configuration, scale).run_all(&characterized);
+        let rows = run.evaluator(configuration).run_all(&characterized);
         for nvm in STUDY_NVMS {
             let observations = collect(&rows, &features, nvm);
             let steps = forward_select(&observations, |o| o.energy, 0.02);
@@ -80,6 +81,7 @@ impl Selection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scale::Scale;
 
     #[test]
     fn selection_runs_for_all_panels() {

@@ -5,7 +5,7 @@ use nvm_llc_circuit::reference;
 use nvm_llc_sim::{ArchConfig, SimResult, System};
 use nvm_llc_trace::{workloads, WorkloadProfile};
 
-use crate::scale::Scale;
+use crate::experiments::Run;
 use crate::tables::{num, TextTable};
 
 /// One workload's Table V row.
@@ -31,10 +31,14 @@ pub struct Table5 {
     pub rows: Vec<Table5Row>,
 }
 
-/// Runs every workload on the SRAM-baseline Gainestown and collects mpki.
-pub fn run(scale: Scale) -> Table5 {
+/// Runs every workload on the SRAM-baseline Gainestown, under the run's
+/// replacement policy, and collects mpki.
+pub fn run(run: impl Into<Run>) -> Table5 {
+    let Run { scale, policy, .. } = run.into();
     let config = ArchConfig::gainestown(reference::sram_baseline());
-    let system = System::new(config).with_warmup(0.25);
+    let system = System::new(config)
+        .with_warmup(0.25)
+        .with_replacement(policy);
     let rows = workloads::all()
         .into_iter()
         .map(|workload| {
@@ -105,9 +109,25 @@ impl Table5 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvm_llc_sim::PolicyKind;
 
     fn t5() -> &'static Table5 {
         crate::experiments::shared::table5()
+    }
+
+    #[test]
+    fn replacement_policy_reaches_the_baseline_system() {
+        let mpki = |policy| {
+            let t = run(Run {
+                policy,
+                ..Run::from(crate::scale::Scale::SMOKE)
+            });
+            t.rows
+                .iter()
+                .map(Table5Row::measured_mpki)
+                .collect::<Vec<_>>()
+        };
+        assert_ne!(mpki(PolicyKind::Lru), mpki(PolicyKind::Drrip));
     }
 
     #[test]

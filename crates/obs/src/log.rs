@@ -9,8 +9,9 @@
 //! [`set_default_level`] — an explicit `NVM_LLC_LOG` always wins.
 //!
 //! An invalid `NVM_LLC_LOG` value warns once on stderr and falls back
-//! to the default, matching the workspace convention for
-//! `NVM_LLC_THREADS` and `NVM_LLC_TAPE_CACHE_MB`.
+//! to the default. It is the one environment variable library code
+//! reads: a deployment setting, not part of any result. Everything
+//! that shapes a result is an explicit argument.
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -42,7 +42,7 @@ pub use config::{ArchConfig, CacheLevelConfig, LlcWritePolicy};
 pub use dram::{Dram, DramConfig, DramStats};
 pub use endurance::{EnduranceReport, EnduranceTracker, WearPolicy};
 pub use hybrid::{simulate_hybrid, HybridConfig, HybridResult, HybridStats};
-pub use policy::{PolicyKind, ReplacementPolicy, POLICY_ENV};
+pub use policy::{PolicyKind, ReplacementPolicy};
 pub use result::{SimResult, SimStats};
 pub use runner::{Evaluator, MatrixEntry, MatrixRow, PolicyMatrix};
 pub use system::System;

@@ -26,12 +26,10 @@
 //! record header, and rejected on any trailing or missing bytes, so a
 //! stale or corrupt payload decodes to `None` and the caller recomputes.
 
-use std::sync::{Arc, Mutex, OnceLock};
-
 use nvm_llc_cell::units::{Joules, Seconds};
 use nvm_llc_cell::MemClass;
 use nvm_llc_store::wire::{Reader, WireError, Writer};
-use nvm_llc_store::{Key, Store};
+use nvm_llc_store::Key;
 use nvm_llc_trace::Trace;
 
 use crate::endurance::EnduranceReport;
@@ -366,24 +364,6 @@ pub fn decode_tape(payload: &[u8]) -> Option<OutcomeTape> {
     // the payload size.
     let tape = parse(&mut r, payload.len() / 8).ok()?;
     r.is_exhausted().then_some(tape)
-}
-
-fn global() -> &'static Mutex<Option<Arc<Store>>> {
-    static GLOBAL: OnceLock<Mutex<Option<Arc<Store>>>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(None))
-}
-
-/// Installs (or clears, with `None`) the process-wide persistent store.
-/// Evaluators built without an explicit store pick this one up — the
-/// CLI's `--store-dir` flag routes through here so every evaluation in
-/// the process shares one store.
-pub fn set_global_store(store: Option<Arc<Store>>) {
-    *global().lock().expect("global store lock") = store;
-}
-
-/// The process-wide persistent store, if one is installed.
-pub fn global_store() -> Option<Arc<Store>> {
-    global().lock().expect("global store lock").clone()
 }
 
 #[cfg(test)]
@@ -721,25 +701,5 @@ mod tests {
                     threaded_tape=b0771a32aa586843 \
                     result=05afe9d1b810e006";
         assert_eq!(got, want, "persistent payload format moved");
-    }
-
-    #[test]
-    fn global_store_installs_and_clears() {
-        // Serialize against other tests touching the global (none today,
-        // but the lock makes the invariant local).
-        let dir = std::env::temp_dir().join(format!(
-            "nvm-llc-persist-test-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .subsec_nanos(),
-        ));
-        let store = Arc::new(Store::open(&dir).unwrap());
-        set_global_store(Some(Arc::clone(&store)));
-        assert!(global_store().is_some());
-        set_global_store(None);
-        assert!(global_store().is_none());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -29,13 +29,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::cache::Line;
 
-/// Environment variable selecting the default replacement policy for
-/// evaluations that did not pin one explicitly
-/// ([`crate::runner::Evaluator::policy`] wins). Values are
-/// [`PolicyKind::parse`] names; an invalid value warns once per
-/// evaluation on stderr and falls back to LRU.
-pub const POLICY_ENV: &str = "NVM_LLC_POLICY";
-
 /// Replacement policy selector: the identity half of the subsystem.
 ///
 /// This is what travels in keys (outcome tapes, persistent store
@@ -115,19 +108,6 @@ impl std::fmt::Display for PolicyKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
-}
-
-/// Parses a [`POLICY_ENV`] value into a policy. `Err` carries the
-/// one-line warning to print (matching the `NVM_LLC_THREADS`
-/// convention): the variable name, the rejected value, and the
-/// fallback that applies.
-pub fn parse_policy(raw: &str) -> Result<PolicyKind, String> {
-    PolicyKind::parse(raw).ok_or_else(|| {
-        format!(
-            "warning: ignoring invalid {POLICY_ENV}={raw:?} \
-             (want one of lru, random, srrip, drrip, ship, endurance); using lru"
-        )
-    })
 }
 
 /// Replacement hooks over per-set metadata, ChampSim-shaped
@@ -550,15 +530,6 @@ mod tests {
     fn persist_tags_are_stable_and_distinct() {
         let tags: Vec<u8> = PolicyKind::ALL.iter().map(|k| k.persist_tag()).collect();
         assert_eq!(tags, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn parse_policy_warns_in_threads_env_style() {
-        assert_eq!(parse_policy("srrip"), Ok(PolicyKind::Srrip));
-        let warning = parse_policy("clock").unwrap_err();
-        assert!(warning.contains(POLICY_ENV), "{warning}");
-        assert!(warning.contains("\"clock\""), "{warning}");
-        assert!(warning.contains("using lru"), "{warning}");
     }
 
     /// SRRIP against a hand-computed victim sequence in one 4-way set.

@@ -10,9 +10,10 @@
 //! phase returns its results in work-item order, group results are
 //! placed by cell number, and rows are assembled serially afterwards,
 //! so output is **bit-identical at every worker count**. The worker
-//! count comes from [`Evaluator::threads`], else the `NVM_LLC_THREADS`
-//! environment variable, else [`std::thread::available_parallelism`];
-//! `1` takes the exact serial path (no threads spawned).
+//! count comes from [`Evaluator::threads`], else
+//! [`std::thread::available_parallelism`]; `1` takes the exact serial
+//! path (no threads spawned). Every knob is a builder call: the
+//! evaluator reads no environment variable and no process-wide setting.
 //!
 //! Cells share work at two levels. All technologies whose functional
 //! geometry matches (the whole fixed-capacity matrix, for instance) run
@@ -21,9 +22,8 @@
 //! [`System::replay_batch`] pass that drives all of its technologies'
 //! timing engines over the shared tape's lanes.
 //!
-//! With a persistent store attached ([`Evaluator::store`], or the
-//! process-wide [`crate::persist::set_global_store`]) two more tiers
-//! appear: finished results are served straight from disk (skipping
+//! With a persistent store attached ([`Evaluator::store`]) two more
+//! tiers appear: finished results are served straight from disk (skipping
 //! evaluation entirely), and tape-cache misses try the disk before
 //! re-running the functional pass. Both tiers are content-addressed
 //! ([`crate::persist`]) and bit-exact, so attaching a store never
@@ -37,7 +37,7 @@ use nvm_llc_store::Store;
 use nvm_llc_trace::{Trace, WorkloadProfile};
 
 use crate::config::ArchConfig;
-use crate::policy::{parse_policy, PolicyKind, POLICY_ENV};
+use crate::policy::PolicyKind;
 use crate::result::SimResult;
 use crate::system::System;
 use crate::tape::TapeKey;
@@ -52,23 +52,6 @@ pub const DEFAULT_SEED: u64 = 2019; // the paper's publication year
 /// Cache-warmup fraction for steady-state measurement (Sniper-style
 /// warmup before the region of interest).
 pub const DEFAULT_WARMUP: f64 = 0.25;
-
-/// Environment variable overriding the evaluation worker count (used when
-/// [`Evaluator::threads`] was not called; `1` forces the serial path).
-pub const THREADS_ENV: &str = "NVM_LLC_THREADS";
-
-/// Parses a [`THREADS_ENV`] value into a worker count. `Err` carries
-/// the one-line warning to print: the variable name, the rejected
-/// value, and the fallback that applies.
-pub(crate) fn parse_threads(raw: &str) -> Result<usize, String> {
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "warning: ignoring invalid {THREADS_ENV}={raw:?} \
-             (want an integer >= 1); using all available cores"
-        )),
-    }
-}
 
 /// Computes `f(i)` for every `i` in `0..n` on at most `threads` scoped
 /// workers, each pulling the next index from an atomic counter, and
@@ -240,7 +223,7 @@ pub struct Evaluator {
     warmup: f64,
     threads: Option<usize>,
     store: Option<Arc<Store>>,
-    policy: Option<PolicyKind>,
+    policy: PolicyKind,
 }
 
 impl Evaluator {
@@ -255,15 +238,14 @@ impl Evaluator {
             warmup: DEFAULT_WARMUP,
             threads: None,
             store: None,
-            policy: None,
+            policy: PolicyKind::Lru,
         }
     }
 
     /// Pins the LLC replacement policy every system in the matrix runs
-    /// under. Takes precedence over [`POLICY_ENV`]; the default is
-    /// [`PolicyKind::Lru`].
+    /// under; the default is [`PolicyKind::Lru`].
     pub fn policy(mut self, policy: PolicyKind) -> Self {
-        self.policy = Some(policy);
+        self.policy = policy;
         self
     }
 
@@ -294,7 +276,7 @@ impl Evaluator {
     }
 
     /// Pins the evaluation worker count. `1` forces the serial path (no
-    /// threads are spawned). Takes precedence over [`THREADS_ENV`].
+    /// threads are spawned); the default is every available core.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
@@ -303,54 +285,20 @@ impl Evaluator {
     /// Attaches a persistent result store: finished results and outcome
     /// tapes are read from (and written back to) it, so a repeated
     /// evaluation — even across process restarts — skips both the
-    /// functional pass and the timing replay. Takes precedence over any
-    /// process-wide store installed via
-    /// [`crate::persist::set_global_store`].
+    /// functional pass and the timing replay.
     pub fn store(mut self, store: Arc<Store>) -> Self {
         self.store = Some(store);
         self
     }
 
-    /// The store this evaluator persists through: its own
-    /// ([`Evaluator::store`]) if set, else the process-wide one.
-    fn effective_store(&self) -> Option<Arc<Store>> {
-        self.store.clone().or_else(crate::persist::global_store)
-    }
-
-    /// Worker count to use: explicit [`Evaluator::threads`], else the
-    /// `NVM_LLC_THREADS` environment variable, else every available core.
-    /// An unparsable environment value warns once (to stderr) and falls
-    /// through to the default.
+    /// Worker count to use: explicit [`Evaluator::threads`], else every
+    /// available core.
     fn effective_threads(&self) -> usize {
-        if let Some(n) = self.threads {
-            return n;
-        }
-        if let Ok(raw) = std::env::var(THREADS_ENV) {
-            match parse_threads(&raw) {
-                Ok(n) => return n,
-                Err(warning) => eprintln!("{warning}"),
-            }
-        }
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    }
-
-    /// Replacement policy to use: explicit [`Evaluator::policy`], else
-    /// the `NVM_LLC_POLICY` environment variable, else LRU. An
-    /// unparsable environment value warns once (to stderr) and falls
-    /// through to LRU, mirroring [`Evaluator::effective_threads`].
-    pub fn effective_policy(&self) -> PolicyKind {
-        if let Some(p) = self.policy {
-            return p;
-        }
-        if let Ok(raw) = std::env::var(POLICY_ENV) {
-            match parse_policy(&raw) {
-                Ok(p) => return p,
-                Err(warning) => eprintln!("{warning}"),
-            }
-        }
-        PolicyKind::Lru
+        self.threads.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
     }
 
     fn config(&self, llc: &LlcModel) -> ArchConfig {
@@ -369,12 +317,12 @@ impl Evaluator {
     }
 
     /// Runs a whole workload list (a full Figure 1a/1b/2a/2b panel)
-    /// under [`Evaluator::effective_policy`].
+    /// under [`Evaluator::policy`].
     ///
     /// Equivalent to a one-policy [`Evaluator::run_matrix`]; see there
     /// for the grouping, scheduling, and persistence story.
     pub fn run_all(&self, workloads: &[WorkloadProfile]) -> Vec<MatrixRow> {
-        self.run_matrix(workloads, &[self.effective_policy()])
+        self.run_matrix(workloads, &[self.policy])
             .pop()
             .expect("one policy in, one matrix out")
             .rows
@@ -389,7 +337,7 @@ impl Evaluator {
     /// technologies sharing a workload's functional geometry *and*
     /// policy form one group, replayed in a single batched pass over one
     /// tape ([`System::replay_batch`]). Both phases are distributed over
-    /// [`Evaluator::effective_threads`] scoped workers pulling indices
+    /// [`Evaluator::threads`] scoped workers pulling indices
     /// from an atomic queue. Distinct policies never share a tape (the
     /// policy is part of [`TapeKey`]), but their groups interleave in
     /// the same worker pool, so a multi-policy sweep parallelizes across
@@ -404,7 +352,7 @@ impl Evaluator {
     ) -> Vec<PolicyMatrix> {
         let _span = nvm_llc_obs::span!("eval_run_all");
         metrics::runs().inc();
-        let store = self.effective_store();
+        let store = self.store.as_ref();
         let threads = self.effective_threads();
         // The trace cache generates each distinct key exactly once, even
         // when two workers ask for it at the same time.
@@ -441,7 +389,7 @@ impl Evaluator {
         // functional pass, no replay. A corrupt or stale record decodes
         // to `None` and the cell simply computes as usual.
         let mut slots: Vec<Option<SimResult>> = vec![None; cells];
-        if let Some(store) = &store {
+        if let Some(store) = store {
             for pi in 0..policies.len() {
                 for (wi, trace) in traces.iter().enumerate() {
                     for mi in 0..width {
@@ -488,9 +436,9 @@ impl Evaluator {
             metrics::groups().inc();
             metrics::cells().add(cols.len() as u64);
             let group: Vec<&System> = cols.iter().map(|&mi| system(*pi, mi)).collect();
-            let tape = crate::tape::cache::fetch_with_store(group[0], &traces[*wi], store.as_ref());
+            let tape = crate::tape::cache::fetch_with_store(group[0], &traces[*wi], store);
             let results = System::replay_batch(&group, &tape);
-            if let Some(store) = &store {
+            if let Some(store) = store {
                 for (system, result) in group.iter().zip(&results) {
                     let key = crate::persist::result_store_key(system, &traces[*wi]);
                     let _ = store.put(&key, &crate::persist::encode_result(result));
@@ -670,18 +618,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_threads_accepts_positive_integers_only() {
-        assert_eq!(parse_threads("4"), Ok(4));
-        assert_eq!(parse_threads(" 2 "), Ok(2));
-        for bad in ["0", "-1", "abc", "", "1.5"] {
-            let warning = parse_threads(bad).unwrap_err();
-            assert!(warning.contains(THREADS_ENV), "{warning}");
-            assert!(warning.contains(&format!("{bad:?}")), "{warning}");
-            assert!(warning.contains("available cores"), "{warning}");
-        }
-    }
-
-    #[test]
     fn persistent_store_round_trips_bit_identically() {
         let dir =
             std::env::temp_dir().join(format!("nvm-llc-runner-store-test-{}", std::process::id()));
@@ -699,15 +635,6 @@ mod tests {
         assert_eq!(warm, fresh);
         assert!(store.stats().hits >= 11, "11 cells served from disk");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn explicit_threads_beat_env_override() {
-        // threads() wins over NVM_LLC_THREADS; both paths must agree
-        // anyway, so this just exercises the precedence plumbing.
-        let e = small_evaluator().threads(3);
-        let row = e.run_workload(&workloads::by_name("tonto").unwrap());
-        assert_eq!(row.entries.len(), 10);
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //! evaluation matrix performs one functional pass per distinct geometry
 //! and replays everything else. Tapes key on the trace's content hash,
 //! so a trace regenerated after eviction still hits. The cache is
-//! bounded by a byte budget (default 256 MiB, [`cache::BUDGET_ENV`]
-//! override), charged with each tape's resident lane and side-stream
-//! capacity.
+//! bounded by a byte budget ([`cache::DEFAULT_BUDGET_BYTES`], 256 MiB;
+//! [`cache::set_byte_budget`] moves it), charged with each tape's
+//! resident lane and side-stream capacity.
 //!
 //! [`System::replay_batch`]: crate::system::System::replay_batch
 
@@ -493,8 +493,8 @@ pub mod cache {
     //! Process-wide outcome-tape cache: one functional pass per distinct
     //! `(trace content, geometry)` key, shared by every technology
     //! replaying it. A [`Memo`] like `nvm_llc_trace::cache`, bounded by
-    //! [`DEFAULT_BUDGET_BYTES`] ([`BUDGET_ENV`], [`set_byte_budget`])
-    //! with LRU eviction; a re-fetch of an evicted key records again.
+    //! [`DEFAULT_BUDGET_BYTES`] (moved by [`set_byte_budget`]) with LRU
+    //! eviction; a re-fetch of an evicted key records again.
     //! [`stats`] snapshots the [`metrics`] handles `/metricsz` renders.
 
     use std::fmt;
@@ -509,40 +509,11 @@ pub mod cache {
     /// Default residency budget: ~256 MiB of tape.
     pub const DEFAULT_BUDGET_BYTES: u64 = 256 << 20;
 
-    /// Environment variable overriding the budget, in MiB (`0` lifts the
-    /// bound entirely). Read once, at the cache's first use; later
-    /// changes go through [`set_byte_budget`].
-    pub const BUDGET_ENV: &str = "NVM_LLC_TAPE_CACHE_MB";
-
-    /// Parses a budget in MiB (the [`BUDGET_ENV`] value, or the CLI's
-    /// `--tape-cache-mb`) into bytes; `0` lifts the bound. `Err` carries
-    /// the one-line warning to print: the variable name, the rejected
-    /// value, and the fallback that applies.
-    pub fn parse_budget_mib(raw: &str) -> Result<u64, String> {
-        match raw.trim().parse::<u64>() {
-            Ok(0) => Ok(u64::MAX),
-            Ok(mib) => Ok(mib << 20),
-            Err(_) => Err(format!(
-                "warning: ignoring invalid {BUDGET_ENV}={raw:?} \
-                 (want MiB as an integer >= 0); using the default \
-                 {} MiB budget",
-                DEFAULT_BUDGET_BYTES >> 20
-            )),
-        }
-    }
-
     fn memo() -> &'static Memo<TapeKey, Arc<OutcomeTape>> {
         static MEMO: OnceLock<Memo<TapeKey, Arc<OutcomeTape>>> = OnceLock::new();
         MEMO.get_or_init(|| {
-            let budget = match std::env::var(BUDGET_ENV) {
-                Ok(raw) => parse_budget_mib(&raw).unwrap_or_else(|warning| {
-                    eprintln!("{warning}");
-                    DEFAULT_BUDGET_BYTES
-                }),
-                Err(_) => DEFAULT_BUDGET_BYTES,
-            };
             Memo::new(
-                budget,
+                DEFAULT_BUDGET_BYTES,
                 |tape| tape.bytes() as u64,
                 MemoMetrics {
                     hits: Some(metrics::hits()),
@@ -791,20 +762,6 @@ mod tests {
         assert!(r.prefetch_evict_llc_write());
         assert!(r.prefetch_llc_fill());
         assert!(r.llc_filled());
-    }
-
-    #[test]
-    fn parse_budget_mib_accepts_mib_and_warns_otherwise() {
-        assert_eq!(cache::parse_budget_mib("64"), Ok(64 << 20));
-        assert_eq!(cache::parse_budget_mib(" 1 "), Ok(1 << 20));
-        // 0 lifts the bound entirely.
-        assert_eq!(cache::parse_budget_mib("0"), Ok(u64::MAX));
-        for bad in ["-3", "abc", "", "2.5"] {
-            let warning = cache::parse_budget_mib(bad).unwrap_err();
-            assert!(warning.contains(cache::BUDGET_ENV), "{warning}");
-            assert!(warning.contains(&format!("{bad:?}")), "{warning}");
-            assert!(warning.contains("256 MiB"), "{warning}");
-        }
     }
 
     #[test]

@@ -3,18 +3,18 @@
 //!
 //! Like `tape_stats.rs`, this file holds exactly one test so it compiles
 //! to its own test binary (its own process): the cache counters and the
-//! residency budget are global, and `NVM_LLC_TAPE_CACHE_MB` is read once
-//! at the cache's first touch, so the assertions only hold when no
-//! concurrent test shares the cache.
+//! residency budget are process-wide, so the assertions only hold when
+//! no concurrent test shares the cache.
 
 use nvm_llc::prelude::*;
 use nvm_llc::sim::tape::cache;
 
 #[test]
 fn byte_budget_evicts_lru_and_rerecords_on_refetch() {
-    // The env override is read at first cache touch; set it before any
-    // fetch so this process starts with a 1 MiB budget.
-    std::env::set_var(cache::BUDGET_ENV, "1");
+    // The cache starts at its default budget; pin 1 MiB before any
+    // fetch through the one budget seam.
+    assert_eq!(cache::byte_budget(), cache::DEFAULT_BUDGET_BYTES);
+    cache::set_byte_budget(1 << 20);
 
     let models = reference::fixed_capacity();
     let sram = System::new(ArchConfig::gainestown(
@@ -26,7 +26,7 @@ fn byte_budget_evicts_lru_and_rerecords_on_refetch() {
         .collect();
     let traces: Vec<_> = ws.iter().map(|w| w.generate_shared(11, 20_000)).collect();
 
-    assert_eq!(cache::byte_budget(), 1 << 20, "env override in MiB");
+    assert_eq!(cache::byte_budget(), 1 << 20);
 
     // Record all six tapes unbounded, then shrink the budget to two
     // largest-tapes' worth: the LRU sweep must shed the oldest entries.
