@@ -5,11 +5,11 @@
 //! cpu2017 trio).
 
 use nvm_llc_analysis::{CorrelationMatrix, Observation, Outcome};
-use nvm_llc_prism::{profiler, FeatureKind, FeatureVector};
+use nvm_llc_prism::{FeatureKind, FeatureVector};
 use nvm_llc_sim::MatrixRow;
 use nvm_llc_trace::workloads;
 
-use crate::experiments::{Configuration, Run};
+use crate::experiments::{table6, Configuration, Run};
 
 /// The NVMs Section VI studies: the best-performing / most
 /// energy-efficient technologies.
@@ -40,17 +40,8 @@ pub struct Fig4 {
 /// Runs the full correlation study.
 pub fn run(run: impl Into<Run>) -> Fig4 {
     let run = run.into();
-    let scale = run.scale;
     let characterized = workloads::characterized();
-    // Feature vectors for every characterized workload, measured on the
-    // exact traces the simulations replay.
-    let features: Vec<FeatureVector> = characterized
-        .iter()
-        .map(|w| {
-            let trace = w.generate_shared(scale.seed, w.scaled_accesses(scale.base_accesses));
-            profiler::characterize(w.name(), &trace)
-        })
-        .collect();
+    let features = table6::characterize(run.scale);
 
     let mut ai_panels = Vec::new();
     let mut general_panels = Vec::new();
@@ -84,7 +75,7 @@ pub fn run(run: impl Into<Run>) -> Fig4 {
 
 /// Compiles (features, energy, speedup) observations for one NVM across a
 /// workload subset.
-fn observations(
+pub(crate) fn observations(
     rows: &[MatrixRow],
     features: &[FeatureVector],
     nvm: &str,

@@ -1,14 +1,15 @@
 //! Lifetime characterization — the paper's Section VII names "the extent
 //! to which architecture-agnostic features affect the lifetime of
 //! different NVMs" as its next study; this module runs it on the
-//! infrastructure built here.
+//! infrastructure built here. The cells are one fixed-capacity
+//! [`Run::evaluator`] matrix with wear tracking on, so the run's worker
+//! count, policy and store apply as they do to every other artifact.
 
-use nvm_llc_circuit::reference;
 use nvm_llc_sim::endurance::EnduranceReport;
-use nvm_llc_sim::{ArchConfig, System, WearPolicy};
+use nvm_llc_sim::WearPolicy;
 use nvm_llc_trace::workloads;
 
-use crate::experiments::Run;
+use crate::experiments::{Configuration, Run};
 use crate::tables::TextTable;
 
 /// Workloads spanning the write-behaviour spectrum: write-balanced (ft),
@@ -37,29 +38,26 @@ pub struct Lifetime {
 /// Runs the study on the fixed-capacity models under the run's
 /// replacement policy.
 pub fn run(run: impl Into<Run>) -> Lifetime {
-    let Run { scale, policy, .. } = run.into();
-    let models = reference::fixed_capacity();
-    let mut cells = Vec::new();
-    for name in LIFETIME_WORKLOADS {
-        let workload = workloads::by_name(name).unwrap_or_else(|| panic!("workload {name}"));
-        let trace =
-            workload.generate_shared(scale.seed, workload.scaled_accesses(scale.base_accesses));
-        for model in &models {
-            if model.name == "SRAM" {
-                continue;
-            }
-            let result = System::new(ArchConfig::gainestown(model.clone()))
-                .with_endurance_tracking(WearPolicy::None)
-                .with_warmup(0.25)
-                .with_replacement(policy)
-                .run(&trace);
-            cells.push(LifetimeCell {
-                workload: name.to_owned(),
-                technology: model.display_name(),
-                report: result.endurance.expect("tracking enabled"),
-            });
-        }
-    }
+    let workloads: Vec<_> = LIFETIME_WORKLOADS
+        .iter()
+        .map(|name| workloads::by_name(name).unwrap_or_else(|| panic!("workload {name}")))
+        .collect();
+    let rows = run
+        .into()
+        .evaluator(Configuration::FixedCapacity)
+        .endurance(WearPolicy::None)
+        .run_all(&workloads);
+    let cells = rows
+        .into_iter()
+        .flat_map(|row| {
+            let workload = row.workload;
+            row.entries.into_iter().map(move |entry| LifetimeCell {
+                workload: workload.clone(),
+                technology: entry.llc,
+                report: entry.result.endurance.expect("tracking enabled"),
+            })
+        })
+        .collect();
     Lifetime { cells }
 }
 
@@ -159,6 +157,31 @@ mod tests {
             .count();
         assert!(moved > 0, "no deepsjeng cell moved under endurance");
         assert_ne!(lru.render(), endurance.render());
+    }
+
+    #[test]
+    fn every_cell_matches_the_fused_run_of_its_system() {
+        use nvm_llc_circuit::reference;
+        use nvm_llc_sim::runner::DEFAULT_WARMUP;
+        use nvm_llc_sim::{ArchConfig, System};
+        let s = study();
+        let workload = workloads::by_name("deepsjeng").unwrap();
+        let scale = Scale::SMOKE;
+        let trace = workload.generate(scale.seed, workload.scaled_accesses(scale.base_accesses));
+        let models = reference::fixed_capacity();
+        for model in models.iter().filter(|m| m.name != "SRAM") {
+            let fused = System::new(ArchConfig::gainestown(model.clone()))
+                .with_endurance_tracking(WearPolicy::None)
+                .with_warmup(DEFAULT_WARMUP)
+                .run(&trace);
+            let cell = s.cell("deepsjeng", &model.display_name()).unwrap();
+            assert_eq!(
+                Some(&cell.report),
+                fused.endurance.as_ref(),
+                "{}",
+                model.name
+            );
+        }
     }
 
     #[test]

@@ -2,13 +2,11 @@
 //! features are most useful": for each studied NVM, which minimal feature
 //! subset predicts its LLC energy across the characterized workloads?
 
-use nvm_llc_analysis::Observation;
 use nvm_llc_analysis::{forward_select, SelectionStep};
-use nvm_llc_prism::{profiler, FeatureVector};
-use nvm_llc_sim::MatrixRow;
 use nvm_llc_trace::workloads;
 
-use crate::experiments::{fig4::STUDY_NVMS, Configuration, Run};
+use crate::experiments::fig4::{observations, STUDY_NVMS};
+use crate::experiments::{table6, Configuration, Run};
 
 /// Selection traces per (NVM, configuration).
 #[derive(Debug, Clone)]
@@ -21,40 +19,19 @@ pub struct Selection {
 /// configurations.
 pub fn run(run: impl Into<Run>) -> Selection {
     let run = run.into();
-    let scale = run.scale;
     let characterized = workloads::characterized();
-    let features: Vec<FeatureVector> = characterized
-        .iter()
-        .map(|w| {
-            let trace = w.generate_shared(scale.seed, w.scaled_accesses(scale.base_accesses));
-            profiler::characterize(w.name(), &trace)
-        })
-        .collect();
+    let features = table6::characterize(run.scale);
 
     let mut traces = Vec::new();
     for configuration in Configuration::ALL {
         let rows = run.evaluator(configuration).run_all(&characterized);
         for nvm in STUDY_NVMS {
-            let observations = collect(&rows, &features, nvm);
+            let observations = observations(&rows, &features, nvm, None);
             let steps = forward_select(&observations, |o| o.energy, 0.02);
             traces.push((nvm.to_owned(), configuration, steps));
         }
     }
     Selection { traces }
-}
-
-fn collect(rows: &[MatrixRow], features: &[FeatureVector], nvm: &str) -> Vec<Observation> {
-    rows.iter()
-        .filter_map(|row| {
-            let entry = row.entry(nvm)?;
-            let f = features.iter().find(|f| f.name() == row.workload)?;
-            Some(Observation {
-                features: f.clone(),
-                energy: entry.result.llc_energy().value(),
-                speedup: entry.speedup,
-            })
-        })
-        .collect()
 }
 
 impl Selection {

@@ -1,8 +1,11 @@
 //! Table V — the workload list with measured LLC mpki on the SRAM
-//! baseline, next to the paper's values.
+//! baseline, next to the paper's values. The mpki column is the
+//! baseline column of an SRAM-only [`Evaluator`] over every workload, so
+//! the run's worker count, policy and store apply as they do to every
+//! other artifact.
 
 use nvm_llc_circuit::reference;
-use nvm_llc_sim::{ArchConfig, SimResult, System};
+use nvm_llc_sim::{Evaluator, SimResult};
 use nvm_llc_trace::{workloads, WorkloadProfile};
 
 use crate::experiments::Run;
@@ -34,18 +37,21 @@ pub struct Table5 {
 /// Runs every workload on the SRAM-baseline Gainestown, under the run's
 /// replacement policy, and collects mpki.
 pub fn run(run: impl Into<Run>) -> Table5 {
-    let Run { scale, policy, .. } = run.into();
-    let config = ArchConfig::gainestown(reference::sram_baseline());
-    let system = System::new(config)
-        .with_warmup(0.25)
-        .with_replacement(policy);
-    let rows = workloads::all()
+    let run = run.into();
+    let workloads = workloads::all();
+    let rows = run
+        .apply(
+            Evaluator::new(reference::sram_baseline(), vec![])
+                .base_accesses(run.scale.base_accesses)
+                .seed(run.scale.seed),
+        )
+        .run_all(&workloads);
+    let rows = workloads
         .into_iter()
-        .map(|workload| {
-            let accesses = workload.scaled_accesses(scale.base_accesses);
-            let trace = workload.generate_shared(scale.seed, accesses);
-            let result = system.run(&trace);
-            Table5Row { workload, result }
+        .zip(rows)
+        .map(|(workload, row)| Table5Row {
+            workload,
+            result: row.baseline,
         })
         .collect();
     Table5 { rows }

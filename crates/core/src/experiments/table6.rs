@@ -18,18 +18,23 @@ pub struct Table6 {
 
 /// Characterizes the 16 PRISM-compatible workloads at the given scale.
 pub fn run(scale: Scale) -> Table6 {
-    let measured = workloads::characterized()
-        .into_iter()
-        .map(|w| {
-            let accesses = w.scaled_accesses(scale.base_accesses);
-            let trace = w.generate_shared(scale.seed, accesses);
-            profiler::characterize(w.name(), &trace)
-        })
-        .collect();
     Table6 {
-        measured,
+        measured: characterize(scale),
         paper: reference::table_6(),
     }
+}
+
+/// Feature vectors of the 16 PRISM-compatible workloads, in
+/// [`workloads::characterized`] order, measured on the exact traces the
+/// simulations at `scale` replay.
+pub fn characterize(scale: Scale) -> Vec<FeatureVector> {
+    workloads::characterized()
+        .iter()
+        .map(|w| {
+            let trace = w.generate_shared(scale.seed, w.scaled_accesses(scale.base_accesses));
+            profiler::characterize(w.name(), &trace)
+        })
+        .collect()
 }
 
 impl Table6 {

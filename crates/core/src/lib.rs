@@ -73,7 +73,7 @@ pub mod prelude {
     pub use nvm_llc_prism::{profiler, FeatureKind, FeatureVector};
     pub use nvm_llc_sim::{
         simulate_hybrid, ArchConfig, Evaluator, HybridConfig, LlcWritePolicy, PolicyKind,
-        PolicyMatrix, SimResult, System, WearPolicy, WriteMode,
+        SimResult, System, WearPolicy, WriteMode,
     };
     pub use nvm_llc_trace::{workloads, Trace, WorkloadProfile};
 }

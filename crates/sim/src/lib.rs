@@ -44,7 +44,7 @@ pub use endurance::{EnduranceReport, EnduranceTracker, WearPolicy};
 pub use hybrid::{simulate_hybrid, HybridConfig, HybridResult, HybridStats};
 pub use policy::{PolicyKind, ReplacementPolicy};
 pub use result::{SimResult, SimStats};
-pub use runner::{Evaluator, MatrixEntry, MatrixRow, PolicyMatrix};
+pub use runner::{Evaluator, MatrixEntry, MatrixRow};
 pub use system::System;
 pub use tape::{Outcome, OutcomeTape, TapeKey, REPLAY_CHUNK_EVENTS};
 pub use techniques::{DeadBlockPredictor, WriteMode};

@@ -532,6 +532,47 @@ mod tests {
         assert!(!malformed(&[2], 1, 1));
     }
 
+    /// Non-zero XOR masks from splitmix64 at a fixed seed, so any
+    /// mutation failure reproduces.
+    fn flip_masks(seed: u64) -> impl FnMut() -> u8 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % 255 + 1) as u8
+        }
+    }
+
+    /// The result tier reads payloads straight off disk, so its decoder
+    /// must be total: every strict prefix of a valid payload is `None`,
+    /// and every single-byte mutation either fails to decode or decodes
+    /// to a result that re-encodes to exactly the mutated bytes (the
+    /// wire form is canonical, so nothing is silently misread).
+    #[test]
+    fn truncated_and_mutated_result_payloads_decode_to_none_or_round_trip() {
+        let result = sample_system().run(&sample_trace());
+        let valid = encode_result(&result);
+        assert_eq!(decode_result(&valid), Some(result));
+        for len in 0..valid.len() {
+            assert!(decode_result(&valid[..len]).is_none(), "prefix {len}");
+        }
+        let mut next_byte = flip_masks(0xDEC0DE);
+        let mut decoded = 0;
+        for i in 0..valid.len() {
+            let mut payload = valid.clone();
+            payload[i] ^= next_byte();
+            if let Some(result) = decode_result(&payload) {
+                assert_eq!(encode_result(&result), payload, "byte {i}");
+                decoded += 1;
+            }
+        }
+        // Float and counter bytes carry no structure, so most flips
+        // still decode.
+        assert!(decoded > valid.len() / 2);
+    }
+
     /// Arbitrary store bytes must never panic a worker: every single-byte
     /// mutation of a valid tape either fails to decode or replays through
     /// a batch that mixes every kernel — the simple bank, an endurance
@@ -556,15 +597,7 @@ mod tests {
         let refs: Vec<&System> = systems.iter().collect();
         let valid = encode_tape(&systems[0].record(&trace));
         assert!(valid.len() > 1_000);
-        // splitmix64: a fixed seed, so any failure reproduces.
-        let mut state = 0x5EED_u64;
-        let mut next_byte = || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % 255 + 1) as u8
-        };
+        let mut next_byte = flip_masks(0x5EED);
         let mut replayed = 0;
         for i in 0..valid.len() {
             let mut payload = valid.clone();

@@ -1,6 +1,13 @@
 //! Experiment runner: workload × LLC-technology matrices with
 //! SRAM-normalized metrics (the data behind the paper's Figures 1 and 2).
 //!
+//! [`Evaluator::run_all`] is the one path every simulating artifact
+//! takes: the Figure 1/2 matrices, Table V's SRAM-only baseline column
+//! and the lifetime study's endurance-tracked cells
+//! ([`Evaluator::endurance`]) alike, so worker count, replacement policy
+//! and persistent store reach all of them. The fused [`System::run`]
+//! stays as the oracle the tests hold every evaluated cell to.
+//!
 //! [`Evaluator::run_all`] runs in two phases on one scoped worker pool
 //! (`std::thread::scope` plus an atomic work-index queue — no external
 //! dependencies): first every workload's trace is generated, then the
@@ -37,6 +44,7 @@ use nvm_llc_store::Store;
 use nvm_llc_trace::{Trace, WorkloadProfile};
 
 use crate::config::ArchConfig;
+use crate::endurance::WearPolicy;
 use crate::policy::PolicyKind;
 use crate::result::SimResult;
 use crate::system::System;
@@ -168,24 +176,6 @@ pub struct MatrixRow {
     pub entries: Vec<MatrixEntry>,
 }
 
-/// One replacement policy's full matrix: every workload row evaluated
-/// with the LLC running that policy. [`Evaluator::run_matrix`] returns
-/// one of these per requested policy, in request order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyMatrix {
-    /// The LLC replacement policy every row of this matrix ran under.
-    pub policy: PolicyKind,
-    /// One row per workload, in input order.
-    pub rows: Vec<MatrixRow>,
-}
-
-impl PolicyMatrix {
-    /// The row for a workload by name.
-    pub fn row(&self, workload: &str) -> Option<&MatrixRow> {
-        self.rows.iter().find(|r| r.workload == workload)
-    }
-}
-
 impl MatrixRow {
     /// The entry for a technology by display or citation name: an exact
     /// match, or a `_`-suffixed variant (`"Kang"` finds `Kang_P`).
@@ -220,7 +210,7 @@ pub struct Evaluator {
     base_accesses: usize,
     seed: u64,
     cores: Option<u32>,
-    warmup: f64,
+    endurance: Option<WearPolicy>,
     threads: Option<usize>,
     store: Option<Arc<Store>>,
     policy: PolicyKind,
@@ -235,7 +225,7 @@ impl Evaluator {
             base_accesses: DEFAULT_BASE_ACCESSES,
             seed: DEFAULT_SEED,
             cores: None,
-            warmup: DEFAULT_WARMUP,
+            endurance: None,
             threads: None,
             store: None,
             policy: PolicyKind::Lru,
@@ -249,9 +239,11 @@ impl Evaluator {
         self
     }
 
-    /// Overrides the cache-warmup fraction (default 25%).
-    pub fn warmup(mut self, fraction: f64) -> Self {
-        self.warmup = fraction;
+    /// Tracks LLC wear under `policy` in every system, so each cell's
+    /// [`SimResult::endurance`] carries a lifetime report; the default
+    /// is no tracking.
+    pub fn endurance(mut self, policy: WearPolicy) -> Self {
+        self.endurance = Some(policy);
         self
     }
 
@@ -301,12 +293,20 @@ impl Evaluator {
         })
     }
 
-    fn config(&self, llc: &LlcModel) -> ArchConfig {
-        let mut c = ArchConfig::gainestown(llc.clone());
+    /// The system one technology column runs: the Gainestown
+    /// hierarchy around `llc`, under every knob of this evaluator.
+    fn system(&self, llc: &LlcModel) -> System {
+        let mut config = ArchConfig::gainestown(llc.clone());
         if let Some(cores) = self.cores {
-            c = c.with_cores(cores);
+            config = config.with_cores(cores);
         }
-        c
+        let system = System::new(config)
+            .with_warmup(DEFAULT_WARMUP)
+            .with_replacement(self.policy);
+        match self.endurance {
+            Some(policy) => system.with_endurance_tracking(policy),
+            None => system,
+        }
     }
 
     /// Runs one workload against the baseline and every NVM.
@@ -319,37 +319,18 @@ impl Evaluator {
     /// Runs a whole workload list (a full Figure 1a/1b/2a/2b panel)
     /// under [`Evaluator::policy`].
     ///
-    /// Equivalent to a one-policy [`Evaluator::run_matrix`]; see there
-    /// for the grouping, scheduling, and persistence story.
-    pub fn run_all(&self, workloads: &[WorkloadProfile]) -> Vec<MatrixRow> {
-        self.run_matrix(workloads, &[self.policy])
-            .pop()
-            .expect("one policy in, one matrix out")
-            .rows
-    }
-
-    /// Runs the full workload × technology matrix once per requested
-    /// replacement policy, in one scheduling pass.
-    ///
     /// Every workload's trace is generated first, one workload per work
-    /// item. Cells then live in a policy-major 3-D grid (policy ×
-    /// workload × technology) and are grouped by outcome-tape key — all
-    /// technologies sharing a workload's functional geometry *and*
-    /// policy form one group, replayed in a single batched pass over one
-    /// tape ([`System::replay_batch`]). Both phases are distributed over
-    /// [`Evaluator::threads`] scoped workers pulling indices
-    /// from an atomic queue. Distinct policies never share a tape (the
-    /// policy is part of [`TapeKey`]), but their groups interleave in
-    /// the same worker pool, so a multi-policy sweep parallelizes across
-    /// policies for free. Every group is an independent deterministic
-    /// computation over a shared [`Arc<Trace>`], and its results are
-    /// placed by cell number, so the output is bit-identical to the
-    /// serial path regardless of worker count or scheduling.
-    pub fn run_matrix(
-        &self,
-        workloads: &[WorkloadProfile],
-        policies: &[PolicyKind],
-    ) -> Vec<PolicyMatrix> {
+    /// item. Cells then live in a workload × technology grid and are
+    /// grouped by outcome-tape key — all technologies sharing a
+    /// workload's functional geometry form one group, replayed in a
+    /// single batched pass over one tape ([`System::replay_batch`]).
+    /// Both phases are distributed over [`Evaluator::threads`] scoped
+    /// workers pulling indices from an atomic queue. Every group is an
+    /// independent deterministic computation over a shared
+    /// [`Arc<Trace>`], and its results are placed by cell number, so the
+    /// output is bit-identical to the serial path regardless of worker
+    /// count or scheduling.
+    pub fn run_all(&self, workloads: &[WorkloadProfile]) -> Vec<MatrixRow> {
         let _span = nvm_llc_obs::span!("eval_run_all");
         metrics::runs().inc();
         let store = self.store.as_ref();
@@ -360,71 +341,51 @@ impl Evaluator {
             let w = &workloads[wi];
             w.generate_shared(self.seed, w.scaled_accesses(self.base_accesses))
         });
-        // Cell grid: policy-major, then workload-major, baseline first
-        // then each NVM. One `System` per (policy, technology) — they
-        // are trace-independent.
-        let width = 1 + self.nvms.len();
-        let nworkloads = workloads.len();
-        let cells = policies.len() * nworkloads * width;
-        let cell = |pi: usize, wi: usize, mi: usize| (pi * nworkloads + wi) * width + mi;
-        let systems: Vec<System> = policies
-            .iter()
-            .flat_map(|&policy| {
-                (0..width).map(move |mi| {
-                    let llc = if mi == 0 {
-                        &self.baseline
-                    } else {
-                        &self.nvms[mi - 1]
-                    };
-                    System::new(self.config(llc))
-                        .with_warmup(self.warmup)
-                        .with_replacement(policy)
-                })
-            })
+        // Cell grid: workload-major, baseline first then each NVM. One
+        // `System` per technology — they are trace-independent.
+        let systems: Vec<System> = std::iter::once(&self.baseline)
+            .chain(&self.nvms)
+            .map(|llc| self.system(llc))
             .collect();
-        let system = |pi: usize, mi: usize| &systems[pi * width + mi];
+        let width = systems.len();
+        let cell = |wi: usize, mi: usize| wi * width + mi;
 
         // Persistent-result tier: a cell whose finished result is on
         // disk is filled directly and drops out of scheduling — no
         // functional pass, no replay. A corrupt or stale record decodes
         // to `None` and the cell simply computes as usual.
-        let mut slots: Vec<Option<SimResult>> = vec![None; cells];
+        let mut slots: Vec<Option<SimResult>> = vec![None; workloads.len() * width];
         if let Some(store) = store {
-            for pi in 0..policies.len() {
-                for (wi, trace) in traces.iter().enumerate() {
-                    for mi in 0..width {
-                        if let Some(result) = store
-                            .get_mapped(&crate::persist::result_store_key(system(pi, mi), trace))
-                            .and_then(|payload| crate::persist::decode_result(&payload))
-                        {
-                            metrics::result_tier_hits().inc();
-                            slots[cell(pi, wi, mi)] = Some(result);
-                        }
+            for (wi, trace) in traces.iter().enumerate() {
+                for (mi, system) in systems.iter().enumerate() {
+                    if let Some(result) = store
+                        .get_mapped(&crate::persist::result_store_key(system, trace))
+                        .and_then(|payload| crate::persist::decode_result(&payload))
+                    {
+                        metrics::result_tier_hits().inc();
+                        slots[cell(wi, mi)] = Some(result);
                     }
                 }
             }
         }
-        let pending = |pi: usize, wi: usize, mi: usize| slots[cell(pi, wi, mi)].is_none();
 
-        // Work items: per (policy, workload), the still-unserved
-        // technology columns grouped by tape key (insertion-ordered, so
-        // scheduling stays deterministic).
-        let mut groups: Vec<(usize, usize, Vec<usize>)> = Vec::new();
-        for pi in 0..policies.len() {
-            for (wi, trace) in traces.iter().enumerate() {
-                let mut by_key: Vec<(TapeKey, Vec<usize>)> = Vec::new();
-                for mi in 0..width {
-                    if !pending(pi, wi, mi) {
-                        continue;
-                    }
-                    let key = system(pi, mi).tape_key(trace);
-                    match by_key.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, cols)) => cols.push(mi),
-                        None => by_key.push((key, vec![mi])),
-                    }
+        // Work items: per workload, the still-unserved technology
+        // columns grouped by tape key (insertion-ordered, so scheduling
+        // stays deterministic).
+        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+        for (wi, trace) in traces.iter().enumerate() {
+            let mut by_key: Vec<(TapeKey, Vec<usize>)> = Vec::new();
+            for (mi, system) in systems.iter().enumerate() {
+                if slots[cell(wi, mi)].is_some() {
+                    continue;
                 }
-                groups.extend(by_key.into_iter().map(|(_, cols)| (pi, wi, cols)));
+                let key = system.tape_key(trace);
+                match by_key.iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, cols)) => cols.push(mi),
+                    None => by_key.push((key, vec![mi])),
+                }
             }
+            groups.extend(by_key.into_iter().map(|(_, cols)| (wi, cols)));
         }
 
         // Each group fetches its shared tape once and batch-replays it.
@@ -432,10 +393,10 @@ impl Evaluator {
         // store is attached, and freshly computed results are written
         // back (best-effort — a full disk never fails a run).
         let computed = map_indices(threads, groups.len(), |gi| {
-            let (pi, wi, cols) = &groups[gi];
+            let (wi, cols) = &groups[gi];
             metrics::groups().inc();
             metrics::cells().add(cols.len() as u64);
-            let group: Vec<&System> = cols.iter().map(|&mi| system(*pi, mi)).collect();
+            let group: Vec<&System> = cols.iter().map(|&mi| &systems[mi]).collect();
             let tape = crate::tape::cache::fetch_with_store(group[0], &traces[*wi], store);
             let results = System::replay_batch(&group, &tape);
             if let Some(store) = store {
@@ -446,42 +407,36 @@ impl Evaluator {
             }
             results
         });
-        for ((pi, wi, cols), results) in groups.iter().zip(computed) {
+        for ((wi, cols), results) in groups.iter().zip(computed) {
             for (&mi, result) in cols.iter().zip(results) {
-                slots[cell(*pi, *wi, mi)] = Some(result);
+                slots[cell(*wi, mi)] = Some(result);
             }
         }
 
         // Serial assembly: normalization against each row's baseline is
         // independent of how the cells were scheduled.
         let mut cells = slots.into_iter().map(|s| s.expect("every cell computed"));
-        policies
+        workloads
             .iter()
-            .map(|&policy| PolicyMatrix {
-                policy,
-                rows: workloads
-                    .iter()
-                    .map(|w| {
-                        let baseline = cells.next().expect("baseline cell");
-                        let entries = (1..width)
-                            .map(|_| {
-                                let result = cells.next().expect("technology cell");
-                                MatrixEntry {
-                                    llc: result.llc_name.clone(),
-                                    speedup: result.speedup_vs(&baseline),
-                                    energy: result.energy_vs(&baseline),
-                                    ed2p: result.ed2p_vs(&baseline),
-                                    result,
-                                }
-                            })
-                            .collect();
-                        MatrixRow {
-                            workload: w.name().to_owned(),
-                            baseline,
-                            entries,
+            .map(|w| {
+                let baseline = cells.next().expect("baseline cell");
+                let entries = (1..width)
+                    .map(|_| {
+                        let result = cells.next().expect("technology cell");
+                        MatrixEntry {
+                            llc: result.llc_name.clone(),
+                            speedup: result.speedup_vs(&baseline),
+                            energy: result.energy_vs(&baseline),
+                            ed2p: result.ed2p_vs(&baseline),
+                            result,
                         }
                     })
-                    .collect(),
+                    .collect();
+                MatrixRow {
+                    workload: w.name().to_owned(),
+                    baseline,
+                    entries,
+                }
             })
             .collect()
     }
@@ -658,24 +613,6 @@ mod tests {
     }
 
     #[test]
-    fn run_matrix_multi_policy_equals_per_policy_run_all() {
-        // One scheduling pass over a multi-policy matrix produces the
-        // same bits as evaluating each policy on its own.
-        let ws: Vec<_> = ["tonto", "leela"]
-            .iter()
-            .map(|n| workloads::by_name(n).unwrap())
-            .collect();
-        let policies = [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Endurance];
-        let fused = small_evaluator().run_matrix(&ws, &policies);
-        assert_eq!(fused.len(), policies.len());
-        for (matrix, &policy) in fused.iter().zip(&policies) {
-            assert_eq!(matrix.policy, policy);
-            let solo = small_evaluator().policy(policy).run_all(&ws);
-            assert_eq!(matrix.rows, solo, "{policy} matrix diverged");
-        }
-    }
-
-    #[test]
     fn policies_change_functional_outcomes() {
         // The axis is real: the policy reshapes the hierarchy's miss
         // stream. (At smoke scale the 2 MB LLC rarely fills, so the
@@ -727,9 +664,10 @@ mod tests {
             .iter()
             .map(|n| workloads::by_name(n).unwrap())
             .collect();
-        let policies = [PolicyKind::Drrip, PolicyKind::Ship];
-        let serial = small_evaluator().threads(1).run_matrix(&ws, &policies);
-        let parallel = small_evaluator().threads(4).run_matrix(&ws, &policies);
-        assert_eq!(serial, parallel);
+        for policy in [PolicyKind::Drrip, PolicyKind::Ship] {
+            let serial = small_evaluator().policy(policy).threads(1).run_all(&ws);
+            let parallel = small_evaluator().policy(policy).threads(4).run_all(&ws);
+            assert_eq!(serial, parallel, "{policy} matrix diverged");
+        }
     }
 }

@@ -845,6 +845,40 @@ mod tests {
         assert!(!path.exists());
     }
 
+    /// A damaged record is never served: every strict prefix of a valid
+    /// record file, and every single-byte flip anywhere in it (header or
+    /// payload), reads through `get_mapped` as a clean miss, counted as
+    /// corrupt, with the file deleted.
+    #[test]
+    fn truncated_and_mutated_records_are_corrupt_misses_via_get_mapped() {
+        let tmp = TempDir::new("mapped-damage");
+        let store = Store::open(&tmp.0).unwrap();
+        let key = Key::digest(b"will be damaged");
+        let payload: Vec<u8> = (0..40u8).collect();
+        store.put(&key, &payload).unwrap();
+        let path = tmp.0.join(format!("{}.rec", key.hex()));
+        let valid = fs::read(&path).unwrap();
+        assert_eq!(valid.len(), HEADER_BYTES + payload.len());
+        let mut damaged: Vec<Vec<u8>> = (0..valid.len()).map(|len| valid[..len].to_vec()).collect();
+        for i in 0..valid.len() {
+            // A non-zero XOR mask seeded by the position, so any failure
+            // reproduces.
+            let mut record = valid.clone();
+            record[i] ^= (fnv1a64(&i.to_le_bytes()) % 255 + 1) as u8;
+            damaged.push(record);
+        }
+        for (n, record) in damaged.iter().enumerate() {
+            fs::write(&path, record).unwrap();
+            assert!(store.get_mapped(&key).is_none(), "damaged record {n}");
+            assert_eq!(store.stats().corrupt, n as u64 + 1, "damaged record {n}");
+            assert!(!path.exists(), "damaged record {n} left on disk");
+        }
+        assert_eq!(store.stats().hits, 0);
+        // The next put heals the entry.
+        store.put(&key, &payload).unwrap();
+        assert_eq!(&*store.get_mapped(&key).expect("healed"), &payload[..]);
+    }
+
     #[test]
     fn stats_display_is_informative() {
         let s = StoreStats {

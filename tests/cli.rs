@@ -1,6 +1,7 @@
 //! The `nvm-llc` command line end to end: it parses its flags once and
 //! rejects what it does not understand, and its output depends on its
-//! arguments alone — no environment variable reaches a result.
+//! arguments alone — no environment variable reaches a result, and its
+//! flags reach every simulating artifact.
 
 use std::process::{Command, Output};
 
@@ -79,4 +80,43 @@ fn results_ignore_the_environment() {
     );
     let stderr = String::from_utf8_lossy(&dirty.stderr);
     assert!(!stderr.contains("ignoring invalid"), "{stderr}");
+}
+
+#[test]
+fn store_dir_reaches_the_lifetime_study() {
+    let dir = std::env::temp_dir().join(format!("nvm-llc-cli-lifetime-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.to_str().expect("utf-8 temp dir");
+    let args = [
+        "lifetime",
+        "--scale",
+        "smoke",
+        "--store-dir",
+        path,
+        "--stats",
+    ];
+    let cold = run(&mut nvm_llc(&args));
+    let records = std::fs::read_dir(&dir).map_or(0, |d| d.count());
+    let warm = run(&mut nvm_llc(&args));
+    let _ = std::fs::remove_dir_all(&dir);
+    for output in [&cold, &warm] {
+        assert!(
+            output.status.success(),
+            "{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+    }
+    assert!(records > 0, "the cold run persisted nothing");
+    assert!(cold.stdout == warm.stdout, "the warm run changed the study");
+    let stderr = String::from_utf8_lossy(&warm.stderr);
+    let hits: u64 = stderr
+        .split("\"store\":\"")
+        .nth(1)
+        .and_then(|s| s.split(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no store stats on stderr: {stderr}"));
+    assert!(
+        hits > 0,
+        "the warm run read nothing from the store: {stderr}"
+    );
 }
