@@ -3,8 +3,8 @@
 //! `System::replay`) vs the fused `System::run`, the batched lockstep
 //! replay of 11 technologies (`System::replay_batch`), and the Figure
 //! 1-shaped matrix where 11 fixed-capacity technologies
-//! share a single geometry — the case the tape cache and the batched
-//! engine were built for. `cargo run -p nvm-llc-bench --bin tape_bench
+//! share a single geometry — the case the functional/timing split and
+//! the batched engine were built for. `cargo run -p nvm-llc-bench --bin tape_bench
 //! --release` dumps the headline numbers to `BENCH_tape.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -46,24 +46,11 @@ fn bench(c: &mut Criterion) {
     group.finish();
 
     // The matrix the split targets: every fixed-capacity technology
-    // shares one LLC geometry, so a warm tape cache turns 11 functional
-    // passes per workload into 1. `direct` re-simulates each cell the
-    // pre-split way; `warm_batched` measures `run_all` with tapes
-    // recorded.
+    // shares one LLC geometry, so one functional pass per workload serves
+    // all 11. `direct` re-simulates each cell the pre-split way;
+    // `warm_batched` times `replay_batch` over tapes recorded once (a
+    // repeated `run_all` would be answered by the result tier instead).
     let ws = workloads::single_threaded();
-    let eval = |techs: usize| {
-        let baseline = reference::by_name(&models, "SRAM").unwrap();
-        let nvms: Vec<_> = models
-            .iter()
-            .filter(|m| m.name != "SRAM")
-            .take(techs - 1)
-            .cloned()
-            .collect();
-        Evaluator::new(baseline, nvms)
-            .base_accesses(Scale::SMOKE.base_accesses)
-            .seed(Scale::SMOKE.seed)
-            .threads(1)
-    };
     for w in &ws {
         let _ = w.generate_shared(
             Scale::SMOKE.seed,
@@ -100,15 +87,39 @@ fn bench(c: &mut Criterion) {
             })
         });
         group.bench_function(format!("warm_batched_{techs}_techs"), |b| {
-            let e = eval(techs);
-            let _ = e.run_all(&ws); // record every tape once
-            b.iter(|| std::hint::black_box(e.run_all(&ws)))
+            let systems: Vec<System> =
+                std::iter::once(reference::by_name(&models, "SRAM").unwrap())
+                    .chain(
+                        models
+                            .iter()
+                            .filter(|m| m.name != "SRAM")
+                            .take(techs - 1)
+                            .cloned(),
+                    )
+                    .map(|m| System::new(ArchConfig::gainestown(m)).with_warmup(0.25))
+                    .collect();
+            let refs: Vec<&System> = systems.iter().collect();
+            let tapes: Vec<_> = ws
+                .iter()
+                .map(|w| {
+                    refs[0].record(&w.generate_shared(
+                        Scale::SMOKE.seed,
+                        w.scaled_accesses(Scale::SMOKE.base_accesses),
+                    ))
+                })
+                .collect();
+            b.iter(|| {
+                for tape in &tapes {
+                    std::hint::black_box(System::replay_batch(&refs, tape));
+                }
+            })
         });
     }
     group.finish();
 
     // Keep the shared-evaluator smoke path exercised too, so this bench
-    // fails loudly if the experiments-facing API drifts.
+    // fails loudly if the experiments-facing API drifts. A warm row is
+    // served from the in-memory result tier.
     let mut group = c.benchmark_group("tape_smoke");
     group.sample_size(10);
     group.bench_function("fixed_capacity_row_warm", |b| {

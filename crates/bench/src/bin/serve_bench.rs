@@ -7,8 +7,9 @@
 //! * **cold** — first-ever `/row` for a workload: trace generation, one
 //!   functional pass, eleven timing replays, store write-back;
 //! * **warm (memory)** — the same daemon again: the coalescing map has
-//!   moved on, but every cell hits the in-memory result slots rebuilt
-//!   from the tape/result tiers;
+//!   moved on, and every cell is a result-tier hit (the daemon has a
+//!   store attached, which answers before the in-memory tier, from
+//!   records the page cache still holds);
 //! * **warm (store)** — a restarted daemon on the same `--store-dir`:
 //!   every cell is a disk hit, no simulation at all.
 //!

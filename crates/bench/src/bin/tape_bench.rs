@@ -8,9 +8,14 @@
 //!   `System::replay` (timing pass), and the fused `System::run`;
 //! * the fixed-capacity matrix (11 technologies sharing one 2 MB LLC
 //!   geometry) three ways: all-direct (pre-split behavior, one fused
-//!   run per cell), cold tape (record once per workload + replay), and
-//!   warm batched replay (one tape driving all 11 timing engines in
-//!   lockstep).
+//!   run per cell), cold tape (per workload, `System::record` plus one
+//!   `System::replay_batch`: what the evaluator pays for a group), and
+//!   warm batched replay (`System::replay_batch` alone over tapes
+//!   recorded once: one tape driving all 11 timing engines in lockstep).
+//!
+//! The matrix is timed at the kernels, not through `Evaluator::run_all`:
+//! a repeated `run_all` is served from the in-memory result tier and
+//! replays nothing.
 //!
 //! Acceptance bars: `batched_speedup_vs_direct >= 3` (the split and the
 //! batched kernels; CI's bench-smoke job holds a tighter floor on the
@@ -87,11 +92,16 @@ fn main() {
         }
     });
 
-    let (policy_sram, policy_nvms) = (sram.clone(), nvms.clone());
-    let evaluator = Evaluator::new(sram.clone(), nvms.clone())
-        .base_accesses(BASE_ACCESSES)
-        .seed(SEED)
-        .threads(1);
+    // The matrix's one group per workload: all eleven systems share the
+    // 2 MB geometry, so the SRAM system records every tape.
+    let systems: Vec<System> = models
+        .iter()
+        .map(|model| {
+            System::new(ArchConfig::gainestown(model.clone()))
+                .with_warmup(nvm_llc::sim::runner::DEFAULT_WARMUP)
+        })
+        .collect();
+    let group: Vec<&System> = systems.iter().collect();
 
     // Span-backed phase attribution: the chunk-kernel span accumulates
     // into an obs histogram; its delta around the warm matrix attributes
@@ -101,21 +111,26 @@ fn main() {
         "Wall time of one batched-replay event chunk.",
     );
 
-    // Cold: the cache is emptied first, so each iteration pays one
-    // functional pass per workload plus the batched replay.
+    // Cold: each iteration pays one functional pass per workload plus
+    // the batched replay, and drops the tape, as an evaluation group does.
     let cold_ms = best_of(REPEATS, || {
-        nvm_llc::sim::tape::cache::clear();
-        std::hint::black_box(evaluator.run_all(&ws));
+        for trace in &traces {
+            std::hint::black_box(System::replay_batch(&group, &group[0].record(trace)));
+        }
     });
 
-    // Warm, batched: every workload's tape is already recorded and
+    // Warm, batched: every workload's tape is recorded once up front and
     // drives all 11 timing engines chunk by chunk over its lanes.
+    let tapes: Vec<_> = traces.iter().map(|trace| group[0].record(trace)).collect();
+    let replay_matrix = || {
+        for tape in &tapes {
+            std::hint::black_box(System::replay_batch(&group, tape));
+        }
+    };
     let chunk_s_before = chunk_span.sum();
-    let batched_ms = best_of(REPEATS, || {
-        std::hint::black_box(evaluator.run_all(&ws));
-    });
+    let batched_ms = best_of(REPEATS, replay_matrix);
     // Time spent inside the chunked kernels per warm matrix (the rest of
-    // `replay_batched_ms` is evaluator bookkeeping and finalization).
+    // `replay_batched_ms` is finalization).
     let replay_chunked_ms = (chunk_span.sum() - chunk_s_before) * 1e3 / REPEATS as f64;
 
     // Observability overhead: the identical warm batched matrix with
@@ -133,13 +148,9 @@ fn main() {
     let mut overhead_ratios = Vec::with_capacity(OVERHEAD_REPEATS);
     for _ in 0..OVERHEAD_REPEATS {
         nvm_llc::obs::set_enabled(true);
-        let instrumented_ms = best_of(1, || {
-            std::hint::black_box(evaluator.run_all(&ws));
-        });
+        let instrumented_ms = best_of(1, replay_matrix);
         nvm_llc::obs::set_enabled(false);
-        let uninstrumented_ms = best_of(1, || {
-            std::hint::black_box(evaluator.run_all(&ws));
-        });
+        let uninstrumented_ms = best_of(1, replay_matrix);
         overhead_ratios.push(instrumented_ms / uninstrumented_ms);
     }
     nvm_llc::obs::set_enabled(true);
@@ -154,7 +165,7 @@ fn main() {
     // writebacks_lru` on this block.
     let policy_workload = workloads::by_name("gobmk").unwrap();
     let total_writebacks = |policy: PolicyKind| -> u64 {
-        let row = Evaluator::new(policy_sram.clone(), policy_nvms.clone())
+        let row = Evaluator::new(sram.clone(), nvms.clone())
             .base_accesses(BASE_ACCESSES)
             .seed(SEED)
             .threads(1)
@@ -172,13 +183,12 @@ fn main() {
     let writeback_reduction_pct =
         (1.0 - writebacks_endurance as f64 / writebacks_lru as f64) * 100.0;
 
-    let stats = nvm_llc::sim::tape::cache::stats();
     let replay_speedup = fused_ms / replay_ms;
     let cold_speedup = direct_ms / cold_ms;
     let batched_speedup = direct_ms / batched_ms;
 
     let json = format!(
-        "{{\n  \"bench\": \"tape_replay\",\n  \"config\": {{\n    \"workloads\": {},\n    \"technologies\": {},\n    \"base_accesses\": {},\n    \"threads\": 1,\n    \"repeats\": {},\n    \"chunk_events\": {}\n  }},\n  \"phase_ms\": {{\n    \"record_functional\": {:.3},\n    \"replay_timing\": {:.3},\n    \"fused_run\": {:.3},\n    \"replay_speedup_vs_fused\": {:.2}\n  }},\n  \"matrix_ms\": {{\n    \"all_direct\": {:.3},\n    \"cold_tape\": {:.3},\n    \"replay_batched_ms\": {:.3},\n    \"replay_chunked_ms\": {:.3},\n    \"cold_speedup_vs_direct\": {:.2},\n    \"batched_speedup_vs_direct\": {:.2}\n  }},\n  \"obs_overhead_pct\": {:.2},\n  \"policy\": {{\n    \"workload\": \"{}\",\n    \"writebacks_lru\": {},\n    \"writebacks_endurance\": {},\n    \"writeback_reduction_pct\": {:.1}\n  }},\n  \"tape_cache\": {{\n    \"hits\": {},\n    \"misses\": {},\n    \"bytes\": {},\n    \"evictions\": {}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"tape_replay\",\n  \"config\": {{\n    \"workloads\": {},\n    \"technologies\": {},\n    \"base_accesses\": {},\n    \"threads\": 1,\n    \"repeats\": {},\n    \"chunk_events\": {}\n  }},\n  \"phase_ms\": {{\n    \"record_functional\": {:.3},\n    \"replay_timing\": {:.3},\n    \"fused_run\": {:.3},\n    \"replay_speedup_vs_fused\": {:.2}\n  }},\n  \"matrix_ms\": {{\n    \"all_direct\": {:.3},\n    \"cold_tape\": {:.3},\n    \"replay_batched_ms\": {:.3},\n    \"replay_chunked_ms\": {:.3},\n    \"cold_speedup_vs_direct\": {:.2},\n    \"batched_speedup_vs_direct\": {:.2}\n  }},\n  \"obs_overhead_pct\": {:.2},\n  \"policy\": {{\n    \"workload\": \"{}\",\n    \"writebacks_lru\": {},\n    \"writebacks_endurance\": {},\n    \"writeback_reduction_pct\": {:.1}\n  }}\n}}\n",
         ws.len(),
         models.len(),
         BASE_ACCESSES,
@@ -199,16 +209,11 @@ fn main() {
         writebacks_lru,
         writebacks_endurance,
         writeback_reduction_pct,
-        stats.hits,
-        stats.misses,
-        stats.bytes,
-        stats.evictions,
     );
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tape.json");
     std::fs::write(path, &json).expect("write BENCH_tape.json");
     print!("{json}");
-    eprintln!("tape cache after run: {stats}");
 
     assert!(
         batched_speedup >= 3.0,

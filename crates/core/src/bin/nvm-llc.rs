@@ -141,22 +141,22 @@ fn writable_trace_out(path: PathBuf) -> Option<PathBuf> {
 }
 
 /// After an evaluation artifact finishes, say how well the process-wide
-/// caches did — the trace cache's residency and evictions and the tape
-/// cache's functional-pass accounting — and, with `--store-dir`, the store's
-/// traffic and the trace cache's hits and misses. Opt-in via `--stats`;
-/// every number is read from the registry handles `/metricsz` renders.
+/// caches did — the trace cache's residency and evictions, the result
+/// tier's hits and residency, and the functional passes run — and, with
+/// `--store-dir`, the store's traffic and the trace cache's hits and
+/// misses. Opt-in via `--stats`; every number is read from the registry
+/// handles `/metricsz` renders.
 fn log_cache_stats(store: Option<&nvm_llc::store::Store>) {
-    let tc = nvm_llc::sim::tape::cache::stats();
+    use nvm_llc::sim::runner::metrics;
     nvm_llc::obs::info!(
         "cli", "cache stats";
         "resident_traces" => nvm_llc::trace::cache::len(),
         "trace_resident_bytes" => nvm_llc::trace::cache::metrics::resident_bytes().get(),
         "trace_evictions" => nvm_llc::trace::cache::metrics::evictions().get(),
-        "tape_cache" => tc.to_string(),
-        "tape_hits" => tc.hits,
-        "tape_misses" => tc.misses,
-        "tape_store_hits" => tc.store_hits,
-        "tape_evictions" => tc.evictions,
+        "result_hits" => metrics::result_memo_hits().get(),
+        "result_evictions" => metrics::result_memo_evictions().get(),
+        "result_resident_bytes" => metrics::result_memo_resident_bytes().get(),
+        "functional_passes" => metrics::groups().get(),
     );
     if let Some(store) = store {
         nvm_llc::obs::info!(

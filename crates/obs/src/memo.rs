@@ -1,17 +1,20 @@
 //! A keyed, single-flight, byte-budgeted LRU memo: the one cache
-//! implementation behind the trace cache, the outcome-tape cache, the
-//! result store's on-disk index and `/row` request coalescing.
+//! implementation behind the trace cache, the evaluator's in-memory
+//! result tier, the result store's on-disk index and `/row` request
+//! coalescing.
 //!
 //! [`Memo::get_or_make`] installs one `Arc<OnceLock<V>>` slot per key
 //! under the map lock and runs `make` outside it, so concurrent callers
 //! of one key share one run while distinct keys compute in parallel.
-//! Each run of `make` counts one miss; every other call counts a hit.
+//! Each run of `make` counts one miss; every other call counts a hit,
+//! as does every [`Memo::get`] that finds a finished value.
 //! A finished value is charged `weigh(&value)` bytes, and past the
 //! budget the least-recently-used finished entries are evicted — never
 //! one still being made, nor the key just installed, so a budget below
-//! one value degrades to recomputing instead of thrashing.
+//! one value degrades to recomputing instead of thrashing. A recency
+//! index beside the map finds each victim in O(log n).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -21,7 +24,8 @@ use crate::metrics::{Counter, Gauge};
 /// uncounted.
 #[derive(Clone, Copy, Default)]
 pub struct MemoMetrics {
-    /// [`Memo::get_or_make`] calls that did not run `make`.
+    /// [`Memo::get_or_make`] calls that did not run `make`, and
+    /// [`Memo::get`] calls that found a finished value.
     pub hits: Option<&'static Counter>,
     /// Runs of `make`.
     pub misses: Option<&'static Counter>,
@@ -41,6 +45,9 @@ struct Entry<V> {
 
 struct Inner<K, V> {
     map: HashMap<K, Entry<V>>,
+    /// The finished entries' keys by `last_used`, oldest first: the
+    /// eviction order. In-flight entries are not in it.
+    order: BTreeMap<u64, K>,
     clock: u64,
     resident: u64,
     budget: u64,
@@ -53,12 +60,36 @@ pub struct Memo<K, V> {
     metrics: MemoMetrics,
 }
 
+impl<K: Hash + Eq + Clone, V> Inner<K, V> {
+    /// Stamps `key`'s entry as the most recently used, moving a finished
+    /// one to the back of the eviction order.
+    fn touch(&mut self, key: &K) -> Option<&Entry<V>> {
+        self.clock += 1;
+        let entry = self.map.get_mut(key)?;
+        if entry.bytes.is_some() {
+            self.order.remove(&entry.last_used);
+            self.order.insert(self.clock, key.clone());
+        }
+        entry.last_used = self.clock;
+        Some(entry)
+    }
+
+    /// Uncharges an entry just taken out of the map.
+    fn forget(&mut self, entry: &Entry<V>) {
+        if let Some(bytes) = entry.bytes {
+            self.resident -= bytes;
+            self.order.remove(&entry.last_used);
+        }
+    }
+}
+
 impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
     /// An empty memo holding at most `budget` bytes (`u64::MAX` lifts
     /// the bound), charging each finished value `weigh(&value)`.
     pub fn new(budget: u64, weigh: fn(&V) -> u64, metrics: MemoMetrics) -> Memo<K, V> {
         let inner = Inner {
             map: HashMap::new(),
+            order: BTreeMap::new(),
             clock: 0,
             resident: 0,
             budget,
@@ -74,23 +105,35 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
         self.inner.lock().expect("memo lock")
     }
 
+    /// The finished value under `key`, refreshing its recency. A key
+    /// that is absent or still being made reads as `None`: `get` never
+    /// runs `make` and never waits for one.
+    pub fn get(&self, key: &K) -> Option<V> {
+        let slot = {
+            let mut inner = self.lock();
+            if inner.map.get(key).is_none_or(|e| e.bytes.is_none()) {
+                return None;
+            }
+            Arc::clone(&inner.touch(key).expect("finished entry held").slot)
+        };
+        self.metrics.hits.inspect(|c| c.inc());
+        slot.get().cloned()
+    }
+
     /// The value under `key`, running `make` only if no slot holds one,
     /// and whether this call ran it.
     pub fn get_or_make(&self, key: &K, make: impl FnOnce() -> V) -> (V, bool) {
         let slot = {
             let mut inner = self.lock();
-            inner.clock += 1;
-            let now = inner.clock;
-            let entry = match inner.map.get_mut(key) {
-                Some(entry) => entry,
-                None => inner.map.entry(key.clone()).or_insert(Entry {
+            if !inner.map.contains_key(key) {
+                let entry = Entry {
                     slot: Arc::default(),
                     bytes: None,
-                    last_used: now,
-                }),
-            };
-            entry.last_used = now;
-            Arc::clone(&entry.slot)
+                    last_used: 0,
+                };
+                inner.map.insert(key.clone(), entry);
+            }
+            Arc::clone(&inner.touch(key).expect("entry installed").slot)
         };
         let mut made = false;
         let value = slot
@@ -113,8 +156,10 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
             .get_mut(key)
             .filter(|e| e.bytes.is_none() && Arc::ptr_eq(&e.slot, &slot))
         {
-            entry.bytes = Some((self.weigh)(&value));
-            inner.resident += entry.bytes.unwrap_or(0);
+            let bytes = (self.weigh)(&value);
+            entry.bytes = Some(bytes);
+            inner.resident += bytes;
+            inner.order.insert(entry.last_used, key.clone());
         }
         self.shed(inner, Some(key));
         (value, true)
@@ -134,17 +179,19 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
             last_used: inner.clock,
         };
         if let Some(old) = inner.map.insert(key.clone(), entry) {
-            inner.resident -= old.bytes.unwrap_or(0);
+            inner.forget(&old);
         }
+        inner.order.insert(inner.clock, key.clone());
         inner.resident += bytes;
         self.shed(inner, Some(&key))
     }
 
     /// Drops `key`'s entry, finished or not.
     pub fn remove(&self, key: &K) {
-        let mut inner = self.lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         if let Some(entry) = inner.map.remove(key) {
-            inner.resident -= entry.bytes.unwrap_or(0);
+            inner.forget(&entry);
             self.metrics.resident.inspect(|g| g.set(inner.resident));
         }
     }
@@ -153,6 +200,7 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
     pub fn clear(&self) {
         let mut inner = self.lock();
         inner.map.clear();
+        inner.order.clear();
         inner.resident = 0;
         self.metrics.resident.inspect(|g| g.set(0));
     }
@@ -186,17 +234,19 @@ impl<K: Hash + Eq + Clone, V: Clone> Memo<K, V> {
     }
 
     /// Evicts least-recently-used finished entries other than `keep`
-    /// until residency fits the budget, then publishes the gauge.
+    /// until residency fits the budget, then publishes the gauge. Each
+    /// victim is the oldest (or, when that is `keep`, the second
+    /// oldest) entry of the recency index.
     fn shed(&self, inner: &mut Inner<K, V>, keep: Option<&K>) -> Vec<K> {
         let mut victims = Vec::new();
         while inner.resident > inner.budget {
             let victim = inner
-                .map
+                .order
                 .iter()
-                .filter(|(k, e)| e.bytes.is_some() && Some(*k) != keep)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone());
-            let Some(key) = victim else { break };
+                .find(|(_, k)| Some(*k) != keep)
+                .map(|(&stamp, _)| stamp);
+            let Some(stamp) = victim else { break };
+            let key = inner.order.remove(&stamp).expect("victim stamp held");
             let entry = inner.map.remove(&key).expect("victim key held");
             inner.resident -= entry.bytes.unwrap_or(0);
             self.metrics.evictions.inspect(|c| c.inc());
@@ -277,6 +327,54 @@ mod tests {
         assert_eq!(memo.metrics.evictions.unwrap().get(), 2);
         // An evicted key is made again on its next fetch.
         assert!(memo.get_or_make(&2, || 10).1);
+    }
+
+    #[test]
+    fn a_hundred_thousand_entries_evict_in_exact_lru_order() {
+        const N: u32 = 100_000;
+        let memo = sized(u64::from(N / 2));
+        for key in 0..N / 2 {
+            assert!(memo.put(key, 1).is_empty());
+        }
+        // Refresh the even half: the odd keys become the oldest.
+        for key in (0..N / 2).step_by(2) {
+            assert_eq!(memo.get(&key), Some(1));
+        }
+        let victims: Vec<u32> = (N / 2..N).flat_map(|key| memo.put(key, 1)).collect();
+        let lru: Vec<u32> = (1..N / 2).step_by(2).chain((0..N / 2).step_by(2)).collect();
+        assert_eq!(victims, lru);
+        assert_eq!(keys(&memo), (N / 2..N).collect::<Vec<_>>());
+        assert_eq!(memo.lock().resident, u64::from(N / 2));
+    }
+
+    #[test]
+    fn get_refreshes_recency_and_reads_an_in_flight_slot_as_none() {
+        let memo = sized(20);
+        memo.put(1, 10);
+        memo.put(2, 10);
+        // A hit makes 1 the freshest, so installing 3 sheds 2.
+        assert_eq!(memo.get(&1), Some(10));
+        assert_eq!(memo.put(3, 10), vec![2]);
+        assert_eq!(memo.get(&2), None);
+        let started = Barrier::new(2);
+        let release = Barrier::new(2);
+        std::thread::scope(|scope| {
+            let in_flight = scope.spawn(|| {
+                memo.get_or_make(&4, || {
+                    started.wait();
+                    release.wait();
+                    5
+                })
+            });
+            started.wait();
+            assert_eq!(memo.get(&4), None, "get never waits for a maker");
+            release.wait();
+            assert_eq!(in_flight.join().unwrap(), (5, true));
+        });
+        assert_eq!(memo.get(&4), Some(5));
+        // Only the two finished reads counted as hits.
+        assert_eq!(memo.metrics.hits.unwrap().get(), 2);
+        assert_eq!(memo.metrics.misses.unwrap().get(), 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! | `/eval?workload=W&tech=T` | one technology's normalized cell |
 //! | `/row?workload=W`        | the full matrix row for `W` |
 //! | `/healthz`               | liveness (`ok`) |
-//! | `/statsz`                | queue, coalescing, store, tape-cache, and cluster counters |
+//! | `/statsz`                | queue, coalescing, store, result-tier, and cluster counters |
 //! | `/metricsz`              | the same registry in Prometheus text exposition |
 //! | `/tracez`                | tail-sampled slow/error span trees (`?format=chrome` for chrome://tracing) |
 //! | `/clusterz`              | every peer's `/metricsz` merged into one cluster-level Prometheus view |
@@ -54,7 +54,8 @@
 //! * **Persistence** — with a store attached ([`ServeConfig::store_dir`])
 //!   evaluations read through and write back the content-addressed
 //!   result store, so a warm request — even after a daemon restart —
-//!   skips simulation entirely.
+//!   skips simulation entirely. Without a store, a repeated request is
+//!   answered by the evaluator's in-memory result tier.
 //! * **Graceful shutdown** — SIGTERM/SIGINT (or [`Server::stop`]) stops
 //!   accepting, drains queued and in-flight requests (keep-alive
 //!   connections get `Connection: close` on their next response), then
@@ -140,8 +141,8 @@ pub mod metrics {
     }
 
     /// Pre-registers the process-wide inventory — the serve histograms,
-    /// the placement family, and the evaluator, tape-cache, trace-cache,
-    /// and store families — so a scrape of a freshly started (or purely
+    /// the placement family, and the evaluator (result tier and tape
+    /// spans included), trace-cache, and store families — so a scrape of a freshly started (or purely
     /// store-served) daemon lists them before the first event.
     pub fn register() {
         request_seconds();
@@ -157,7 +158,6 @@ pub mod metrics {
             "Wall time of one proxy hop to the owning shard.",
         );
         nvm_llc_sim::runner::metrics::register();
-        nvm_llc_sim::tape::cache::metrics::register();
         nvm_llc_trace::cache::metrics::register();
         nvm_llc_store::metrics::register();
     }
@@ -997,7 +997,6 @@ fn finish_trace(
         "total_us" => total_micros as u64,
         "queue_us" => phase.queue as u64,
         "parse_us" => phase.parse as u64,
-        "tape_fetch_us" => phase.tape_fetch as u64,
         "functional_us" => phase.functional as u64,
         "replay_us" => phase.replay as u64,
         "store_us" => phase.store as u64,
@@ -1029,7 +1028,6 @@ fn slow_threshold_micros(shared: &Shared) -> f64 {
 struct PhaseMicros {
     queue: f64,
     parse: f64,
-    tape_fetch: f64,
     functional: f64,
     replay: f64,
     store: f64,
@@ -1045,7 +1043,6 @@ fn phase_micros(spans: &[nvm_llc_obs::trace::SpanRecord]) -> PhaseMicros {
         let bucket = match span.name.as_str() {
             "queue" => &mut phase.queue,
             "parse" => &mut phase.parse,
-            "tape_fetch" => &mut phase.tape_fetch,
             "tape_record" | "trace_generate" => &mut phase.functional,
             "tape_replay_batch" => &mut phase.replay,
             "proxy_upstream" => &mut phase.proxy,
@@ -1342,12 +1339,23 @@ fn run_evaluation(shared: &Shared, request: &EvalRequest) -> Result<String, (u16
     let models = models_for(&request.models).ok_or_else(|| internal("models set vanished"))?;
     let baseline =
         reference::by_name(&models, "SRAM").ok_or_else(|| internal("no SRAM baseline"))?;
-    let nvms: Vec<LlcModel> = match &request.tech {
-        Some(tech) => {
-            vec![reference::by_name(&models, tech).ok_or_else(|| internal("tech vanished"))?]
-        }
-        None => models.into_iter().filter(|m| m.name != "SRAM").collect(),
-    };
+    // A cell is evaluated with every technology of its set that has its
+    // LLC capacity: they share its functional pass, so they cost a few
+    // timing replays more, and a sweep of `/eval` over the set finds
+    // them in the result tier instead of recording the tape again.
+    let tech = request
+        .tech
+        .as_deref()
+        .map(|tech| reference::by_name(&models, tech).ok_or_else(|| internal("tech vanished")))
+        .transpose()?;
+    let nvms: Vec<LlcModel> = models
+        .into_iter()
+        .filter(|m| m.name != "SRAM")
+        .filter(|m| {
+            tech.as_ref()
+                .is_none_or(|t| m.capacity.bytes() == t.capacity.bytes())
+        })
+        .collect();
     let workload =
         workloads::by_name(&request.workload).ok_or_else(|| internal("workload vanished"))?;
     let mut evaluator = Evaluator::new(baseline, nvms)
@@ -1358,9 +1366,14 @@ fn run_evaluation(shared: &Shared, request: &EvalRequest) -> Result<String, (u16
         evaluator = evaluator.store(Arc::clone(store));
     }
     let row = evaluator.run_workload(&workload);
-    Ok(match &request.tech {
-        Some(_) => {
-            let entry = row.entries.first().ok_or_else(|| internal("empty row"))?;
+    Ok(match tech {
+        Some(tech) => {
+            let name = tech.display_name();
+            let entry = row
+                .entries
+                .iter()
+                .find(|e| e.llc == name)
+                .ok_or_else(|| internal("tech missing from its row"))?;
             json::render_cell(&row.workload, entry)
         }
         None => json::render_row(&row),
@@ -1401,7 +1414,6 @@ fn render_statsz(shared: &Shared) -> String {
         .cluster
         .as_ref()
         .map_or_else(|| "null".to_owned(), ClusterState::render_json);
-    let tc = nvm_llc_sim::tape::cache::stats();
     let latency = format!(
         "{{\"request\":{},\"queue_wait\":{}}}",
         quantiles_json(metrics::request_seconds()),
@@ -1412,8 +1424,8 @@ fn render_statsz(shared: &Shared) -> String {
         "{{\"instance\":{},\"queue_depth\":{},\"queue_capacity\":{},\"workers\":{},\
          \"inflight_evals\":{},\"connections\":{},\"requests\":{},\"coalesce_hits\":{},\
          \"rejected_queue_full\":{},\"rejected_busy\":{},\"evaluations\":{},\
-         \"store\":{store},\"tape_cache\":{{\"hits\":{},\"misses\":{},\
-         \"store_hits\":{},\"resident_bytes\":{},\"evictions\":{}}},\
+         \"store\":{store},\"results\":{{\"hits\":{},\"evictions\":{},\
+         \"resident_bytes\":{}}},\
          \"uptime_seconds\":{},\"build\":{{\"version\":\"{}\",\"git_hash\":\"{}\"}},\
          \"requests_by_class\":{{\"2xx\":{},\"4xx\":{},\"5xx\":{}}},\
          \"latency\":{latency},\
@@ -1431,11 +1443,9 @@ fn render_statsz(shared: &Shared) -> String {
         c.rejected_queue_full.get(),
         c.rejected_busy.get(),
         c.evaluations.get(),
-        tc.hits,
-        tc.misses,
-        tc.store_hits,
-        tc.resident_bytes,
-        tc.evictions,
+        nvm_llc_sim::runner::metrics::result_memo_hits().get(),
+        nvm_llc_sim::runner::metrics::result_memo_evictions().get(),
+        nvm_llc_sim::runner::metrics::result_memo_resident_bytes().get(),
         uptime_seconds(shared.started),
         BUILD_VERSION,
         BUILD_GIT_HASH,

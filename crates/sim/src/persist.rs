@@ -60,6 +60,9 @@ fn derive_key(tag: &str, payload: &[u8]) -> Key {
 
 /// Store key of the outcome tape identified by `key`: the functional
 /// geometry plus the trace's content hash ([`TapeKey::persist_bytes`]).
+///
+/// The evaluator no longer persists tapes; this key and the tape codec
+/// below stay for `perf_ledger`'s replica, their one caller.
 pub fn tape_store_key(key: &TapeKey) -> Key {
     derive_key("tape", &key.persist_bytes())
 }

@@ -23,28 +23,37 @@
 //! evaluator reads no environment variable and no process-wide setting.
 //!
 //! Cells share work at two levels. All technologies whose functional
-//! geometry matches (the whole fixed-capacity matrix, for instance) run
-//! Phase A once per workload via [`crate::tape::cache`]. On top of that,
-//! every group — singletons included — replays in one
+//! geometry matches (the whole fixed-capacity matrix, for instance) form
+//! one group per workload, which runs Phase A once ([`System::record`]).
+//! On top of that, every group — singletons included — replays in one
 //! [`System::replay_batch`] pass that drives all of its technologies'
-//! timing engines over the shared tape's lanes.
+//! timing engines over the shared tape's lanes. That pass is the tape's
+//! only reader, so the tape is dropped with its group.
 //!
-//! With a persistent store attached ([`Evaluator::store`]) two more
-//! tiers appear: finished results are served straight from disk (skipping
-//! evaluation entirely), and tape-cache misses try the disk before
-//! re-running the functional pass. Both tiers are content-addressed
-//! ([`crate::persist`]) and bit-exact, so attaching a store never
-//! changes a result — only how fast it arrives.
+//! What the process keeps is finished results. Each cell resolves
+//! through up to three tiers: the persistent store when one is attached
+//! ([`Evaluator::store`]), the in-memory result memo (process-wide,
+//! bounded at [`RESULT_BUDGET_BYTES`]), and only then the group
+//! computation. Store hits and computed results both enter the memo,
+//! and with a store attached every result not read from it is written
+//! back, so a store holds every cell its evaluator resolves. The store
+//! answers before the memo because a caller attached it as the
+//! authority: a cell it holds is always served from it, and its hit
+//! counters account for every such cell. Both tiers key on
+//! [`crate::persist::result_store_key`] and are bit-exact, so a tier hit
+//! never changes a result — only how fast it arrives.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use nvm_llc_circuit::LlcModel;
-use nvm_llc_store::Store;
+use nvm_llc_obs::memo::{Memo, MemoMetrics};
+use nvm_llc_store::{Key, Store};
 use nvm_llc_trace::{Trace, WorkloadProfile};
 
 use crate::config::ArchConfig;
 use crate::endurance::WearPolicy;
+use crate::persist;
 use crate::policy::PolicyKind;
 use crate::result::SimResult;
 use crate::system::System;
@@ -60,6 +69,39 @@ pub const DEFAULT_SEED: u64 = 2019; // the paper's publication year
 /// Cache-warmup fraction for steady-state measurement (Sniper-style
 /// warmup before the region of interest).
 pub const DEFAULT_WARMUP: f64 = 0.25;
+
+/// Residency budget of the in-memory result tier: about 10⁵ results.
+pub const RESULT_BUDGET_BYTES: u64 = 32 << 20;
+
+/// The in-memory result tier, process-wide, keyed like the store's
+/// result records ([`persist::result_store_key`]).
+fn result_memo() -> &'static Memo<Key, SimResult> {
+    static MEMO: OnceLock<Memo<Key, SimResult>> = OnceLock::new();
+    MEMO.get_or_init(|| {
+        Memo::new(
+            RESULT_BUDGET_BYTES,
+            |result| {
+                (std::mem::size_of::<SimResult>()
+                    + result.llc_name.capacity()
+                    + std::mem::size_of::<Key>()) as u64
+            },
+            MemoMetrics {
+                hits: Some(metrics::result_memo_hits()),
+                misses: None,
+                evictions: Some(metrics::result_memo_evictions()),
+                resident: Some(metrics::result_memo_resident_bytes()),
+            },
+        )
+    })
+}
+
+/// Sets the in-memory result tier's byte budget (process-wide) and
+/// sheds least-recently-used results down to it at once. `u64::MAX`
+/// lifts the bound; `0` empties the tier, after which each new result
+/// is kept only until the next one arrives.
+pub fn set_result_budget(bytes: u64) {
+    result_memo().set_budget(bytes);
+}
 
 /// Computes `f(i)` for every `i` in `0..n` on at most `threads` scoped
 /// workers, each pulling the next index from an atomic counter, and
@@ -100,7 +142,7 @@ fn map_indices<T: Send + Sync>(threads: usize, n: usize, f: impl Fn(usize) -> T 
 
 /// Evaluator counters in the process-wide [`nvm_llc_obs`] registry.
 pub mod metrics {
-    use nvm_llc_obs::metrics::Counter;
+    use nvm_llc_obs::metrics::{Counter, Gauge};
 
     /// `nvmllc_eval_runs_total`
     pub fn runs() -> &'static Counter {
@@ -115,7 +157,7 @@ pub mod metrics {
         nvm_llc_obs::counter!(
             "nvmllc_eval_cells_total",
             "Workload x technology cells evaluated (excludes cells served \
-             from the persistent result tier).",
+             from the in-memory or persistent result tier).",
         )
     }
 
@@ -123,8 +165,8 @@ pub mod metrics {
     pub fn groups() -> &'static Counter {
         nvm_llc_obs::counter!(
             "nvmllc_eval_groups_total",
-            "Tape-key groups scheduled (one functional pass + one batched \
-             replay each).",
+            "Tape-key groups evaluated (one functional pass each, then one \
+             batched replay).",
         )
     }
 
@@ -137,16 +179,61 @@ pub mod metrics {
         )
     }
 
+    /// `nvmllc_eval_result_memo_hits_total`
+    pub fn result_memo_hits() -> &'static Counter {
+        nvm_llc_obs::counter!(
+            "nvmllc_eval_result_memo_hits_total",
+            "Cells filled from the in-memory result tier.",
+        )
+    }
+
+    /// `nvmllc_eval_result_memo_evictions_total`
+    pub fn result_memo_evictions() -> &'static Counter {
+        nvm_llc_obs::counter!(
+            "nvmllc_eval_result_memo_evictions_total",
+            "Results evicted from the in-memory tier to stay under its \
+             byte budget.",
+        )
+    }
+
+    /// `nvmllc_eval_result_memo_resident_bytes`
+    pub fn result_memo_resident_bytes() -> &'static Gauge {
+        nvm_llc_obs::gauge!(
+            "nvmllc_eval_result_memo_resident_bytes",
+            "Bytes charged by the results the in-memory tier holds.",
+        )
+    }
+
     /// Pre-registers the evaluator's metric inventory, spans included.
     pub fn register() {
         runs();
         cells();
         groups();
         result_tier_hits();
-        nvm_llc_obs::metrics::histogram(
-            "nvmllc_eval_run_all_seconds",
-            "Wall time of the `eval_run_all` span.",
-        );
+        result_memo_hits();
+        result_memo_evictions();
+        result_memo_resident_bytes();
+        for (name, help) in [
+            (
+                "nvmllc_eval_run_all_seconds",
+                "Wall time of the `eval_run_all` span.",
+            ),
+            (
+                "nvmllc_tape_record_seconds",
+                "Wall time of the `tape_record` span.",
+            ),
+            (
+                "nvmllc_tape_replay_batch_seconds",
+                "Wall time of the `tape_replay_batch` span.",
+            ),
+            (
+                "nvmllc_tape_replay_chunk_seconds",
+                "Wall time of one batched-replay event chunk (all \
+                 engines over one block of tape lanes).",
+            ),
+        ] {
+            nvm_llc_obs::metrics::histogram(name, help);
+        }
     }
 }
 
@@ -274,10 +361,10 @@ impl Evaluator {
         self
     }
 
-    /// Attaches a persistent result store: finished results and outcome
-    /// tapes are read from (and written back to) it, so a repeated
-    /// evaluation — even across process restarts — skips both the
-    /// functional pass and the timing replay.
+    /// Attaches a persistent result store: finished results are read
+    /// from (and written back to) it, so a repeated evaluation — even
+    /// across process restarts — skips both the functional pass and the
+    /// timing replay.
     pub fn store(mut self, store: Arc<Store>) -> Self {
         self.store = Some(store);
         self
@@ -350,24 +437,42 @@ impl Evaluator {
         let width = systems.len();
         let cell = |wi: usize, mi: usize| wi * width + mi;
 
-        // Persistent-result tier: a cell whose finished result is on
-        // disk is filled directly and drops out of scheduling — no
-        // functional pass, no replay. A corrupt or stale record decodes
-        // to `None` and the cell simply computes as usual.
-        let mut slots: Vec<Option<SimResult>> = vec![None; workloads.len() * width];
-        if let Some(store) = store {
-            for (wi, trace) in traces.iter().enumerate() {
-                for (mi, system) in systems.iter().enumerate() {
-                    if let Some(result) = store
-                        .get_mapped(&crate::persist::result_store_key(system, trace))
-                        .and_then(|payload| crate::persist::decode_result(&payload))
-                    {
-                        metrics::result_tier_hits().inc();
-                        slots[cell(wi, mi)] = Some(result);
-                    }
-                }
+        // Result tiers, the store (when attached) then the memo: a cell
+        // found in either is filled directly and drops out of scheduling
+        // — no functional pass, no replay. A store hit enters the memo,
+        // and a memo hit the store lacks is written back, so a store
+        // holds every cell its evaluator resolves. A corrupt or stale
+        // record decodes to `None` and falls through.
+        let write_back = |key: &Key, result: &SimResult| {
+            if let Some(store) = store {
+                // Best-effort: a full disk never fails a run.
+                let _ = store.put(key, &persist::encode_result(result));
             }
-        }
+        };
+        let keys: Vec<Key> = traces
+            .iter()
+            .flat_map(|trace| {
+                systems
+                    .iter()
+                    .map(move |system| persist::result_store_key(system, trace))
+            })
+            .collect();
+        let mut slots: Vec<Option<SimResult>> = keys
+            .iter()
+            .map(|key| {
+                let stored = store
+                    .and_then(|store| store.get_mapped(key))
+                    .and_then(|payload| persist::decode_result(&payload));
+                if let Some(result) = stored {
+                    metrics::result_tier_hits().inc();
+                    result_memo().put(*key, result.clone());
+                    return Some(result);
+                }
+                let result = result_memo().get(key)?;
+                write_back(key, &result);
+                Some(result)
+            })
+            .collect();
 
         // Work items: per workload, the still-unserved technology
         // columns grouped by tape key (insertion-ordered, so scheduling
@@ -388,22 +493,19 @@ impl Evaluator {
             groups.extend(by_key.into_iter().map(|(_, cols)| (wi, cols)));
         }
 
-        // Each group fetches its shared tape once and batch-replays it.
-        // The tape fetch goes through the persistent middle tier when a
-        // store is attached, and freshly computed results are written
-        // back (best-effort — a full disk never fails a run).
+        // Each group records its tape, batch-replays it and drops it.
+        // Its results enter the memo and, with a store attached, are
+        // written back.
         let computed = map_indices(threads, groups.len(), |gi| {
             let (wi, cols) = &groups[gi];
             metrics::groups().inc();
             metrics::cells().add(cols.len() as u64);
             let group: Vec<&System> = cols.iter().map(|&mi| &systems[mi]).collect();
-            let tape = crate::tape::cache::fetch_with_store(group[0], &traces[*wi], store);
-            let results = System::replay_batch(&group, &tape);
-            if let Some(store) = store {
-                for (system, result) in group.iter().zip(&results) {
-                    let key = crate::persist::result_store_key(system, &traces[*wi]);
-                    let _ = store.put(&key, &crate::persist::encode_result(result));
-                }
+            let results = System::replay_batch(&group, &group[0].record(&traces[*wi]));
+            for (&mi, result) in cols.iter().zip(&results) {
+                let key = &keys[cell(*wi, mi)];
+                write_back(key, result);
+                result_memo().put(*key, result.clone());
             }
             results
         });
@@ -448,6 +550,26 @@ mod tests {
     use nvm_llc_circuit::reference;
     use nvm_llc_trace::workloads;
 
+    /// The result tier is process-wide, and a run it answers computes
+    /// nothing. A test that compares runs write-holds this lock and
+    /// empties the tier before each compared run; every other evaluating
+    /// test read-holds it, so none refills the tier in between.
+    static RESULT_TIER: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+    fn exclusive_tier() -> std::sync::RwLockWriteGuard<'static, ()> {
+        RESULT_TIER.write().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn evaluating() -> std::sync::RwLockReadGuard<'static, ()> {
+        RESULT_TIER.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Empties the result tier, so the next evaluation computes.
+    fn forget_results() {
+        set_result_budget(0);
+        set_result_budget(RESULT_BUDGET_BYTES);
+    }
+
     fn small_evaluator() -> Evaluator {
         let models = reference::fixed_capacity();
         let baseline = reference::by_name(&models, "SRAM").unwrap();
@@ -457,6 +579,7 @@ mod tests {
 
     #[test]
     fn row_contains_all_ten_nvms() {
+        let _tier = evaluating();
         let row = small_evaluator().run_workload(&workloads::by_name("tonto").unwrap());
         assert_eq!(row.entries.len(), 10);
         assert_eq!(row.workload, "tonto");
@@ -466,6 +589,7 @@ mod tests {
 
     #[test]
     fn baseline_normalizes_to_itself() {
+        let _tier = evaluating();
         let row = small_evaluator().run_workload(&workloads::by_name("leela").unwrap());
         for e in &row.entries {
             assert!(e.speedup.is_finite() && e.speedup > 0.0);
@@ -476,6 +600,7 @@ mod tests {
 
     #[test]
     fn fixed_capacity_speedups_are_near_unity() {
+        let _tier = evaluating();
         // Fig. 1: NVM performance within a few percent of SRAM.
         let row = small_evaluator().run_workload(&workloads::by_name("gamess").unwrap());
         for e in &row.entries {
@@ -490,6 +615,7 @@ mod tests {
 
     #[test]
     fn most_nvms_save_energy_pcram_can_lose() {
+        let _tier = evaluating();
         let row = small_evaluator().run_workload(&workloads::by_name("bzip2").unwrap());
         let jan = row.entry("Jan").unwrap();
         assert!(jan.energy < 0.6, "Jan energy {}", jan.energy);
@@ -501,6 +627,7 @@ mod tests {
 
     #[test]
     fn best_pickers_agree_with_entries() {
+        let _tier = evaluating();
         let row = small_evaluator().run_workload(&workloads::by_name("tonto").unwrap());
         let best_e = row.best_energy().unwrap();
         assert!(row.entries.iter().all(|e| e.energy >= best_e.energy));
@@ -536,6 +663,8 @@ mod tests {
             .iter()
             .map(|n| workloads::by_name(n).unwrap())
             .collect();
+        let _tier = exclusive_tier();
+        forget_results();
         let batched = small_evaluator().run_all(&ws);
         for (row, w) in batched.iter().zip(&ws) {
             assert_row_matches_fused_runs(row, w, &reference::fixed_capacity(), 8_000);
@@ -555,6 +684,8 @@ mod tests {
             .cloned()
             .collect();
         let w = workloads::by_name("gobmk").unwrap();
+        let _tier = exclusive_tier();
+        forget_results();
         let row = Evaluator::new(baseline, nvms)
             .base_accesses(6_000)
             .run_workload(&w);
@@ -567,7 +698,10 @@ mod tests {
             .iter()
             .map(|n| workloads::by_name(n).unwrap())
             .collect();
+        let _tier = exclusive_tier();
+        forget_results();
         let serial = small_evaluator().threads(1).run_all(&ws);
+        forget_results();
         let parallel = small_evaluator().threads(4).run_all(&ws);
         assert_eq!(serial, parallel);
     }
@@ -578,10 +712,19 @@ mod tests {
             std::env::temp_dir().join(format!("nvm-llc-runner-store-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let w = workloads::by_name("milc").unwrap();
+        let _tier = exclusive_tier();
+        forget_results();
         let fresh = small_evaluator().run_workload(&w);
         let store = Arc::new(Store::open(&dir).unwrap());
         // Cold pass computes everything and writes results back …
+        forget_results();
+        let groups = metrics::groups().get();
         let cold = small_evaluator().store(Arc::clone(&store)).run_workload(&w);
+        assert_eq!(
+            metrics::groups().get() - groups,
+            1,
+            "the cold pass computes"
+        );
         assert_eq!(cold, fresh, "attaching a store must not change results");
         assert!(store.stats().insertions > 0, "cold pass persisted results");
         // … and the warm pass serves every cell from the result tier,
@@ -594,6 +737,7 @@ mod tests {
 
     #[test]
     fn entry_matches_exact_and_suffixed_names_only() {
+        let _tier = evaluating();
         let row = small_evaluator().run_workload(&workloads::by_name("tonto").unwrap());
         assert!(row.entry("Kang").is_some()); // citation name -> Kang_P
         assert!(row.entry("Kan").is_none()); // not a prefix match
@@ -602,6 +746,7 @@ mod tests {
 
     #[test]
     fn run_all_preserves_workload_order() {
+        let _tier = evaluating();
         let ws: Vec<_> = ["tonto", "leela"]
             .iter()
             .map(|n| workloads::by_name(n).unwrap())
@@ -614,6 +759,7 @@ mod tests {
 
     #[test]
     fn policies_change_functional_outcomes() {
+        let _tier = evaluating();
         // The axis is real: the policy reshapes the hierarchy's miss
         // stream. (At smoke scale the 2 MB LLC rarely fills, so the
         // observable divergence shows up in the L1/L2 miss counts that
@@ -629,6 +775,7 @@ mod tests {
 
     #[test]
     fn default_policy_is_lru() {
+        let _tier = evaluating();
         // run_all with no policy configured is byte-identical to an
         // explicit LRU request (the pre-policy-axis behavior).
         let w = workloads::by_name("tonto").unwrap();
@@ -640,6 +787,7 @@ mod tests {
 
     #[test]
     fn endurance_policy_reduces_writebacks_on_write_heavy_row() {
+        let _tier = evaluating();
         // The endurance-aware policy's whole point: steering victims to
         // clean lines cuts dirty evictions, which are exactly the LLC's
         // DRAM writebacks. gobmk is the one smoke-scale workload whose
@@ -664,8 +812,11 @@ mod tests {
             .iter()
             .map(|n| workloads::by_name(n).unwrap())
             .collect();
+        let _tier = exclusive_tier();
         for policy in [PolicyKind::Drrip, PolicyKind::Ship] {
+            forget_results();
             let serial = small_evaluator().policy(policy).threads(1).run_all(&ws);
+            forget_results();
             let parallel = small_evaluator().policy(policy).threads(4).run_all(&ws);
             assert_eq!(serial, parallel, "{policy} matrix diverged");
         }

@@ -19,7 +19,8 @@
 //! `TimingEngine::apply`, the same code the fused pass drives, and
 //! `SimpleBank`, which re-times the dominant configuration class in
 //! blocks of engines and is bit-identical to `apply` lane by lane.
-//! [`crate::tape::cache`] memoizes tapes process-wide.
+//! A tape lives as long as one evaluation group; the evaluator keeps
+//! finished results instead ([`crate::runner`]).
 //!
 //! ## Modeling decisions (and where they come from)
 //!
@@ -644,7 +645,7 @@ impl System {
     /// # Panics
     ///
     /// Panics if the tape was recorded for a different core count (the
-    /// clearest symptom of keying a tape cache incorrectly).
+    /// clearest symptom of pairing a tape with the wrong system).
     pub fn replay(&self, tape: &OutcomeTape) -> SimResult {
         Self::replay_batch(&[self], tape)
             .pop()
@@ -1481,17 +1482,6 @@ mod tests {
         // But the replayed result does report the timing-side stats.
         let result = system.replay(&tape);
         assert!(result.stats.dram_row_hits > 0);
-    }
-
-    #[test]
-    fn cached_tape_replay_matches_run() {
-        let llc = reference::by_name(&reference::fixed_capacity(), "Xue").unwrap();
-        let trace = std::sync::Arc::new(workloads::by_name("leela").unwrap().generate(7, 15_000));
-        let system = System::new(ArchConfig::gainestown(llc)).with_warmup(0.25);
-        let replay_cached = || system.replay(&crate::tape::cache::fetch(&system, &trace));
-        assert_eq!(replay_cached(), system.run(&trace));
-        // Second fetch replays the cached tape; still identical.
-        assert_eq!(replay_cached(), system.run(&trace));
     }
 
     #[test]

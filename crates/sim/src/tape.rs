@@ -19,19 +19,15 @@
 //! lanes, producing `SimResult`s bit-identical to the fused single-pass
 //! [`System::run`](crate::system::System::run).
 //!
-//! The tape has exactly one in-memory form. Packing each event into a
-//! `u64` and varint-compressing the side streams happen only at the
-//! store boundary ([`crate::persist::encode_tape`] and
-//! [`crate::persist::decode_tape`]).
+//! The tape has exactly one in-memory form. Its packed wire form
+//! ([`crate::persist::encode_tape`] and [`crate::persist::decode_tape`]:
+//! each event in a `u64`, varint-compressed side streams) is no longer
+//! written by the evaluator; `perf_ledger`'s replica is its one caller.
 //!
-//! [`cache`] memoizes tapes process-wide on the same single-flight LRU
-//! memo as `nvm_llc_trace::cache` ([`nvm_llc_obs::memo::Memo`]), so an
-//! evaluation matrix performs one functional pass per distinct geometry
-//! and replays everything else. Tapes key on the trace's content hash,
-//! so a trace regenerated after eviction still hits. The cache is
-//! bounded by a byte budget ([`cache::DEFAULT_BUDGET_BYTES`], 256 MiB;
-//! [`cache::set_byte_budget`] moves it), charged with each tape's
-//! resident lane and side-stream capacity.
+//! A tape lives only as long as its evaluation group: the evaluator
+//! records it, replays it for every technology of the group in one
+//! batched pass, and drops it (`crate::runner`). What the process keeps
+//! is the finished results.
 //!
 //! [`System::replay_batch`]: crate::system::System::replay_batch
 
@@ -403,7 +399,6 @@ impl OutcomeTape {
     }
 
     /// Resident heap bytes: the capacity of every lane and side stream.
-    /// This is what the tape cache charges against its budget.
     pub fn bytes(&self) -> usize {
         self.gaps.capacity() * std::mem::size_of::<u32>()
             + self.core_lane.capacity()
@@ -486,257 +481,6 @@ impl TapeKey {
             .bool(self.l2_prefetch)
             .bool(self.llc_bypass);
         w.into_bytes()
-    }
-}
-
-pub mod cache {
-    //! Process-wide outcome-tape cache: one functional pass per distinct
-    //! `(trace content, geometry)` key, shared by every technology
-    //! replaying it. A [`Memo`] like `nvm_llc_trace::cache`, bounded by
-    //! [`DEFAULT_BUDGET_BYTES`] (moved by [`set_byte_budget`]) with LRU
-    //! eviction; a re-fetch of an evicted key records again.
-    //! [`stats`] snapshots the [`metrics`] handles `/metricsz` renders.
-
-    use std::fmt;
-    use std::sync::{Arc, OnceLock};
-
-    use nvm_llc_obs::memo::{Memo, MemoMetrics};
-    use nvm_llc_trace::Trace;
-
-    use super::{OutcomeTape, TapeKey};
-    use crate::system::System;
-
-    /// Default residency budget: ~256 MiB of tape.
-    pub const DEFAULT_BUDGET_BYTES: u64 = 256 << 20;
-
-    fn memo() -> &'static Memo<TapeKey, Arc<OutcomeTape>> {
-        static MEMO: OnceLock<Memo<TapeKey, Arc<OutcomeTape>>> = OnceLock::new();
-        MEMO.get_or_init(|| {
-            Memo::new(
-                DEFAULT_BUDGET_BYTES,
-                |tape| tape.bytes() as u64,
-                MemoMetrics {
-                    hits: Some(metrics::hits()),
-                    misses: Some(metrics::misses()),
-                    evictions: Some(metrics::evictions()),
-                    resident: Some(metrics::resident_bytes()),
-                },
-            )
-        })
-    }
-
-    /// The cache's counters and residency gauge in the process-wide
-    /// [`nvm_llc_obs`] registry — the only copy of these facts, read by
-    /// [`stats`], `/metricsz` and `/statsz` alike.
-    pub mod metrics {
-        use nvm_llc_obs::metrics::{Counter, Gauge};
-
-        /// `nvmllc_tape_cache_hits_total`
-        pub fn hits() -> &'static Counter {
-            nvm_llc_obs::counter!(
-                "nvmllc_tape_cache_hits_total",
-                "Tape cache fetches served by an already-installed slot.",
-            )
-        }
-
-        /// `nvmllc_tape_cache_misses_total`
-        pub fn misses() -> &'static Counter {
-            nvm_llc_obs::counter!(
-                "nvmllc_tape_cache_misses_total",
-                "Tape cache fetches that found no resident tape.",
-            )
-        }
-
-        /// `nvmllc_tape_cache_store_hits_total`
-        pub fn store_hits() -> &'static Counter {
-            nvm_llc_obs::counter!(
-                "nvmllc_tape_cache_store_hits_total",
-                "Tape cache misses satisfied by decoding a persisted tape \
-                 instead of re-running the functional pass.",
-            )
-        }
-
-        /// `nvmllc_tape_cache_taped_bytes_total`
-        pub fn taped_bytes() -> &'static Counter {
-            nvm_llc_obs::counter!(
-                "nvmllc_tape_cache_taped_bytes_total",
-                "Bytes of outcome tape recorded or loaded into the cache, \
-                 evicted tapes included.",
-            )
-        }
-
-        /// `nvmllc_tape_cache_evictions_total`
-        pub fn evictions() -> &'static Counter {
-            nvm_llc_obs::counter!(
-                "nvmllc_tape_cache_evictions_total",
-                "Tapes evicted to stay under the residency byte budget.",
-            )
-        }
-
-        /// `nvmllc_tape_cache_resident_bytes`
-        pub fn resident_bytes() -> &'static Gauge {
-            nvm_llc_obs::gauge!(
-                "nvmllc_tape_cache_resident_bytes",
-                "Bytes of outcome tape currently resident.",
-            )
-        }
-
-        /// Pre-registers this module's metric inventory, spans included.
-        pub fn register() {
-            hits();
-            misses();
-            store_hits();
-            taped_bytes();
-            evictions();
-            resident_bytes();
-            for (name, help) in [
-                (
-                    "nvmllc_tape_fetch_seconds",
-                    "Wall time of the `tape_fetch` span (cache hit or full fetch).",
-                ),
-                (
-                    "nvmllc_tape_record_seconds",
-                    "Wall time of the `tape_record` span.",
-                ),
-                (
-                    "nvmllc_tape_replay_batch_seconds",
-                    "Wall time of the `tape_replay_batch` span.",
-                ),
-                (
-                    "nvmllc_tape_replay_chunk_seconds",
-                    "Wall time of one batched-replay event chunk (all \
-                     engines over one block of tape lanes).",
-                ),
-            ] {
-                nvm_llc_obs::metrics::histogram(name, help);
-            }
-        }
-    }
-
-    /// Counters describing the cache's effectiveness so far: a snapshot
-    /// of the [`metrics`] handles.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct CacheStats {
-        /// Fetches served by an already-installed tape slot.
-        pub hits: u64,
-        /// Fetches that found no resident tape. Each one either decoded
-        /// a persisted tape ([`CacheStats::store_hits`]) or ran a
-        /// functional pass — `misses - store_hits` is the number of
-        /// functional passes actually executed.
-        pub misses: u64,
-        /// Memory misses satisfied by decoding a tape from the
-        /// persistent store instead of re-running the functional pass.
-        pub store_hits: u64,
-        /// Total resident bytes of tape recorded or loaded
-        /// ([`OutcomeTape::bytes`]).
-        pub bytes: u64,
-        /// Entries evicted to stay under the byte budget.
-        pub evictions: u64,
-        /// Tape bytes currently resident.
-        pub resident_bytes: u64,
-    }
-
-    impl fmt::Display for CacheStats {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write!(
-                f,
-                "{} hits / {} misses ({} from store, {} functional \
-                 passes), {:.1} MiB taped ({} evictions)",
-                self.hits,
-                self.misses,
-                self.store_hits,
-                // Each handle is read on its own, so a snapshot taken
-                // mid-fetch can see a store hit before its miss.
-                self.misses.saturating_sub(self.store_hits),
-                self.bytes as f64 / (1024.0 * 1024.0),
-                self.evictions,
-            )
-        }
-    }
-
-    /// Fetches (recording exactly once while the key stays resident) the
-    /// outcome tape for running `system` over `trace`.
-    ///
-    /// Keyed by [`System::tape_key`]; every technology whose
-    /// configuration shares the functional geometry receives a pointer-
-    /// equal `Arc<OutcomeTape>`.
-    pub fn fetch(system: &System, trace: &Arc<Trace>) -> Arc<OutcomeTape> {
-        fetch_with_store(system, trace, None)
-    }
-
-    /// [`fetch`] with a persistent middle tier: a memory miss first
-    /// tries to decode the tape from `store` (content-addressed by
-    /// [`crate::persist::tape_store_key`]) and only records when the
-    /// disk also misses; freshly recorded tapes are written back. Any
-    /// store read failure — absent, corrupt, stale format — silently
-    /// falls through to recompute.
-    pub fn fetch_with_store(
-        system: &System,
-        trace: &Arc<Trace>,
-        store: Option<&Arc<nvm_llc_store::Store>>,
-    ) -> Arc<OutcomeTape> {
-        let _span = nvm_llc_obs::span!("tape_fetch");
-        let key = system.tape_key(trace);
-        let (tape, _) = memo().get_or_make(&key, || {
-            let store_key = store.map(|_| crate::persist::tape_store_key(&key));
-            // The key carries the core count, so a stored tape of any
-            // other count is damage and falls through to recompute.
-            let stored = store
-                .zip(store_key.as_ref())
-                .and_then(|(store, store_key)| store.get_mapped(store_key))
-                .and_then(|payload| crate::persist::decode_tape(&payload))
-                .filter(|tape| tape.cores() == system.config().cores);
-            let tape = match stored {
-                Some(tape) => {
-                    metrics::store_hits().inc();
-                    tape
-                }
-                None => {
-                    let tape = system.record(trace);
-                    if let Some((store, store_key)) = store.zip(store_key.as_ref()) {
-                        let _ = store.put(store_key, &crate::persist::encode_tape(&tape));
-                    }
-                    tape
-                }
-            };
-            metrics::taped_bytes().add(tape.bytes() as u64);
-            Arc::new(tape)
-        });
-        tape
-    }
-
-    /// Sets the residency budget in bytes (process-wide) and immediately
-    /// sheds LRU entries down to it. `u64::MAX` lifts the bound.
-    pub fn set_byte_budget(bytes: u64) {
-        memo().set_budget(bytes);
-    }
-
-    /// The current residency budget in bytes.
-    pub fn byte_budget() -> u64 {
-        memo().budget()
-    }
-
-    /// Drops every cached tape (cold-cache benchmarking; in-flight `Arc`s
-    /// stay alive until their holders drop them). Counters keep running.
-    pub fn clear() {
-        memo().clear();
-    }
-
-    /// Number of cached tape slots.
-    pub fn len() -> usize {
-        memo().len()
-    }
-
-    /// Snapshot of the process-wide cache counters.
-    pub fn stats() -> CacheStats {
-        CacheStats {
-            hits: metrics::hits().get(),
-            misses: metrics::misses().get(),
-            store_hits: metrics::store_hits().get(),
-            bytes: metrics::taped_bytes().get(),
-            evictions: metrics::evictions().get(),
-            resident_bytes: metrics::resident_bytes().get(),
-        }
     }
 }
 
@@ -919,31 +663,6 @@ mod tests {
         assert_eq!(tape.bytes(), exact);
         // ft runs four threads on four cores.
         assert_eq!(tape.present_cores(), &[0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn stored_tape_of_another_core_count_is_recorded_afresh() {
-        use crate::config::ArchConfig;
-        use crate::system::System;
-        let dir =
-            std::env::temp_dir().join(format!("nvm-llc-tape-cores-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = std::sync::Arc::new(nvm_llc_store::Store::open(&dir).unwrap());
-        let trace = nvm_llc_trace::workloads::by_name("tonto")
-            .unwrap()
-            .generate_shared(5, 500);
-        let llc = nvm_llc_circuit::reference::sram_baseline();
-        let quad = System::new(ArchConfig::gainestown(llc.clone()));
-        let dual = System::new(ArchConfig::gainestown(llc).with_cores(2));
-        // A well-formed dual-core tape planted under the quad-core key.
-        let key = crate::persist::tape_store_key(&quad.tape_key(&trace));
-        store
-            .put(&key, &crate::persist::encode_tape(&dual.record(&trace)))
-            .unwrap();
-        let tape = cache::fetch_with_store(&quad, &trace, Some(&store));
-        assert_eq!(tape.cores(), 4);
-        assert_eq!(quad.replay(&tape), quad.run(&trace));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

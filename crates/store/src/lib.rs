@@ -24,7 +24,7 @@
 //!   readers (other threads *or other processes* sharing the directory)
 //!   only ever observe absent or complete records.
 //! * **Bounded residency.** The store's index is the same LRU memo as
-//!   the in-memory trace and tape caches ([`nvm_llc_obs::memo::Memo`]),
+//!   the in-memory trace cache and result tier ([`nvm_llc_obs::memo::Memo`]),
 //!   charged with each record's file size against a byte budget
 //!   (default [`DEFAULT_BUDGET_BYTES`]): inserts that push the resident
 //!   total over budget evict the least-recently-fetched records, whose

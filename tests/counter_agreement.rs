@@ -1,13 +1,14 @@
 //! One counter per fact: with two standalone servers, a restarted one,
 //! and a 2-shard cluster plus router all sharing one process, every
 //! server's `/statsz` counters must equal its own instance's samples in
-//! its `/metricsz`, and the `/statsz` tape-cache block must equal the
-//! process-wide tape-cache families. Mixed traffic drives every counter
-//! off zero: errors, a coalesced burst, store hits after a restart, and
-//! routed rows whose owner is down.
+//! its `/metricsz`, and the `/statsz` results block must equal the
+//! process-wide result-tier families. Mixed traffic drives every counter
+//! off zero: errors, a repeated row served from memory, a coalesced
+//! burst, store hits after a restart, and routed rows whose owner is
+//! down.
 //!
 //! This file holds a single test so it runs in a process of its own:
-//! the tape-cache families are process-wide.
+//! the result-tier families are process-wide.
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -161,15 +162,13 @@ fn check(server: &str, addr: SocketAddr, mismatches: &mut Vec<String>) {
     }
 
     for (name, family) in [
-        ("hits", "nvmllc_tape_cache_hits_total"),
-        ("misses", "nvmllc_tape_cache_misses_total"),
-        ("store_hits", "nvmllc_tape_cache_store_hits_total"),
-        ("resident_bytes", "nvmllc_tape_cache_resident_bytes"),
-        ("evictions", "nvmllc_tape_cache_evictions_total"),
+        ("hits", "nvmllc_eval_result_memo_hits_total"),
+        ("evictions", "nvmllc_eval_result_memo_evictions_total"),
+        ("resident_bytes", "nvmllc_eval_result_memo_resident_bytes"),
     ] {
         expect(
-            &format!("tape_cache.{name}"),
-            stat("\"tape_cache\":", name),
+            &format!("results.{name}"),
+            stat("\"results\":", name),
             sample(&scrape, family, &[]),
         );
     }
@@ -220,6 +219,17 @@ fn every_statsz_counter_equals_its_own_metricsz_sample() {
     assert_eq!(get(a.addr(), &row("tonto")), 200);
     check("a", a.addr(), &mut mismatches);
     a.shutdown();
+
+    // Storeless C: one row twice, the second from the result tier.
+    let c = Server::start(ServeConfig {
+        store_dir: None,
+        ..standalone("c")
+    })
+    .expect("start c");
+    assert_eq!(get(c.addr(), &row("x264")), 200);
+    assert_eq!(get(c.addr(), &row("x264")), 200);
+    check("c", c.addr(), &mut mismatches);
+    c.shutdown();
 
     // Standalone B: a burst of identical rows released together.
     let b = Server::start(standalone("b")).expect("start b");
@@ -306,6 +316,10 @@ fn every_statsz_counter_equals_its_own_metricsz_sample() {
     assert!(
         field(&a2_stats, "\"store\":", "hits") >= Some(11),
         "the restarted server reads its row from the store: {a2_stats}"
+    );
+    assert!(
+        field(&a2_stats, "\"results\":", "hits") >= Some(11),
+        "C's repeated row came from memory: {a2_stats}"
     );
     let shard0_stats = stats(&shard0);
     assert!(

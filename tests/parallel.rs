@@ -3,10 +3,35 @@
 //! hand every same-key consumer the same `Arc<Trace>`, and the
 //! batched tape replay behind `run_all` must agree exactly with direct
 //! `System::run` at every worker count.
+//!
+//! The result tier is process-wide too, and a run it answers proves
+//! nothing about the pool: the tests comparing runs write-hold
+//! [`exclusive_tier`] and empty the tier before every run they compare,
+//! and every other evaluating test read-holds it ([`evaluating`]), so
+//! none refills the tier in between.
 
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use nvm_llc::prelude::*;
+use nvm_llc::sim::runner;
+
+static RESULT_TIER: RwLock<()> = RwLock::new(());
+
+/// Keeps every other evaluating test out for the caller's duration.
+fn exclusive_tier() -> RwLockWriteGuard<'static, ()> {
+    RESULT_TIER.write().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Keeps the tier-emptying tests out for the caller's duration.
+fn evaluating() -> RwLockReadGuard<'static, ()> {
+    RESULT_TIER.read().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Empties the result tier, so the next evaluation computes every cell.
+fn forget_results() {
+    runner::set_result_budget(0);
+    runner::set_result_budget(runner::RESULT_BUDGET_BYTES);
+}
 
 fn evaluator() -> Evaluator {
     let models = reference::fixed_capacity();
@@ -24,7 +49,10 @@ fn serial_and_eight_worker_matrices_are_identical() {
         .iter()
         .map(|n| workloads::by_name(n).unwrap())
         .collect();
+    let _tier = exclusive_tier();
+    forget_results();
     let serial = evaluator().threads(1).run_all(&ws);
+    forget_results();
     let parallel = evaluator().threads(8).run_all(&ws);
     assert_eq!(serial.len(), 3);
     for (row, w) in serial.iter().zip(&ws) {
@@ -39,16 +67,19 @@ fn serial_and_eight_worker_matrices_are_identical() {
 #[test]
 fn single_row_is_worker_count_invariant() {
     let w = workloads::by_name("bzip2").unwrap();
+    let _tier = exclusive_tier();
+    forget_results();
     let serial = evaluator().threads(1).run_workload(&w);
+    forget_results();
     let parallel = evaluator().threads(4).run_workload(&w);
     assert_eq!(serial, parallel);
 }
 
 /// A persistent store changes nothing at any worker count. Each worker
-/// count gets its own empty store: a cold run generates the traces on
+/// count gets its own empty store: a cold run computes every cell on
 /// the pool and writes every result back, then a warm run prefills
-/// every cell from the result tier. Both equal the storeless serial
-/// matrix.
+/// every cell from the store. Both equal the storeless serial matrix,
+/// computed last.
 #[test]
 fn store_backed_matrices_are_worker_count_invariant() {
     let ws: Vec<_> = ["gobmk", "milc", "lu"]
@@ -58,6 +89,7 @@ fn store_backed_matrices_are_worker_count_invariant() {
     // An access count no other test in this file uses, so the first
     // (4-worker) run generates its traces rather than hitting the cache.
     let make = || evaluator().base_accesses(5_123);
+    let _tier = exclusive_tier();
     let mut matrices = Vec::new();
     for threads in [4, 2, 1] {
         let dir = std::env::temp_dir().join(format!(
@@ -66,10 +98,17 @@ fn store_backed_matrices_are_worker_count_invariant() {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Arc::new(nvm_llc::store::Store::open(&dir).unwrap());
+        forget_results();
+        let groups = runner::metrics::groups().get();
         let cold = make()
             .threads(threads)
             .store(Arc::clone(&store))
             .run_all(&ws);
+        assert_eq!(
+            runner::metrics::groups().get() - groups,
+            ws.len() as u64,
+            "{threads} workers: the cold run makes one functional pass per workload"
+        );
         let hits = store.stats().hits;
         let warm = make()
             .threads(threads)
@@ -82,6 +121,7 @@ fn store_backed_matrices_are_worker_count_invariant() {
         matrices.push((threads, cold, warm));
         let _ = std::fs::remove_dir_all(&dir);
     }
+    forget_results();
     let reference = make().threads(1).run_all(&ws);
     for (threads, cold, warm) in matrices {
         assert_eq!(cold, reference, "cold, {threads} workers");
@@ -106,6 +146,7 @@ fn trace_cache_fetches_are_pointer_equal() {
 fn evaluator_runs_share_the_trace_cache() {
     let w = workloads::by_name("leela").unwrap();
     let accesses = w.scaled_accesses(8_000);
+    let _tier = evaluating();
     let _ = evaluator().threads(2).run_workload(&w);
     let cached = nvm_llc::trace::cache::fetch(&w, 2019, accesses);
     let again = w.generate_shared(2019, accesses);
@@ -122,8 +163,11 @@ fn tape_replay_matrix_matches_direct_runs_at_every_worker_count() {
         .iter()
         .map(|n| workloads::by_name(n).unwrap())
         .collect();
+    let _tier = exclusive_tier();
+    forget_results();
     let reference_rows = evaluator().threads(1).run_all(&ws);
     for threads in [2, 4, 8] {
+        forget_results();
         assert_eq!(evaluator().threads(threads).run_all(&ws), reference_rows);
     }
     // Cross-check the whole 11-technology matrix against the fused
@@ -172,7 +216,9 @@ fn batched_and_per_technology_matrices_agree_at_every_worker_count() {
                 .collect()
         })
         .collect();
+    let _tier = exclusive_tier();
     for threads in [1, 2, 4, 8] {
+        forget_results();
         let rows = evaluator().threads(threads).run_all(&ws);
         for (row, per_tech) in rows.iter().zip(&fused) {
             for (model, direct) in models.iter().zip(per_tech) {
@@ -191,11 +237,11 @@ fn batched_and_per_technology_matrices_agree_at_every_worker_count() {
     }
 }
 
-/// Cached tapes are shared per geometry: two technologies on the same
-/// trace and geometry get one pointer-equal tape, and replaying it
-/// reproduces each one's fused `run`.
+/// Tapes are shared per geometry: two technologies on the same trace
+/// and geometry have one tape key, so one recorded tape serves both,
+/// and replaying it reproduces each one's fused `run`.
 #[test]
-fn cached_tapes_are_shared_per_geometry() {
+fn tape_keys_are_shared_per_geometry() {
     let w = workloads::by_name("ft").unwrap();
     let trace = w.generate_shared(7, 4_000);
     let models = reference::fixed_capacity();
@@ -206,11 +252,10 @@ fn cached_tapes_are_shared_per_geometry() {
         reference::by_name(&models, "Kang").unwrap(),
     ));
     // Same trace + same 2 MB geometry: one tape serves both systems.
-    let tape_a = nvm_llc::sim::tape::cache::fetch(&sram, &trace);
-    let tape_b = nvm_llc::sim::tape::cache::fetch(&kang, &trace);
-    assert!(Arc::ptr_eq(&tape_a, &tape_b));
-    assert_eq!(sram.replay(&tape_a), sram.run(&trace));
-    assert_eq!(kang.replay(&tape_b), kang.run(&trace));
+    assert_eq!(sram.tape_key(&trace), kang.tape_key(&trace));
+    let tape = sram.record(&trace);
+    assert_eq!(sram.replay(&tape), sram.run(&trace));
+    assert_eq!(kang.replay(&tape), kang.run(&trace));
 }
 
 mod policy_proptests {
@@ -248,7 +293,10 @@ mod policy_proptests {
                     .policy(policy)
             };
             let w = workloads::by_name(["tonto", "leela", "bzip2"][workload_idx]).unwrap();
+            let _tier = exclusive_tier();
+            forget_results();
             let serial = make().threads(1).run_workload(&w);
+            forget_results();
             let parallel = make().threads(threads).run_workload(&w);
             prop_assert_eq!(serial, parallel);
         }

@@ -33,13 +33,24 @@ fn direct_row(workload: &str, accesses: usize) -> MatrixRow {
 
 use nvm_llc::sim::MatrixRow;
 
+/// Read-held by every test that evaluates, write-held by the ones that
+/// assert how far process-wide evaluation counters move or that empty
+/// the result tier.
+static EVALUATIONS: std::sync::RwLock<()> = std::sync::RwLock::new(());
+
+fn evaluating() -> std::sync::RwLockReadGuard<'static, ()> {
+    EVALUATIONS.read().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn overlapping_identical_requests_coalesce_and_stay_bit_identical() {
+    let _evaluating = evaluating();
     const CLIENTS: usize = 8;
     // Large enough that the leader's cold evaluation (trace generation +
     // functional record + batched replay) stays in flight while the
     // other clients' requests land, even with the replay kernels fast
-    // and every thread contending for one CPU.
+    // and every thread contending for one CPU. No other test in this
+    // file asks for this row, so the result tier cannot answer it.
     const ACCESSES: usize = 200_000;
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -52,8 +63,8 @@ fn overlapping_identical_requests_coalesce_and_stay_bit_identical() {
 
     // Hammer the daemon with identical requests released together.
     // The expected row is computed only afterwards: evaluating it here
-    // would warm the process-wide trace and tape caches, making the
-    // leader's evaluation too fast for the others to overlap with.
+    // would warm the process-wide trace cache and result tier, making
+    // the leader's evaluation too fast for the others to overlap with.
     let barrier = Arc::new(Barrier::new(CLIENTS));
     let target = format!("/row?workload=tonto&accesses={ACCESSES}");
     let responses: Vec<(u16, String)> = std::thread::scope(|scope| {
@@ -95,6 +106,7 @@ fn overlapping_identical_requests_coalesce_and_stay_bit_identical() {
 
 #[test]
 fn single_cell_matches_direct_evaluation() {
+    let _evaluating = evaluating();
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
@@ -117,6 +129,7 @@ fn single_cell_matches_direct_evaluation() {
 
 #[test]
 fn a_policy_param_selects_the_replacement_policy_and_bad_names_answer_400() {
+    let _evaluating = evaluating();
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
@@ -160,6 +173,7 @@ fn a_policy_param_selects_the_replacement_policy_and_bad_names_answer_400() {
 
 #[test]
 fn warm_requests_survive_a_daemon_restart_via_the_store() {
+    let _evaluating = evaluating();
     let dir = std::env::temp_dir().join(format!("nvm-llcd-restart-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let config = || ServeConfig {
@@ -194,6 +208,87 @@ fn warm_requests_survive_a_daemon_restart_via_the_store() {
     );
     second.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A repeated `/row` is answered by the in-memory result tier: the same
+/// bytes, with no group scheduled and no tape recorded behind them.
+#[test]
+fn a_repeated_row_is_served_from_memory_without_a_functional_pass() {
+    let _exclusive = EVALUATIONS.write().unwrap_or_else(|e| e.into_inner());
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let counts = || {
+        let (status, body) = http::get(addr, "/metricsz").unwrap();
+        assert_eq!(status, 200);
+        (
+            metric_value(&body, "nvmllc_eval_groups_total"),
+            metric_value(&body, "nvmllc_tape_record_seconds_count"),
+        )
+    };
+    let target = "/row?workload=gobmk&accesses=4200";
+    let (status, cold) = http::get(addr, target).unwrap();
+    assert_eq!(status, 200);
+    let before = counts();
+    let (status, warm) = http::get(addr, target).unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(warm, cold, "a remembered row is byte-identical");
+    assert_eq!(counts(), before, "no group scheduled, no tape recorded");
+    server.shutdown();
+}
+
+/// `/eval` over every technology of a workload records one tape: the
+/// first cell is evaluated with the technologies sharing its LLC
+/// capacity (all of fixed capacity), and the rest come from the result
+/// tier. Each cell equals its evaluation beside the baseline alone.
+#[test]
+fn an_eval_sweep_over_a_workload_makes_one_functional_pass() {
+    use nvm_llc::sim::runner;
+    let _exclusive = EVALUATIONS.write().unwrap_or_else(|e| e.into_inner());
+    let forget_results = || {
+        runner::set_result_budget(0);
+        runner::set_result_budget(runner::RESULT_BUDGET_BYTES);
+    };
+    const ACCESSES: usize = 4_300;
+    let models = reference::fixed_capacity();
+    let baseline = reference::by_name(&models, "SRAM").unwrap();
+    let w = workloads::by_name("sp").unwrap();
+    let nvms: Vec<_> = models.into_iter().filter(|m| m.name != "SRAM").collect();
+    forget_results();
+    let expected: Vec<String> = nvms
+        .iter()
+        .map(|m| {
+            let row = Evaluator::new(baseline.clone(), vec![m.clone()])
+                .base_accesses(ACCESSES)
+                .run_workload(&w);
+            json::render_cell(&row.workload, &row.entries[0])
+        })
+        .collect();
+    forget_results();
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let groups = || {
+        let (status, body) = http::get(server.addr(), "/metricsz").unwrap();
+        assert_eq!(status, 200);
+        metric_value(&body, "nvmllc_eval_groups_total")
+    };
+    let before = groups();
+    for (m, expected) in nvms.iter().zip(&expected) {
+        let target = format!("/eval?workload=sp&tech={}&accesses={ACCESSES}", m.name);
+        let (status, body) = http::get(server.addr(), &target).unwrap();
+        assert_eq!(status, 200, "{target}");
+        assert_eq!(&body, expected, "{target}");
+    }
+    assert_eq!(groups() - before, 1.0, "one functional pass for the sweep");
+    server.shutdown();
 }
 
 /// Starts a small daemon and hands back a raw client stream plus a
@@ -345,6 +440,7 @@ fn keep_alive_connections_honor_the_request_cap_and_close_header() {
 /// the server itself.
 #[test]
 fn metricsz_is_valid_prometheus_with_a_full_inventory() {
+    let _evaluating = evaluating();
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
@@ -387,7 +483,8 @@ fn metricsz_is_valid_prometheus_with_a_full_inventory() {
     for family in [
         "nvmllc_eval_runs_total",
         "nvmllc_eval_run_all_seconds",
-        "nvmllc_tape_cache_misses_total",
+        "nvmllc_eval_result_memo_hits_total",
+        "nvmllc_tape_record_seconds",
         "nvmllc_tape_replay_batch_seconds",
         "nvmllc_trace_cache_misses_total",
         "nvmllc_store_hits_total",
@@ -470,6 +567,7 @@ fn metric_value(body: &str, name: &str) -> f64 {
 /// `requests_per_conn`.
 #[test]
 fn early_return_paths_leave_gauges_balanced() {
+    let _evaluating = evaluating();
     use std::io::Write as _;
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -561,6 +659,7 @@ fn early_return_paths_leave_gauges_balanced() {
 /// histograms, plus the tail-sampling summary.
 #[test]
 fn statsz_reports_latency_quantiles_and_trace_summary() {
+    let _evaluating = evaluating();
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
@@ -598,6 +697,7 @@ static ENABLED_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
 /// handler span tree; errors are retained regardless of latency.
 #[test]
 fn tracez_captures_slow_and_error_requests_with_phase_spans() {
+    let _evaluating = evaluating();
     let _enabled = ENABLED_FLAG.lock().unwrap();
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -607,7 +707,9 @@ fn tracez_captures_slow_and_error_requests_with_phase_spans() {
     })
     .unwrap();
     let addr = server.addr();
-    let (status, _) = http::get(addr, "/eval?workload=lu&tech=Kang&accesses=4000").unwrap();
+    // A cell no other test in this file asks for, so it is computed: the
+    // result tier would answer a repeated one without a functional pass.
+    let (status, _) = http::get(addr, "/eval?workload=lu&tech=Kang&accesses=4400").unwrap();
     assert_eq!(status, 200);
 
     let (status, tracez) = http::get(addr, "/tracez").unwrap();
@@ -618,7 +720,7 @@ fn tracez_captures_slow_and_error_requests_with_phase_spans() {
     );
     assert!(field_after(&tracez, "", "captured") >= 1, "{tracez}");
     assert!(tracez.contains("\"reason\":\"slow\""), "{tracez}");
-    for span in ["serve_handle", "queue", "parse", "tape_fetch"] {
+    for span in ["serve_handle", "queue", "parse", "tape_record"] {
         assert!(
             tracez.contains(&format!("\"name\":\"{span}\"")),
             "span {span} missing from the retained tree: {tracez}"
@@ -676,6 +778,7 @@ fn clusterz_on_a_standalone_node_reports_itself() {
 /// byte-identical response heads, so tracing is free to turn off.
 #[test]
 fn disabled_span_timing_emits_no_trace_headers_and_identical_bytes() {
+    let _evaluating = evaluating();
     let _enabled = ENABLED_FLAG.lock().unwrap();
     let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),

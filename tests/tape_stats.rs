@@ -1,27 +1,29 @@
-//! Tape-cache effectiveness, asserted on process-wide counters.
+//! Functional-pass and result-tier accounting, asserted on process-wide
+//! counters.
 //!
 //! This file holds exactly one test and therefore compiles to its own
-//! test binary (its own process): the `nvm_llc::sim::tape::cache`
-//! hit/miss counters are global, so the assertion that an evaluation
-//! matrix performs *exactly one* functional pass per distinct geometry
-//! only holds when no concurrent test is populating the same cache.
+//! test binary (its own process): the evaluator's group counter and the
+//! result tier are global, so the assertion that an evaluation matrix
+//! performs *exactly one* functional pass per distinct geometry only
+//! holds when no concurrent test is evaluating.
 
 use nvm_llc::prelude::*;
 use std::collections::HashSet;
 
-/// The tentpole's headline accounting, end to end:
+/// The evaluator's accounting, end to end:
 ///
 /// * fixed-capacity matrix (11 technologies, one shared 2 MB geometry):
-///   the batched path fetches the tape *once per group*, so a cold run
-///   is one tape-cache miss (= one functional pass) per workload and no
-///   hits at all — the ten extra technologies ride the single tape;
-/// * rerun warm, each group's one fetch hits;
-/// * fixed-area matrix (capacities differ per technology): one miss per
-///   *distinct* LLC capacity — each capacity forms one batched group;
-/// * the replayed results stay bit-identical to direct `System::run`.
+///   a cold run is one group (= one functional pass, one batched replay)
+///   per workload and no result-tier hits;
+/// * rerun warm, every cell is a result-tier hit and nothing is
+///   recorded or replayed;
+/// * fixed-area matrix (capacities differ per technology): one group
+///   per *distinct* LLC capacity;
+/// * the results stay bit-identical to direct `System::run`.
 #[test]
 fn matrix_records_one_functional_pass_per_distinct_geometry() {
-    let cache = nvm_llc::sim::tape::cache::stats;
+    use nvm_llc::sim::runner::metrics;
+    let counts = || (metrics::groups().get(), metrics::result_memo_hits().get());
     let models = reference::fixed_capacity();
     let baseline = reference::by_name(&models, "SRAM").unwrap();
     let nvms: Vec<_> = models
@@ -33,54 +35,38 @@ fn matrix_records_one_functional_pass_per_distinct_geometry() {
         .iter()
         .map(|n| workloads::by_name(n).unwrap())
         .collect();
+    let width = 1 + nvms.len();
 
-    let before = cache();
+    let (groups, hits) = counts();
     let rows = Evaluator::new(baseline.clone(), nvms.clone())
         .base_accesses(8_000)
         .threads(4)
         .run_all(&ws);
-    let after = cache();
-
     // All 11 fixed-capacity technologies share the 2 MB LLC geometry, so
     // each workload is a single batched group: exactly one functional
-    // pass per workload and one tape shared by all eleven engines — no
-    // per-technology cache traffic at all.
+    // pass per workload, one tape shared by all eleven engines.
     assert_eq!(
-        after.misses - before.misses,
-        ws.len() as u64,
-        "one functional pass per workload"
+        counts(),
+        (groups + ws.len() as u64, hits),
+        "one functional pass per workload, no result-tier hits"
     );
-    assert_eq!(
-        after.hits - before.hits,
-        0,
-        "batched groups fetch the tape once, at recording time"
-    );
-    assert!(after.bytes > before.bytes, "tapes report their footprint");
-    assert_eq!(after.evictions, 0, "default budget fits the test tapes");
-    assert_eq!(nvm_llc::sim::tape::cache::len(), ws.len());
 
-    // Rerun the same matrix warm: each workload's one group fetches its
-    // tape once — one hit per workload, no new passes.
-    let before = cache();
+    // Rerun the same matrix warm: every cell comes from the result
+    // tier, so no group is scheduled at all.
+    let (groups, hits) = counts();
     let warm = Evaluator::new(baseline, nvms)
         .base_accesses(8_000)
         .threads(4)
         .run_all(&ws);
-    let after = cache();
     assert_eq!(
-        after.misses - before.misses,
-        0,
-        "warm rerun records nothing"
-    );
-    assert_eq!(
-        after.hits - before.hits,
-        ws.len() as u64,
-        "one fetch per group"
+        counts(),
+        (groups, hits + (ws.len() * width) as u64),
+        "a warm rerun records nothing and hits every cell"
     );
     assert_eq!(rows, warm, "warm and cold rows are bit-identical");
 
-    // Replays are bit-identical to direct runs over a freshly generated
-    // (cache-independent) copy of the same trace.
+    // The results are bit-identical to direct runs over a freshly
+    // generated (cache-independent) copy of the same trace.
     let models = reference::fixed_capacity();
     for (row, w) in rows.iter().zip(&ws) {
         let trace = w.generate(2019, w.scaled_accesses(8_000));
@@ -98,28 +84,21 @@ fn matrix_records_one_functional_pass_per_distinct_geometry() {
     }
 
     // Fixed-area models size each LLC by its cell's density, so only
-    // technologies that land on the same capacity share a tape — and
-    // under batching each distinct capacity is exactly one group, hence
-    // exactly one cache fetch (a cold miss) regardless of group size.
+    // technologies that land on the same capacity share a tape: each
+    // distinct capacity is exactly one group.
     let fa = reference::fixed_area();
     let distinct_capacities: HashSet<u64> = fa.iter().map(|m| m.capacity.bytes()).collect();
     let fa_baseline = reference::by_name(&fa, "SRAM").unwrap();
     let fa_nvms: Vec<_> = fa.iter().filter(|m| m.name != "SRAM").cloned().collect();
     let w = workloads::by_name("gobmk").unwrap();
-    let before = cache();
+    let (groups, hits) = counts();
     let _ = Evaluator::new(fa_baseline, fa_nvms)
         .base_accesses(8_000)
         .threads(4)
         .run_workload(&w);
-    let after = cache();
     assert_eq!(
-        after.misses - before.misses,
-        distinct_capacities.len() as u64,
+        counts(),
+        (groups + distinct_capacities.len() as u64, hits),
         "one functional pass per distinct fixed-area capacity"
-    );
-    assert_eq!(
-        after.hits - before.hits,
-        0,
-        "one fetch per capacity group: recording is the only cache touch"
     );
 }

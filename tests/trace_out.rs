@@ -228,7 +228,6 @@ fn trace_out_keeps_stdout_and_writes_nested_chrome_lanes() {
     for name in [
         "eval_run_all",
         "trace_generate",
-        "tape_fetch",
         "tape_record",
         "tape_replay_batch",
     ] {
