@@ -1020,3 +1020,110 @@ mod tests {
         assert_eq!(opens, chrome.matches('}').count(), "balanced JSON");
     }
 }
+
+/// The header parsers read bytes from other processes, so they must be
+/// total: arbitrary and mutated input never panics, a collector never
+/// retains more than its cap, and valid headers round-trip.
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// `valid` with the byte at each `(index, mask)` XORed by a non-zero
+    /// mask, read as UTF-8 lossily (header values reach the parsers as
+    /// strings).
+    fn mutate(valid: &str, flips: &[(usize, u8)]) -> String {
+        let mut bytes = valid.as_bytes().to_vec();
+        for &(at, mask) in flips {
+            if !bytes.is_empty() {
+                let at = at % bytes.len();
+                bytes[at] ^= mask.max(1);
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// A span name drawn from the characters header encoding keeps.
+    fn name(seed: u64) -> String {
+        const ALPHABET: &[u8] = b"abcz09_-.:@/";
+        (0..1 + seed % 12)
+            .map(|i| char::from(ALPHABET[((seed >> (i * 4)) % ALPHABET.len() as u64) as usize]))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn context_parse_never_panics_on_arbitrary_bytes(bytes in vec(any::<u8>(), 0..96)) {
+            if let Some(ctx) = TraceContext::parse(&String::from_utf8_lossy(&bytes)) {
+                prop_assert_eq!(TraceContext::parse(&ctx.encode()), Some(ctx));
+            }
+        }
+
+        #[test]
+        fn context_round_trips_and_survives_mutation(
+            hi in any::<u64>(),
+            lo in any::<u64>(),
+            parent_span in any::<u64>(),
+            hop in any::<u32>(),
+            flips in vec((any::<usize>(), any::<u8>()), 1..4),
+        ) {
+            let ctx = TraceContext {
+                trace_id: (u128::from(hi) << 64) | u128::from(lo),
+                parent_span,
+                hop,
+            };
+            let encoded = ctx.encode();
+            prop_assert_eq!(TraceContext::parse(&encoded), Some(ctx));
+            if let Some(parsed) = TraceContext::parse(&mutate(&encoded, &flips)) {
+                prop_assert_eq!(TraceContext::parse(&parsed.encode()), Some(parsed));
+            }
+        }
+
+        #[test]
+        fn span_ingest_never_panics_and_stays_bounded(
+            bytes in vec(any::<u8>(), 0..256),
+            max_spans in 0usize..6,
+        ) {
+            let collector = Collector::begin(None, max_spans);
+            let header = String::from_utf8_lossy(&bytes);
+            collector.ingest_remote(&header, 0.0);
+            collector.ingest_remote(&format!("node=n;{header}"), 5.0);
+            prop_assert!(collector.spans().len() <= max_spans);
+        }
+
+        #[test]
+        fn span_headers_round_trip_and_survive_mutation(
+            spans in vec((any::<u64>(), any::<u64>(), 0u32..1_000_000, 0u32..100_000), 0..40),
+            flips in vec((any::<usize>(), any::<u8>()), 1..6),
+            max_spans in 0usize..48,
+        ) {
+            let origin = Collector::begin(None, MAX_SPANS_PER_TRACE);
+            for &(seed, parent, start, dur) in &spans {
+                // Whole tenths survive the header's one-decimal format.
+                origin.add_synthetic(&name(seed), parent, f64::from(start) / 10.0, f64::from(dur) / 10.0);
+            }
+            let header = origin.encode_spans("shard-3");
+
+            let copy = Collector::begin(None, MAX_SPANS_PER_TRACE);
+            copy.ingest_remote(&header, 0.0);
+            let sent = origin.spans();
+            let got = copy.spans();
+            prop_assert_eq!(got.len(), sent.len());
+            for (got, sent) in got.iter().zip(&sent) {
+                prop_assert_eq!(&got.name, &sent.name);
+                prop_assert_eq!(got.span_id, sent.span_id);
+                prop_assert_eq!(got.parent_id, sent.parent_id);
+                prop_assert_eq!(got.start_micros, sent.start_micros);
+                prop_assert_eq!(got.dur_micros, sent.dur_micros);
+                prop_assert_eq!(got.node.as_deref(), Some("shard-3"));
+            }
+
+            let bounded = Collector::begin(None, max_spans);
+            bounded.ingest_remote(&mutate(&header, &flips), 0.0);
+            prop_assert!(bounded.spans().len() <= max_spans);
+        }
+    }
+}

@@ -15,12 +15,21 @@
 //!    kinds can never collide;
 //! 2. [`MODEL_VERSION`], bumped whenever the simulator's observable
 //!    behavior changes — old records become unreachable rather than
-//!    silently wrong;
+//!    silently wrong (route keys, [`request_key`], name requests rather
+//!    than records and keep a fixed version);
 //! 3. the artifact's identity payload: the trace's
-//!    [content hash](nvm_llc_trace::Trace::content_hash) plus either
-//!    the tape key's functional geometry ([`TapeKey::persist_bytes`])
-//!    or the full system fingerprint (every timing, energy, and policy
-//!    knob).
+//!    [id](nvm_llc_trace::Trace::id) plus either the tape key's
+//!    functional geometry ([`TapeKey::persist_bytes`]) or the canonical
+//!    encoding of the whole system ([`encode_system`]: every timing,
+//!    energy, and policy knob, floats by bit pattern).
+//!
+//! A result is keyed by what was asked, not by what was generated. A
+//! generated trace's id is its request's,
+//! [`WorkloadProfile::trace_id`](nvm_llc_trace::WorkloadProfile::trace_id)
+//! (generator version, profile, seed and length), so a result key is
+//! derivable before any trace exists: the evaluator looks every cell up
+//! first and generates a trace only for a workload with a cell still to
+//! compute. A stored result is read without generating anything.
 //!
 //! Decoding is strict: version-tagged, length-checked by the store's
 //! record header, and rejected on any trailing or missing bytes, so a
@@ -28,14 +37,18 @@
 
 use nvm_llc_cell::units::{Joules, Seconds};
 use nvm_llc_cell::MemClass;
+use nvm_llc_circuit::{LlcModel, ModelSource};
 use nvm_llc_store::wire::{Reader, WireError, Writer};
 use nvm_llc_store::Key;
 use nvm_llc_trace::Trace;
 
-use crate::endurance::EnduranceReport;
+use crate::config::{ArchConfig, CacheLevelConfig, LlcWritePolicy};
+use crate::dram::DramConfig;
+use crate::endurance::{EnduranceReport, WearPolicy};
 use crate::result::{SimResult, SimStats};
 use crate::system::System;
 use crate::tape::{OutcomeTape, TapeEvent, TapeKey};
+use crate::techniques::WriteMode;
 
 /// Version of the simulator's observable model baked into every store
 /// key. Bump it whenever a change alters simulation outputs (timing,
@@ -49,38 +62,204 @@ use crate::tape::{OutcomeTape, TapeEvent, TapeKey};
 ///   policy tag ([`crate::policy::PolicyKind::persist_tag`]) and
 ///   request keys gained a policy axis, so geometry-only keys from
 ///   version 1 must never alias a policy-keyed record.
-pub const MODEL_VERSION: u32 = 2;
+/// * 3 — results key on request identity: a generated trace's id digests
+///   its request instead of its events, and the system half of a result
+///   key is [`encode_system`] instead of the `Debug` text. Results and
+///   payloads are unchanged; version-2 records simply miss. Route keys
+///   do not move.
+pub const MODEL_VERSION: u32 = 3;
 
-/// Digests `tag | MODEL_VERSION | payload` into a store key.
-fn derive_key(tag: &str, payload: &[u8]) -> Key {
+/// The version route keys ([`request_key`]) digest in place of
+/// [`MODEL_VERSION`]. A route key names a request, not a simulator
+/// output, so a model change need not move any request to another
+/// shard: route keys stay where version 2 put them.
+const ROUTE_KEY_VERSION: u32 = 2;
+
+/// Digests `tag | version | payload` into a store key.
+fn derive_key(tag: &str, version: u32, payload: &[u8]) -> Key {
     let mut w = Writer::new();
-    w.str(tag).u32(MODEL_VERSION).bytes(payload);
+    w.str(tag).u32(version).bytes(payload);
     Key::digest(&w.into_bytes())
 }
 
 /// Store key of the outcome tape identified by `key`: the functional
-/// geometry plus the trace's content hash ([`TapeKey::persist_bytes`]).
+/// geometry plus the trace's id ([`TapeKey::persist_bytes`]).
 ///
 /// The evaluator no longer persists tapes; this key and the tape codec
 /// below stay for `perf_ledger`'s replica, their one caller.
 pub fn tape_store_key(key: &TapeKey) -> Key {
-    derive_key("tape", &key.persist_bytes())
+    derive_key("tape", MODEL_VERSION, &key.persist_bytes())
+}
+
+/// The canonical encoding of every field of `system`, the system half
+/// of a result key: the architecture (both private levels, the LLC
+/// model, DRAM), the replacement policy, the warmup fraction and the
+/// wear policy, floats by bit pattern and enums by explicit tag.
+///
+/// Every struct is destructured without `..` and every enum matched
+/// without a wildcard, so a new field or variant fails to compile here
+/// until it joins the key.
+pub fn encode_system(system: &System) -> Vec<u8> {
+    let System {
+        config,
+        replacement,
+        warmup_fraction,
+        endurance,
+    } = system;
+    let mut w = Writer::new();
+    encode_arch(&mut w, config);
+    w.u8(replacement.persist_tag()).f64(*warmup_fraction);
+    match endurance {
+        None => w.u8(0),
+        Some(WearPolicy::None) => w.u8(1),
+        Some(WearPolicy::RotateXor { period }) => w.u8(2).u64(*period),
+    };
+    w.into_bytes()
+}
+
+fn encode_arch(w: &mut Writer, config: &ArchConfig) {
+    let ArchConfig {
+        cores,
+        freq_ghz,
+        base_cpi,
+        rob_entries,
+        load_queue,
+        store_queue,
+        l1d,
+        l2,
+        llc,
+        llc_banks,
+        llc_write_policy,
+        dram_latency_ns,
+        dram_controllers,
+        dram_bandwidth_gbs,
+        detailed_dram,
+        dram_config,
+        llc_write_mode,
+        llc_bypass,
+        l2_prefetch,
+        inclusive_llc,
+        mshrs,
+    } = config;
+    w.u32(*cores)
+        .f64(*freq_ghz)
+        .f64(*base_cpi)
+        .u32(*rob_entries)
+        .u32(*load_queue)
+        .u32(*store_queue);
+    encode_level(w, l1d);
+    encode_level(w, l2);
+    encode_llc(w, llc);
+    w.u32(*llc_banks).u8(match llc_write_policy {
+        LlcWritePolicy::OffCriticalPath => 0,
+        LlcWritePolicy::PortContention => 1,
+        LlcWritePolicy::Blocking => 2,
+    });
+    w.f64(*dram_latency_ns)
+        .u32(*dram_controllers)
+        .f64(*dram_bandwidth_gbs)
+        .bool(*detailed_dram);
+    encode_dram(w, dram_config);
+    match llc_write_mode {
+        WriteMode::Full => w.u8(0),
+        WriteMode::Differential { flip_fraction } => w.u8(1).f64(*flip_fraction),
+    };
+    w.bool(*llc_bypass).bool(*l2_prefetch).bool(*inclusive_llc);
+    match mshrs {
+        None => w.u8(0),
+        Some(mshrs) => w.u8(1).u32(*mshrs),
+    };
+}
+
+fn encode_level(w: &mut Writer, level: &CacheLevelConfig) {
+    let CacheLevelConfig {
+        capacity_bytes,
+        associativity,
+        block_bytes,
+        latency_cycles,
+    } = level;
+    w.u64(*capacity_bytes)
+        .u32(*associativity)
+        .u32(*block_bytes)
+        .u64(*latency_cycles);
+}
+
+fn encode_llc(w: &mut Writer, llc: &LlcModel) {
+    let LlcModel {
+        name,
+        class,
+        capacity,
+        area,
+        tag_latency,
+        read_latency,
+        write_latency_set,
+        write_latency_reset,
+        hit_energy,
+        miss_energy,
+        write_energy,
+        leakage,
+        source,
+    } = llc;
+    w.str(name)
+        .u8(class_to_u8(*class))
+        .f64(capacity.value())
+        .f64(area.value())
+        .f64(tag_latency.value())
+        .f64(read_latency.value())
+        .f64(write_latency_set.value())
+        .f64(write_latency_reset.value())
+        .f64(hit_energy.value())
+        .f64(miss_energy.value())
+        .f64(write_energy.value())
+        .f64(leakage.value())
+        .u8(match source {
+            ModelSource::Generated => 0,
+            ModelSource::PaperReference => 1,
+        });
+}
+
+fn encode_dram(w: &mut Writer, dram: &DramConfig) {
+    let DramConfig {
+        controllers,
+        banks_per_controller,
+        row_blocks,
+        t_cas_ns,
+        t_rcd_ns,
+        t_rp_ns,
+        transfer_ns,
+    } = dram;
+    w.u32(*controllers)
+        .u32(*banks_per_controller)
+        .u32(*row_blocks)
+        .f64(*t_cas_ns)
+        .f64(*t_rcd_ns)
+        .f64(*t_rp_ns)
+        .f64(*transfer_ns);
+}
+
+/// Store key of the finished [`SimResult`] of running the system whose
+/// [`encode_system`] bytes are `system` over the trace `trace_id`
+/// identifies. The evaluator encodes each system once per call and
+/// keys every cell here, with no trace in hand.
+pub fn result_key_encoded(system: &[u8], trace_id: u128) -> Key {
+    let mut w = Writer::new();
+    w.u128(trace_id).bytes(system);
+    derive_key("result", MODEL_VERSION, &w.into_bytes())
+}
+
+/// Store key of the finished [`SimResult`] of running `system` over the
+/// trace `trace_id` identifies ([`Trace::id`]; for a generated trace,
+/// [`WorkloadProfile::trace_id`](nvm_llc_trace::WorkloadProfile::trace_id)).
+pub fn result_key(system: &System, trace_id: u128) -> Key {
+    result_key_encoded(&encode_system(system), trace_id)
 }
 
 /// Store key of the finished [`SimResult`] of running `system` over
-/// `trace`.
-///
-/// The system half of the identity is its `Debug` rendering: `System`
-/// is plain data (architecture configuration, replacement policy,
-/// warmup fraction, endurance policy), so equal fingerprints mean equal
-/// observable behavior. Shortest-round-trip float formatting keeps the
-/// rendering injective on every `f64` knob; a formatting change across
-/// toolchains would only cause spurious misses, never false hits, and
-/// [`MODEL_VERSION`] guards deliberate model changes.
+/// `trace`: [`result_key`] of the trace's id. A trace from
+/// `WorkloadProfile::generate_shared` therefore keys exactly as the
+/// evaluator does from the request alone.
 pub fn result_store_key(system: &System, trace: &Trace) -> Key {
-    let mut w = Writer::new();
-    w.u128(trace.content_hash()).str(&format!("{system:?}"));
-    derive_key("result", &w.into_bytes())
+    result_key(system, trace.id())
 }
 
 /// Store-keyspace routing key of one service request, derivable by
@@ -105,7 +284,7 @@ pub fn request_key(
         .str(tech.unwrap_or(""))
         .u64(accesses as u64)
         .u8(policy.persist_tag());
-    derive_key("route", &w.into_bytes())
+    derive_key("route", ROUTE_KEY_VERSION, &w.into_bytes())
 }
 
 fn encode_stats(w: &mut Writer, s: &SimStats) {
@@ -372,8 +551,6 @@ pub fn decode_tape(payload: &[u8]) -> Option<OutcomeTape> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ArchConfig;
-    use crate::endurance::WearPolicy;
     use nvm_llc_trace::workloads;
 
     fn sample_system() -> System {
@@ -620,12 +797,11 @@ mod tests {
     #[test]
     fn keys_are_content_derived_not_process_local() {
         let system = sample_system();
-        // Two separately built traces with identical events: identical
-        // persistent keys.
+        // The shared trace and a separately generated copy of the same
+        // request: identical persistent keys.
         let a = sample_trace();
-        let b = workloads::by_name("tonto")
-            .unwrap()
-            .generate_shared(7, 1_500);
+        let b = workloads::by_name("tonto").unwrap().generate(7, 1_500);
+        assert!(!std::ptr::eq(&*a, &b));
         assert_eq!(
             tape_store_key(&system.tape_key(&a)),
             tape_store_key(&system.tape_key(&b)),
@@ -639,6 +815,100 @@ mod tests {
             tape_store_key(&system.tape_key(&a)).hex(),
             result_store_key(&system, &a).hex(),
         );
+    }
+
+    /// The store key a trace in hand derives ([`result_store_key`], what
+    /// `perf_ledger`'s replica calls on a `generate_shared` trace) is the
+    /// key the evaluator derives from the request alone, for every
+    /// workload, column and policy: each reads the other's records.
+    #[test]
+    fn a_generated_trace_keys_its_results_as_the_evaluator_does() {
+        use crate::policy::PolicyKind;
+        use crate::runner::{Evaluator, DEFAULT_SEED};
+        let models = nvm_llc_circuit::reference::fixed_capacity();
+        let baseline = nvm_llc_circuit::reference::by_name(&models, "SRAM").unwrap();
+        let nvms: Vec<_> = models.into_iter().filter(|m| m.name != "SRAM").collect();
+        let all = workloads::all();
+        let base = 2_000;
+        for evaluator in [
+            Evaluator::new(baseline.clone(), nvms.clone()),
+            Evaluator::new(baseline.clone(), nvms.clone()).policy(PolicyKind::Endurance),
+            Evaluator::new(baseline.clone(), nvms.clone())
+                .endurance(WearPolicy::RotateXor { period: 64 }),
+        ] {
+            let evaluator = evaluator.base_accesses(base);
+            let systems = evaluator.systems();
+            let keys = evaluator.cell_keys(&all, &systems);
+            assert_eq!(keys.len(), all.len() * systems.len());
+            let mut keys = keys.iter();
+            for w in &all {
+                let trace = w.generate_shared(DEFAULT_SEED, w.scaled_accesses(base));
+                for system in &systems {
+                    let key = keys.next().unwrap();
+                    assert_eq!(result_store_key(system, &trace), *key, "{}", w.name());
+                }
+            }
+        }
+    }
+
+    /// Every knob of the system encoding reaches the result key.
+    #[test]
+    fn every_system_knob_moves_the_result_key() {
+        use crate::config::LlcWritePolicy;
+        use crate::policy::PolicyKind;
+        let config = || ArchConfig::gainestown(nvm_llc_circuit::reference::sram_baseline());
+        let with_llc = |edit: fn(&mut LlcModel)| {
+            let mut config = config();
+            edit(&mut config.llc);
+            System::new(config)
+        };
+        let with_dram = |edit: fn(&mut DramConfig)| {
+            let mut config = config();
+            edit(&mut config.dram_config);
+            System::new(config)
+        };
+        let systems = [
+            System::new(config()),
+            System::new(config()).with_warmup(0.25),
+            System::new(config()).with_replacement(PolicyKind::Srrip),
+            System::new(config()).with_endurance_tracking(WearPolicy::None),
+            System::new(config()).with_endurance_tracking(WearPolicy::RotateXor { period: 8 }),
+            System::new(config()).with_endurance_tracking(WearPolicy::RotateXor { period: 9 }),
+            System::new(config().with_cores(2)),
+            System::new(config().with_l2_prefetch()),
+            System::new(config().with_inclusive_llc()),
+            System::new(config().with_llc_bypass()),
+            System::new(config().with_detailed_dram()),
+            System::new(config().with_mshrs(10)),
+            System::new(config().with_differential_writes(0.5)),
+            System::new(config().with_differential_writes(0.25)),
+            System::new(config().with_llc_write_policy(LlcWritePolicy::Blocking)),
+            System::new(config().with_llc_write_policy(LlcWritePolicy::PortContention)),
+            System::new(ArchConfig {
+                freq_ghz: 3.0,
+                ..config()
+            }),
+            System::new(ArchConfig {
+                l2: CacheLevelConfig {
+                    latency_cycles: 9,
+                    ..config().l2
+                },
+                ..config()
+            }),
+            with_llc(|llc| llc.name.push('x')),
+            with_llc(|llc| llc.leakage = llc.leakage * 2.0),
+            with_llc(|llc| llc.source = ModelSource::Generated),
+            with_dram(|dram| dram.t_rp_ns += 1.0),
+            with_dram(|dram| dram.row_blocks += 1),
+        ];
+        let keys: Vec<Key> = systems.iter().map(|s| result_key(s, 7)).collect();
+        for (i, a) in keys.iter().enumerate() {
+            for (j, b) in keys.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "systems {i} and {j} share a key");
+            }
+        }
+        // The trace id is the other half.
+        assert_ne!(result_key(&systems[0], 7), result_key(&systems[0], 8));
     }
 
     #[test]
@@ -684,11 +954,11 @@ mod tests {
 
     /// Golden-key regression pin: the persistent key derivation for one
     /// fixed (trace, system, policy) triple, frozen at `MODEL_VERSION`
-    /// 2. If any of these hex digests move, either the key derivation
+    /// 3. If any of these hex digests move, either the key derivation
     /// changed by accident (fix the code) or the observable model
     /// changed on purpose (bump `MODEL_VERSION` and re-pin here).
     #[test]
-    fn golden_keys_pin_model_version_2_derivation() {
+    fn golden_keys_pin_model_version_3_derivation() {
         use crate::policy::PolicyKind;
         let trace = sample_trace();
         let system = sample_system().with_replacement(PolicyKind::Srrip);
@@ -703,8 +973,8 @@ mod tests {
         )
         .hex();
         let got = format!("tape={tape_key} result={result_key} route={route_key}");
-        let want = "tape=2e88fb236a4a19145fad3dabf603175f \
-                    result=dab4d6cc8671889ee5ce0488db612df7 \
+        let want = "tape=44aec2b3bca7a4c5cc1b7a3b1fff53fe \
+                    result=962341361558bd4f71ba0993373ada31 \
                     route=0b7521ed755edbaa163a8b8fcbe26ef7";
         assert_eq!(got, want, "persistent key derivation moved");
     }

@@ -10,8 +10,9 @@
 //!
 //! [`Evaluator::run_all`] runs in two phases on one scoped worker pool
 //! (`std::thread::scope` plus an atomic work-index queue — no external
-//! dependencies): first every workload's trace is generated, then the
-//! (workload × technology) cell grid, grouped by outcome-tape key —
+//! dependencies): first the trace of every workload with a cell left to
+//! compute is generated, then the pending cells of the (workload ×
+//! technology) grid, grouped by outcome-tape key —
 //! cells sharing a trace and a functional geometry share one functional
 //! pass *and* one batched replay — is fanned out group by group. Each
 //! phase returns its results in work-item order, group results are
@@ -34,14 +35,20 @@
 //! through up to three tiers: the persistent store when one is attached
 //! ([`Evaluator::store`]), the in-memory result memo (process-wide,
 //! bounded at [`RESULT_BUDGET_BYTES`]), and only then the group
-//! computation. Store hits and computed results both enter the memo,
-//! and with a store attached every result not read from it is written
-//! back, so a store holds every cell its evaluator resolves. The store
-//! answers before the memo because a caller attached it as the
+//! computation. Both tiers key on request identity
+//! ([`crate::persist::result_key_encoded`]): each system's canonical
+//! encoding, made once per call, plus the workload's trace id
+//! ([`WorkloadProfile::trace_id`]), which the profile, seed and length
+//! determine without generating anything. So every cell is looked up
+//! before any trace exists, and a trace is generated only for a workload
+//! that still has a cell to compute: a row served from either tier
+//! generates no trace. Store hits and computed results both enter the
+//! memo, and with a store attached every result not read from it is
+//! written back, so a store holds every cell its evaluator resolves. The
+//! store answers before the memo because a caller attached it as the
 //! authority: a cell it holds is always served from it, and its hit
-//! counters account for every such cell. Both tiers key on
-//! [`crate::persist::result_store_key`] and are bit-exact, so a tier hit
-//! never changes a result — only how fast it arrives.
+//! counters account for every such cell. Both tiers are bit-exact, so a
+//! tier hit never changes a result — only how fast it arrives.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -74,7 +81,7 @@ pub const DEFAULT_WARMUP: f64 = 0.25;
 pub const RESULT_BUDGET_BYTES: u64 = 32 << 20;
 
 /// The in-memory result tier, process-wide, keyed like the store's
-/// result records ([`persist::result_store_key`]).
+/// result records ([`persist::result_key_encoded`]).
 fn result_memo() -> &'static Memo<Key, SimResult> {
     static MEMO: OnceLock<Memo<Key, SimResult>> = OnceLock::new();
     MEMO.get_or_init(|| {
@@ -403,11 +410,39 @@ impl Evaluator {
             .expect("one workload in, one row out")
     }
 
+    /// The systems one call evaluates, baseline first then each NVM:
+    /// the columns of the cell grid. They are trace-independent.
+    pub(crate) fn systems(&self) -> Vec<System> {
+        std::iter::once(&self.baseline)
+            .chain(&self.nvms)
+            .map(|llc| self.system(llc))
+            .collect()
+    }
+
+    /// The result key of every cell of `workloads` × `systems`,
+    /// workload-major, derived from the request alone: each system is
+    /// encoded once, each workload's trace id is computed without
+    /// generating the trace ([`WorkloadProfile::trace_id`]).
+    pub(crate) fn cell_keys(&self, workloads: &[WorkloadProfile], systems: &[System]) -> Vec<Key> {
+        let encoded: Vec<Vec<u8>> = systems.iter().map(persist::encode_system).collect();
+        workloads
+            .iter()
+            .flat_map(|w| {
+                let trace_id = w.trace_id(self.seed, w.scaled_accesses(self.base_accesses));
+                encoded
+                    .iter()
+                    .map(move |system| persist::result_key_encoded(system, trace_id))
+            })
+            .collect()
+    }
+
     /// Runs a whole workload list (a full Figure 1a/1b/2a/2b panel)
     /// under [`Evaluator::policy`].
     ///
-    /// Every workload's trace is generated first, one workload per work
-    /// item. Cells then live in a workload × technology grid and are
+    /// Cells live in a workload × technology grid. Every cell is first
+    /// looked up by its result key, which the request alone determines;
+    /// only the workloads with a cell left to compute then generate
+    /// their traces, one workload per work item. Their pending cells are
     /// grouped by outcome-tape key — all technologies sharing a
     /// workload's functional geometry form one group, replayed in a
     /// single batched pass over one tape ([`System::replay_batch`]).
@@ -422,41 +457,23 @@ impl Evaluator {
         metrics::runs().inc();
         let store = self.store.as_ref();
         let threads = self.effective_threads();
-        // The trace cache generates each distinct key exactly once, even
-        // when two workers ask for it at the same time.
-        let traces: Vec<Arc<Trace>> = map_indices(threads, workloads.len(), |wi| {
-            let w = &workloads[wi];
-            w.generate_shared(self.seed, w.scaled_accesses(self.base_accesses))
-        });
-        // Cell grid: workload-major, baseline first then each NVM. One
-        // `System` per technology — they are trace-independent.
-        let systems: Vec<System> = std::iter::once(&self.baseline)
-            .chain(&self.nvms)
-            .map(|llc| self.system(llc))
-            .collect();
+        let systems = self.systems();
         let width = systems.len();
         let cell = |wi: usize, mi: usize| wi * width + mi;
 
         // Result tiers, the store (when attached) then the memo: a cell
         // found in either is filled directly and drops out of scheduling
-        // — no functional pass, no replay. A store hit enters the memo,
-        // and a memo hit the store lacks is written back, so a store
-        // holds every cell its evaluator resolves. A corrupt or stale
-        // record decodes to `None` and falls through.
+        // — no trace, no functional pass, no replay. A store hit enters
+        // the memo, and a memo hit the store lacks is written back, so a
+        // store holds every cell its evaluator resolves. A corrupt or
+        // stale record decodes to `None` and falls through.
         let write_back = |key: &Key, result: &SimResult| {
             if let Some(store) = store {
                 // Best-effort: a full disk never fails a run.
                 let _ = store.put(key, &persist::encode_result(result));
             }
         };
-        let keys: Vec<Key> = traces
-            .iter()
-            .flat_map(|trace| {
-                systems
-                    .iter()
-                    .map(move |system| persist::result_store_key(system, trace))
-            })
-            .collect();
+        let keys = self.cell_keys(workloads, &systems);
         let mut slots: Vec<Option<SimResult>> = keys
             .iter()
             .map(|key| {
@@ -474,11 +491,23 @@ impl Evaluator {
             })
             .collect();
 
-        // Work items: per workload, the still-unserved technology
-        // columns grouped by tape key (insertion-ordered, so scheduling
-        // stays deterministic).
+        // Only a workload with a cell left to compute generates its
+        // trace. The trace cache generates each distinct key exactly
+        // once, even when two workers ask for it at the same time.
+        let pending: Vec<usize> = (0..workloads.len())
+            .filter(|&wi| (0..width).any(|mi| slots[cell(wi, mi)].is_none()))
+            .collect();
+        let traces: Vec<Arc<Trace>> = map_indices(threads, pending.len(), |pi| {
+            let w = &workloads[pending[pi]];
+            w.generate_shared(self.seed, w.scaled_accesses(self.base_accesses))
+        });
+
+        // Work items: per pending workload, the still-unserved
+        // technology columns grouped by tape key (insertion-ordered, so
+        // scheduling stays deterministic).
         let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (wi, trace) in traces.iter().enumerate() {
+        for (pi, trace) in traces.iter().enumerate() {
+            let wi = pending[pi];
             let mut by_key: Vec<(TapeKey, Vec<usize>)> = Vec::new();
             for (mi, system) in systems.iter().enumerate() {
                 if slots[cell(wi, mi)].is_some() {
@@ -490,28 +519,29 @@ impl Evaluator {
                     None => by_key.push((key, vec![mi])),
                 }
             }
-            groups.extend(by_key.into_iter().map(|(_, cols)| (wi, cols)));
+            groups.extend(by_key.into_iter().map(|(_, cols)| (pi, cols)));
         }
 
         // Each group records its tape, batch-replays it and drops it.
         // Its results enter the memo and, with a store attached, are
         // written back.
         let computed = map_indices(threads, groups.len(), |gi| {
-            let (wi, cols) = &groups[gi];
+            let (pi, cols) = &groups[gi];
+            let wi = pending[*pi];
             metrics::groups().inc();
             metrics::cells().add(cols.len() as u64);
             let group: Vec<&System> = cols.iter().map(|&mi| &systems[mi]).collect();
-            let results = System::replay_batch(&group, &group[0].record(&traces[*wi]));
+            let results = System::replay_batch(&group, &group[0].record(&traces[*pi]));
             for (&mi, result) in cols.iter().zip(&results) {
-                let key = &keys[cell(*wi, mi)];
+                let key = &keys[cell(wi, mi)];
                 write_back(key, result);
                 result_memo().put(*key, result.clone());
             }
             results
         });
-        for ((wi, cols), results) in groups.iter().zip(computed) {
+        for ((pi, cols), results) in groups.iter().zip(computed) {
             for (&mi, result) in cols.iter().zip(results) {
-                slots[cell(*wi, mi)] = Some(result);
+                slots[cell(pending[*pi], mi)] = Some(result);
             }
         }
 

@@ -550,10 +550,10 @@ fn write_timing(
 /// ```
 #[derive(Debug)]
 pub struct System {
-    config: ArchConfig,
-    replacement: Replacement,
-    warmup_fraction: f64,
-    endurance: Option<WearPolicy>,
+    pub(crate) config: ArchConfig,
+    pub(crate) replacement: Replacement,
+    pub(crate) warmup_fraction: f64,
+    pub(crate) endurance: Option<WearPolicy>,
 }
 
 impl System {
@@ -720,7 +720,7 @@ impl System {
     pub fn tape_key(&self, trace: &Trace) -> TapeKey {
         let cfg = &self.config;
         TapeKey::new(
-            trace.content_hash(),
+            trace.id(),
             cfg.cores,
             (
                 cfg.l1d.capacity_bytes,

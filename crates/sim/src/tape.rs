@@ -416,9 +416,9 @@ impl OutcomeTape {
 /// those only shape Phase B.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TapeKey {
-    /// Content-derived trace identity ([`Trace::content_hash`]): equal
-    /// in every process and for every regeneration of one trace.
-    trace_hash: u128,
+    /// The trace's identity ([`Trace::id`]): equal in every process and
+    /// for every regeneration of one trace.
+    trace_id: u128,
     cores: u32,
     /// (capacity, associativity, block) per private level.
     l1d: (u64, u32, u32),
@@ -435,7 +435,7 @@ pub struct TapeKey {
 impl TapeKey {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        trace_hash: u128,
+        trace_id: u128,
         cores: u32,
         l1d: (u64, u32, u32),
         l2: (u64, u32, u32),
@@ -447,7 +447,7 @@ impl TapeKey {
         llc_bypass: bool,
     ) -> TapeKey {
         TapeKey {
-            trace_hash,
+            trace_id,
             cores,
             l1d,
             l2,
@@ -466,7 +466,7 @@ impl TapeKey {
     /// tapes to the other.
     pub(crate) fn persist_bytes(&self) -> Vec<u8> {
         let mut w = nvm_llc_store::wire::Writer::new();
-        w.u128(self.trace_hash)
+        w.u128(self.trace_id)
             .u32(self.cores)
             .u64(self.l1d.0)
             .u32(self.l1d.1)

@@ -9,7 +9,7 @@
 //!
 //! * **Content addressing.** A [`Key`] is a 128-bit FNV-1a digest of a
 //!   caller-assembled payload describing *everything the value depends
-//!   on* (trace content hash, hierarchy geometry, simulation
+//!   on* (trace identity, hierarchy geometry, simulation
 //!   configuration, technology parameters, and the producing crate's
 //!   model version). Equal inputs map to the same file; any input change
 //!   maps elsewhere. Nothing is ever updated in place.

@@ -76,59 +76,106 @@ impl TraceEvent {
 pub struct Trace {
     events: Vec<TraceEvent>,
     threads: u8,
-    content_hash: u128,
+    id: u128,
 }
 
-/// 128-bit FNV-1a over every event field plus the thread count: a
-/// process-independent identity that every memoization downstream of
-/// the trace (outcome tapes, stored results) keys on.
-fn content_hash(events: &[TraceEvent], threads: u8) -> u128 {
+/// Domain tag of a [`Trace::new`] id: a digest of the events.
+const EVENTS_DOMAIN: &[u8] = b"trace-events";
+
+/// Domain tag of a generated trace's id: a digest of its request
+/// ([`crate::WorkloadProfile::trace_id`]).
+pub(crate) const REQUEST_DOMAIN: &[u8] = b"trace-request";
+
+/// Streaming 128-bit FNV-1a, opened under a length-prefixed domain tag
+/// so digests of different kinds never hash the same bytes.
+pub(crate) struct Fnv128(u128);
+
+impl Fnv128 {
     const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-    let mut hash = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58du128;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            hash ^= u128::from(byte);
-            hash = hash.wrapping_mul(PRIME);
-        }
-    };
-    mix(u64::from(threads));
-    for e in events {
-        mix(e.addr);
-        mix(u64::from(e.tid)
-            | (u64::from(e.kind.is_write()) << 8)
-            | (u64::from(e.gap_instructions) << 9));
+
+    pub(crate) fn new(domain: &[u8]) -> Fnv128 {
+        let mut hash = Fnv128(0x6c62_272e_07bb_0142_62b8_2175_6295_c58d);
+        hash.word(domain.len() as u64);
+        hash.bytes(domain);
+        hash
     }
-    hash
+
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u128::from(byte);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+
+    pub(crate) fn word(&mut self, word: u64) {
+        self.bytes(&word.to_le_bytes());
+    }
+
+    pub(crate) fn finish(self) -> u128 {
+        self.0
+    }
+}
+
+/// The id of a trace built from events: every event field plus the
+/// thread count, under [`EVENTS_DOMAIN`].
+fn events_id(events: &[TraceEvent], threads: u8) -> u128 {
+    let mut hash = Fnv128::new(EVENTS_DOMAIN);
+    hash.word(u64::from(threads));
+    for e in events {
+        hash.word(e.addr);
+        hash.word(
+            u64::from(e.tid)
+                | (u64::from(e.kind.is_write()) << 8)
+                | (u64::from(e.gap_instructions) << 9),
+        );
+    }
+    hash.finish()
 }
 
 impl Trace {
     /// Builds a trace from pre-interleaved events for `threads` threads.
+    /// Its [id](Trace::id) digests the events.
     ///
     /// # Panics
     ///
     /// Panics if any event's `tid` is out of range — traces are built by
     /// generators, so a bad tid is a construction bug, not an input error.
     pub fn new(events: Vec<TraceEvent>, threads: u8) -> Self {
+        let id = events_id(&events, threads);
+        Trace::with_id(events, threads, id)
+    }
+
+    /// A trace whose id is already known: the generator's, which stamps
+    /// the id of the request it answers instead of hashing its events.
+    pub(crate) fn with_id(events: Vec<TraceEvent>, threads: u8, id: u128) -> Self {
         assert!(threads > 0, "a trace needs at least one thread");
         assert!(
             events.iter().all(|e| e.tid < threads),
             "event tid out of range"
         );
-        let content_hash = content_hash(&events, threads);
         Trace {
             events,
             threads,
-            content_hash,
+            id,
         }
     }
 
-    /// Content-derived identity: a 128-bit digest of the thread count and
-    /// every event, stable across processes and runs. The outcome-tape
-    /// cache and the on-disk result store both key on it, so a trace
-    /// regenerated after eviction finds everything recorded for its
-    /// first copy.
-    pub fn content_hash(&self) -> u128 {
-        self.content_hash
+    /// The trace's identity: 128 bits, stable across processes and
+    /// runs. The outcome-tape key and the persistent result key both
+    /// read it. It comes in two kinds:
+    ///
+    /// * a generated trace ([`crate::WorkloadProfile::generate`]) carries
+    ///   the id of its request, [`crate::WorkloadProfile::trace_id`]: a
+    ///   digest of the generator version, the profile, the seed and the
+    ///   length, which a caller can derive without generating anything;
+    /// * a trace built by [`Trace::new`] (by hand, or read by
+    ///   [`crate::io`]) carries a digest of its thread count and every
+    ///   event, so equal events mean equal ids.
+    ///
+    /// The two kinds digest under different domain tags, so an id of one
+    /// kind never stands for a trace of the other.
+    pub fn id(&self) -> u128 {
+        self.id
     }
 
     /// Resident heap bytes: the event buffer's capacity. This is what
@@ -246,18 +293,18 @@ mod tests {
     fn content_hash_follows_content_not_identity() {
         let a = Trace::new(vec![ev(0, 64, AccessKind::Read, 3)], 1);
         let b = Trace::new(vec![ev(0, 64, AccessKind::Read, 3)], 1);
-        // Same events: same content hash.
-        assert_eq!(a.content_hash(), b.content_hash());
+        // Same events: same id.
+        assert_eq!(a.id(), b.id());
         // Any field change moves the hash.
         let addr = Trace::new(vec![ev(0, 128, AccessKind::Read, 3)], 1);
         let kind = Trace::new(vec![ev(0, 64, AccessKind::Write, 3)], 1);
         let gap = Trace::new(vec![ev(0, 64, AccessKind::Read, 4)], 1);
         let threads = Trace::new(vec![ev(0, 64, AccessKind::Read, 3)], 2);
         for other in [&addr, &kind, &gap, &threads] {
-            assert_ne!(a.content_hash(), other.content_hash());
+            assert_ne!(a.id(), other.id());
         }
         // And the empty default is distinct from any built trace.
-        assert_ne!(a.content_hash(), Trace::default().content_hash());
+        assert_ne!(a.id(), Trace::default().id());
     }
 
     #[test]

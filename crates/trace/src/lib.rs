@@ -28,7 +28,7 @@ pub mod workloads;
 pub mod zipf;
 
 pub use access::{AccessKind, Trace, TraceEvent, BLOCK_BYTES};
-pub use profile::{WorkloadProfile, WorkloadProfileBuilder};
+pub use profile::{WorkloadProfile, WorkloadProfileBuilder, GENERATOR_VERSION};
 pub use suite::Suite;
 
 #[cfg(test)]

@@ -13,9 +13,17 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::access::{AccessKind, Trace, TraceEvent, BLOCK_BYTES};
+use crate::access::{AccessKind, Fnv128, Trace, TraceEvent, BLOCK_BYTES, REQUEST_DOMAIN};
 use crate::suite::Suite;
 use crate::zipf::Zipf;
+
+/// Version of the trace generator, digested into every generated
+/// trace's id ([`WorkloadProfile::trace_id`]). Bump it whenever a change
+/// moves the events any `(profile, seed, length)` generates: results
+/// stored under the old ids then miss instead of answering for traces
+/// the generator no longer produces. A golden test pins every profile's
+/// events, and its failure message asks for this bump.
+pub const GENERATOR_VERSION: u32 = 1;
 
 /// Base virtual address for generated regions (an arbitrary, page-aligned
 /// location well above null).
@@ -177,6 +185,8 @@ impl WorkloadProfile {
     ///
     /// The same `(profile, seed, length)` triple always yields the same
     /// trace, which keeps every experiment in the repository reproducible.
+    /// The trace's [id](Trace::id) is the request's,
+    /// [`WorkloadProfile::trace_id`]; the events are not hashed.
     pub fn generate(&self, seed: u64, accesses_per_thread: usize) -> Trace {
         let threads = self.threads.max(1);
         let mut lanes: Vec<Vec<TraceEvent>> = Vec::with_capacity(usize::from(threads));
@@ -191,7 +201,19 @@ impl WorkloadProfile {
                 events.push(lane[i]);
             }
         }
-        Trace::new(events, threads)
+        Trace::with_id(events, threads, self.trace_id(seed, accesses_per_thread))
+    }
+
+    /// The [id](Trace::id) of `self.generate(seed, accesses_per_thread)`,
+    /// derived without generating it: a digest of [`GENERATOR_VERSION`]
+    /// and the exact bytes the trace cache keys on (every profile field,
+    /// f64s by bit pattern, then the seed and length). A result keyed on
+    /// it can be looked up before, and instead of, generating its trace.
+    pub fn trace_id(&self, seed: u64, accesses_per_thread: usize) -> u128 {
+        let mut hash = Fnv128::new(REQUEST_DOMAIN);
+        hash.bytes(&GENERATOR_VERSION.to_le_bytes());
+        hash.bytes(&self.cache_key(seed, accesses_per_thread));
+        hash.finish()
     }
 
     /// The exact identity of `self.generate(seed, accesses_per_thread)`:
@@ -530,6 +552,27 @@ mod tests {
         assert_eq!(a.events(), b.events());
         let c = p.generate(8, 5_000);
         assert_ne!(a.events(), c.events());
+    }
+
+    #[test]
+    fn a_generated_trace_carries_its_request_id() {
+        let p = demo();
+        let trace = p.generate(7, 500);
+        assert_eq!(trace.id(), p.trace_id(7, 500));
+        assert_eq!(trace.id(), p.generate(7, 500).id());
+        // Every axis of the request moves the id.
+        for other in [
+            p.trace_id(8, 500),
+            p.trace_id(7, 501),
+            p.with_threads(2).trace_id(7, 500),
+        ] {
+            assert_ne!(trace.id(), other);
+        }
+        // The same events built by hand digest under the events domain,
+        // so the two kinds of id never meet.
+        let rebuilt = Trace::new(trace.events().to_vec(), trace.threads());
+        assert_eq!(rebuilt.events(), trace.events());
+        assert_ne!(rebuilt.id(), trace.id());
     }
 
     #[test]

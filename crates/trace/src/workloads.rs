@@ -639,3 +639,98 @@ mod dl_tests {
         assert!(emb > lstm, "{emb} vs {lstm}");
     }
 }
+
+#[cfg(test)]
+mod generator_golden {
+    use super::*;
+    use crate::GENERATOR_VERSION;
+
+    /// 64-bit FNV-1a over every field of every event.
+    fn digest(trace: &crate::Trace) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for e in trace.events() {
+            let mut bytes = e.addr.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&[e.tid, u8::from(e.kind.is_write())]);
+            bytes.extend_from_slice(&e.gap_instructions.to_le_bytes());
+            for byte in bytes {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// Pins the events every profile generates at two small
+    /// `(seed, accesses per thread)` requests. A generated trace's id is
+    /// its request ([`crate::WorkloadProfile::trace_id`]), not its
+    /// events, so results stored for it stay reachable only while the
+    /// generator reproduces these events exactly.
+    #[test]
+    fn every_profile_generates_its_pinned_events() {
+        let mut got = String::new();
+        for w in all().into_iter().chain(deep_learning()) {
+            for (seed, accesses) in [(7u64, 64usize), (2019, 257)] {
+                let trace = w.generate(seed, accesses);
+                assert_eq!(trace.len(), accesses * usize::from(w.threads()));
+                got.push_str(&format!(
+                    "{} {seed} {accesses} {:016x}\n",
+                    w.name(),
+                    digest(&trace)
+                ));
+            }
+        }
+        let want = "\
+            bzip2 7 64 897d688f19e818d0\n\
+            bzip2 2019 257 15c7072d2b549c10\n\
+            gamess 7 64 a843ff5c303b2338\n\
+            gamess 2019 257 32346d7c8be2a176\n\
+            GemsFDTD 7 64 00462469992164e5\n\
+            GemsFDTD 2019 257 ab4d55038d82f298\n\
+            gobmk 7 64 9204398aabbc8434\n\
+            gobmk 2019 257 664967b6fa904b03\n\
+            milc 7 64 733d57da335ff645\n\
+            milc 2019 257 42e7af145c748107\n\
+            perlbench 7 64 713df541c8f83db2\n\
+            perlbench 2019 257 a317aa53ac58c2c0\n\
+            tonto 7 64 af0d37647dcc9436\n\
+            tonto 2019 257 fcb16df0f33bf123\n\
+            x264 7 64 32ed51b4e435d981\n\
+            x264 2019 257 18ed7bf75086c8e2\n\
+            vips 7 64 1ab7dd13df939019\n\
+            vips 2019 257 5508ab38b61d0117\n\
+            cg 7 64 4e03432f78ac37e0\n\
+            cg 2019 257 39342663feb6e7d1\n\
+            ep 7 64 f970894a5bccb399\n\
+            ep 2019 257 15a4511241f5d625\n\
+            ft 7 64 0ae4ad995a8db65d\n\
+            ft 2019 257 129a11e2b8649abb\n\
+            is 7 64 9b74d900d2209282\n\
+            is 2019 257 9f4d004def0f13e6\n\
+            lu 7 64 b5f0c8b2f683a084\n\
+            lu 2019 257 da5caadeb2f13b6c\n\
+            mg 7 64 4ef49ed7ccc9dae1\n\
+            mg 2019 257 c4d70a2360a5a167\n\
+            sp 7 64 daef46ea009a9fed\n\
+            sp 2019 257 beb5b1d4cc21d79a\n\
+            ua 7 64 3342cb348e877c86\n\
+            ua 2019 257 fd89ca5431523d01\n\
+            deepsjeng 7 64 aa4d7a867b765cf2\n\
+            deepsjeng 2019 257 80004296e1d5a399\n\
+            leela 7 64 4ff6c05fb2412680\n\
+            leela 2019 257 8a1dcbbbecf3149e\n\
+            exchange2 7 64 3afcba89342f47f2\n\
+            exchange2 2019 257 894a5c04dd90f79f\n\
+            conv_inference 7 64 b538cbdfff298ad0\n\
+            conv_inference 2019 257 ebaf40eb0f837039\n\
+            lstm_inference 7 64 010a41288f6e3561\n\
+            lstm_inference 2019 257 d1b4b98ccafc4ccf\n\
+            embedding_lookup 7 64 bebb280c59b720fd\n\
+            embedding_lookup 2019 257 54b44934f1576a4e\n\
+        ";
+        assert_eq!(
+            got, want,
+            "the generator's events moved: bump GENERATOR_VERSION (now {GENERATOR_VERSION}) \
+             so results stored under the old trace ids miss, then re-pin these digests"
+        );
+    }
+}
