@@ -1,8 +1,8 @@
 //! Worker-pool scaling of the evaluation engine: a Figure 1-shaped
-//! (workload × technology) matrix at 1/2/4/8 workers, plus the trace
-//! cache cold vs warm. The 1-thread sample is the legacy serial path;
-//! dividing its time by the 4-worker time gives the headline speedup
-//! reported in EXPERIMENTS.md.
+//! (workload × technology) matrix at 1/2/4/8 workers, plus trace
+//! generation materialized vs streamed. The 1-thread sample is the
+//! legacy serial path; dividing its time by the 4-worker time gives the
+//! headline speedup reported in EXPERIMENTS.md.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nvm_llc::experiments::{evaluator, Configuration};
@@ -17,31 +17,19 @@ fn bench(c: &mut Criterion) {
     for threads in [1usize, 2, 4, 8] {
         group.bench_function(format!("fig1_matrix_{threads}_threads"), |b| {
             let eval = evaluator(Configuration::FixedCapacity, Scale::SMOKE).threads(threads);
-            // Pre-populate the trace cache so every worker count replays
-            // identical traces and only simulation time is measured.
-            for w in &ws {
-                let _ = w.generate_shared(
-                    Scale::SMOKE.seed,
-                    w.scaled_accesses(Scale::SMOKE.base_accesses),
-                );
-            }
             b.iter(|| std::hint::black_box(eval.run_all(&ws)))
         });
     }
     group.finish();
 
-    let mut group = c.benchmark_group("trace_cache");
+    let mut group = c.benchmark_group("trace_generate");
     group.sample_size(10);
     let tonto = workloads::by_name("tonto").unwrap();
-    group.bench_function("generate_cold", |b| {
-        b.iter(|| {
-            nvm_llc::trace::cache::clear();
-            std::hint::black_box(tonto.generate_shared(Scale::SMOKE.seed, 50_000))
-        })
+    group.bench_function("materialized", |b| {
+        b.iter(|| std::hint::black_box(tonto.generate(Scale::SMOKE.seed, 50_000)))
     });
-    group.bench_function("fetch_warm", |b| {
-        let _ = tonto.generate_shared(Scale::SMOKE.seed, 50_000);
-        b.iter(|| std::hint::black_box(tonto.generate_shared(Scale::SMOKE.seed, 50_000)))
+    group.bench_function("streamed", |b| {
+        b.iter(|| std::hint::black_box(tonto.events(Scale::SMOKE.seed, 50_000).count()))
     });
     group.finish();
 }

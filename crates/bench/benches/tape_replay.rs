@@ -16,7 +16,7 @@ use nvm_llc::Scale;
 fn bench(c: &mut Criterion) {
     let trace = workloads::by_name("tonto")
         .unwrap()
-        .generate_shared(Scale::SMOKE.seed, 50_000);
+        .generate(Scale::SMOKE.seed, 50_000);
     let models = reference::fixed_capacity();
     let sram = reference::by_name(&models, "SRAM").unwrap();
     let system = System::new(ArchConfig::gainestown(sram)).with_warmup(0.25);
@@ -51,12 +51,15 @@ fn bench(c: &mut Criterion) {
     // `warm_batched` times `replay_batch` over tapes recorded once (a
     // repeated `run_all` would be answered by the result tier instead).
     let ws = workloads::single_threaded();
-    for w in &ws {
-        let _ = w.generate_shared(
-            Scale::SMOKE.seed,
-            w.scaled_accesses(Scale::SMOKE.base_accesses),
-        );
-    }
+    let traces: Vec<_> = ws
+        .iter()
+        .map(|w| {
+            w.generate(
+                Scale::SMOKE.seed,
+                w.scaled_accesses(Scale::SMOKE.base_accesses),
+            )
+        })
+        .collect();
     let mut group = c.benchmark_group("tape_matrix");
     group.sample_size(10);
     for techs in [1usize, 11] {
@@ -71,16 +74,12 @@ fn bench(c: &mut Criterion) {
                 )
                 .collect();
             b.iter(|| {
-                for w in &ws {
-                    let trace = w.generate_shared(
-                        Scale::SMOKE.seed,
-                        w.scaled_accesses(Scale::SMOKE.base_accesses),
-                    );
+                for trace in &traces {
                     for model in &configs {
                         std::hint::black_box(
                             System::new(ArchConfig::gainestown(model.clone()))
                                 .with_warmup(0.25)
-                                .run(&trace),
+                                .run(trace),
                         );
                     }
                 }
@@ -99,15 +98,7 @@ fn bench(c: &mut Criterion) {
                     .map(|m| System::new(ArchConfig::gainestown(m)).with_warmup(0.25))
                     .collect();
             let refs: Vec<&System> = systems.iter().collect();
-            let tapes: Vec<_> = ws
-                .iter()
-                .map(|w| {
-                    refs[0].record(&w.generate_shared(
-                        Scale::SMOKE.seed,
-                        w.scaled_accesses(Scale::SMOKE.base_accesses),
-                    ))
-                })
-                .collect();
+            let tapes: Vec<_> = traces.iter().map(|trace| refs[0].record(trace)).collect();
             b.iter(|| {
                 for tape in &tapes {
                     std::hint::black_box(System::replay_batch(&refs, tape));

@@ -59,7 +59,7 @@ fn main() {
     let ws = workloads::single_threaded();
     let traces: Vec<_> = ws
         .iter()
-        .map(|w| w.generate_shared(SEED, w.scaled_accesses(BASE_ACCESSES)))
+        .map(|w| w.generate(SEED, w.scaled_accesses(BASE_ACCESSES)))
         .collect();
 
     // Per-phase costs on one representative cell (tonto on the shared

@@ -141,18 +141,15 @@ fn writable_trace_out(path: PathBuf) -> Option<PathBuf> {
 }
 
 /// After an evaluation artifact finishes, say how well the process-wide
-/// caches did — the trace cache's residency and evictions, the result
-/// tier's hits and residency, and the functional passes run — and, with
-/// `--store-dir`, the store's traffic and the trace cache's hits and
-/// misses. Opt-in via `--stats`; every number is read from the registry
-/// handles `/metricsz` renders.
+/// caches did — the traces generated, the result tier's hits and
+/// residency, and the functional passes run — and, with `--store-dir`,
+/// the store's traffic. Opt-in via `--stats`; every number is read from
+/// the registry handles `/metricsz` renders.
 fn log_cache_stats(store: Option<&nvm_llc::store::Store>) {
     use nvm_llc::sim::runner::metrics;
     nvm_llc::obs::info!(
         "cli", "cache stats";
-        "resident_traces" => nvm_llc::trace::cache::len(),
-        "trace_resident_bytes" => nvm_llc::trace::cache::metrics::resident_bytes().get(),
-        "trace_evictions" => nvm_llc::trace::cache::metrics::evictions().get(),
+        "traces_generated" => nvm_llc::trace::metrics::generated().get(),
         "result_hits" => metrics::result_memo_hits().get(),
         "result_evictions" => metrics::result_memo_evictions().get(),
         "result_resident_bytes" => metrics::result_memo_resident_bytes().get(),
@@ -162,8 +159,6 @@ fn log_cache_stats(store: Option<&nvm_llc::store::Store>) {
         nvm_llc::obs::info!(
             "cli", "store stats";
             "store" => store.stats().to_string(),
-            "trace_hits" => nvm_llc::trace::cache::metrics::hits().get(),
-            "trace_misses" => nvm_llc::trace::cache::metrics::misses().get(),
         );
     }
 }

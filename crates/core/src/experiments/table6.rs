@@ -31,7 +31,7 @@ pub fn characterize(scale: Scale) -> Vec<FeatureVector> {
     workloads::characterized()
         .iter()
         .map(|w| {
-            let trace = w.generate_shared(scale.seed, w.scaled_accesses(scale.base_accesses));
+            let trace = w.generate(scale.seed, w.scaled_accesses(scale.base_accesses));
             profiler::characterize(w.name(), &trace)
         })
         .collect()

@@ -158,7 +158,7 @@ pub mod metrics {
             "Wall time of one proxy hop to the owning shard.",
         );
         nvm_llc_sim::runner::metrics::register();
-        nvm_llc_trace::cache::metrics::register();
+        nvm_llc_trace::metrics::register();
         nvm_llc_store::metrics::register();
     }
 }
@@ -1036,13 +1036,20 @@ struct PhaseMicros {
 
 /// Sums span durations into request phases by span name. Only
 /// same-level spans contribute to one phase (`tape_replay_chunk` nests
-/// inside `tape_replay_batch` and would double-count).
+/// inside `tape_replay_batch` and would double-count, as would the
+/// `trace_generate` chunks of a trace streamed inside `tape_record`).
 fn phase_micros(spans: &[nvm_llc_obs::trace::SpanRecord]) -> PhaseMicros {
+    let records: Vec<u64> = spans
+        .iter()
+        .filter(|span| span.name == "tape_record")
+        .map(|span| span.span_id)
+        .collect();
     let mut phase = PhaseMicros::default();
     for span in spans {
         let bucket = match span.name.as_str() {
             "queue" => &mut phase.queue,
             "parse" => &mut phase.parse,
+            "trace_generate" if records.contains(&span.parent_id) => continue,
             "tape_record" | "trace_generate" => &mut phase.functional,
             "tape_replay_batch" => &mut phase.replay,
             "proxy_upstream" => &mut phase.proxy,
@@ -1678,6 +1685,34 @@ mod tests {
 
     fn request(addr: SocketAddr, target: &str) -> (u16, String) {
         http::get(addr, target).unwrap()
+    }
+
+    /// Generation streamed inside a functional pass is already part of
+    /// `tape_record`'s time; a shared trace generated beside it is not.
+    #[test]
+    fn phase_micros_counts_streamed_generation_once() {
+        let span = |name: &str, span_id: u64, parent_id: u64, dur_micros: f64| {
+            nvm_llc_obs::trace::SpanRecord {
+                name: name.to_owned(),
+                span_id,
+                parent_id,
+                start_micros: 0.0,
+                dur_micros,
+                node: None,
+                thread: 0,
+            }
+        };
+        let spans = [
+            span("tape_record", 1, 0, 100.0),
+            span("trace_generate", 2, 1, 30.0),
+            span("trace_generate", 3, 0, 40.0),
+            span("tape_record", 4, 0, 50.0),
+            span("tape_replay_batch", 5, 0, 20.0),
+            span("tape_replay_chunk", 6, 5, 10.0),
+        ];
+        let phase = phase_micros(&spans);
+        assert_eq!(phase.functional, 190.0);
+        assert_eq!(phase.replay, 20.0);
     }
 
     #[test]

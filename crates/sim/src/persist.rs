@@ -622,6 +622,30 @@ mod tests {
         assert_eq!(system.replay(&decoded), system.run(&trace));
     }
 
+    /// A tape recorded from a workload's event stream is the tape
+    /// recorded from its materialized trace, byte for byte, at every
+    /// warmup fraction and under every replacement policy. Both lengths
+    /// cross a stream chunk boundary; cg interleaves four threads.
+    #[test]
+    fn a_streamed_tape_encodes_as_the_materialized_one() {
+        use crate::policy::PolicyKind;
+        for (name, accesses) in [("tonto", 4_100), ("cg", 1_100)] {
+            let w = workloads::by_name(name).unwrap();
+            let trace = w.generate(7, accesses);
+            for warmup in [0.0, 0.25, 0.5, 0.9] {
+                for policy in PolicyKind::ALL {
+                    let system = sample_system().with_warmup(warmup).with_replacement(policy);
+                    let streamed = system.record_events(w.events(7, accesses));
+                    assert_eq!(
+                        encode_tape(&streamed),
+                        encode_tape(&system.record(&trace)),
+                        "{name}, warmup {warmup}, {policy}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn tape_decode_rejects_damage() {
         let tape = sample_system().record(&sample_trace());

@@ -8,20 +8,27 @@
 //! and persistent store reach all of them. The fused [`System::run`]
 //! stays as the oracle the tests hold every evaluated cell to.
 //!
-//! [`Evaluator::run_all`] runs in two phases on one scoped worker pool
+//! [`Evaluator::run_all`] fans the pending cells of the (workload ×
+//! technology) grid out over one scoped worker pool
 //! (`std::thread::scope` plus an atomic work-index queue — no external
-//! dependencies): first the trace of every workload with a cell left to
-//! compute is generated, then the pending cells of the (workload ×
-//! technology) grid, grouped by outcome-tape key —
-//! cells sharing a trace and a functional geometry share one functional
-//! pass *and* one batched replay — is fanned out group by group. Each
-//! phase returns its results in work-item order, group results are
+//! dependencies), grouped by outcome-tape key: cells sharing a trace and
+//! a functional geometry share one functional pass *and* one batched
+//! replay. The pool returns group results in work-item order, they are
 //! placed by cell number, and rows are assembled serially afterwards,
 //! so output is **bit-identical at every worker count**. The worker
 //! count comes from [`Evaluator::threads`], else
 //! [`std::thread::available_parallelism`]; `1` takes the exact serial
 //! path (no threads spawned). Every knob is a builder call: the
 //! evaluator reads no environment variable and no process-wide setting.
+//!
+//! A trace lives only as long as its cells. There is no trace phase and
+//! no trace cache: a workload whose pending cells form one group (every
+//! fixed-capacity row) streams its events
+//! ([`WorkloadProfile::events`]) straight into that group's functional
+//! pass (`System::record_events`), so its trace never exists. A
+//! workload with several groups (the fixed-area rows, one group per LLC
+//! capacity) generates its trace once per call, when the first of its
+//! groups runs, and the last of them to finish recording drops it.
 //!
 //! Cells share work at two levels. All technologies whose functional
 //! geometry matches (the whole fixed-capacity matrix, for instance) form
@@ -51,7 +58,7 @@
 //! tier hit never changes a result — only how fast it arrives.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use nvm_llc_circuit::LlcModel;
 use nvm_llc_obs::memo::{Memo, MemoMetrics};
@@ -145,6 +152,42 @@ fn map_indices<T: Send + Sync>(threads: usize, n: usize, f: impl Fn(usize) -> T 
         .into_iter()
         .map(|slot| slot.into_inner().expect("every index computed"))
         .collect()
+}
+
+/// One [`Evaluator::run_all`] call's copy of a workload's trace, shared
+/// by the several groups that read it: the first to ask generates it,
+/// and the last to finish with it drops it.
+struct SharedTrace {
+    /// The trace once made, and the readers yet to finish with it.
+    slot: Mutex<(Option<Arc<Trace>>, usize)>,
+}
+
+impl SharedTrace {
+    fn new(readers: usize) -> SharedTrace {
+        SharedTrace {
+            slot: Mutex::new((None, readers)),
+        }
+    }
+
+    /// Every update leaves the slot valid, so a poisoned lock is
+    /// recovered rather than propagated.
+    fn lock(&self) -> std::sync::MutexGuard<'_, (Option<Arc<Trace>>, usize)> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The trace, made by the first caller while later ones wait.
+    fn get(&self, make: impl FnOnce() -> Trace) -> Arc<Trace> {
+        Arc::clone(self.lock().0.get_or_insert_with(|| Arc::new(make())))
+    }
+
+    /// One reader is done; the last drops the trace.
+    fn release(&self) {
+        let mut slot = self.lock();
+        slot.1 -= 1;
+        if slot.1 == 0 {
+            slot.0 = None;
+        }
+    }
 }
 
 /// Evaluator counters in the process-wide [`nvm_llc_obs`] registry.
@@ -419,6 +462,12 @@ impl Evaluator {
             .collect()
     }
 
+    /// The id of the trace `workload` runs under this evaluator
+    /// ([`WorkloadProfile::trace_id`]), derived without generating it.
+    fn trace_id(&self, workload: &WorkloadProfile) -> u128 {
+        workload.trace_id(self.seed, workload.scaled_accesses(self.base_accesses))
+    }
+
     /// The result key of every cell of `workloads` × `systems`,
     /// workload-major, derived from the request alone: each system is
     /// encoded once, each workload's trace id is computed without
@@ -428,7 +477,7 @@ impl Evaluator {
         workloads
             .iter()
             .flat_map(|w| {
-                let trace_id = w.trace_id(self.seed, w.scaled_accesses(self.base_accesses));
+                let trace_id = self.trace_id(w);
                 encoded
                     .iter()
                     .map(move |system| persist::result_key_encoded(system, trace_id))
@@ -440,18 +489,19 @@ impl Evaluator {
     /// under [`Evaluator::policy`].
     ///
     /// Cells live in a workload × technology grid. Every cell is first
-    /// looked up by its result key, which the request alone determines;
-    /// only the workloads with a cell left to compute then generate
-    /// their traces, one workload per work item. Their pending cells are
-    /// grouped by outcome-tape key — all technologies sharing a
-    /// workload's functional geometry form one group, replayed in a
-    /// single batched pass over one tape ([`System::replay_batch`]).
-    /// Both phases are distributed over [`Evaluator::threads`] scoped
-    /// workers pulling indices from an atomic queue. Every group is an
-    /// independent deterministic computation over a shared
-    /// [`Arc<Trace>`], and its results are placed by cell number, so the
-    /// output is bit-identical to the serial path regardless of worker
-    /// count or scheduling.
+    /// looked up by its result key, which the request alone determines.
+    /// The cells left to compute are grouped by outcome-tape key, which
+    /// the trace id and the functional geometry determine: all
+    /// technologies sharing a workload's functional geometry form one
+    /// group, replayed in a single batched pass over one tape
+    /// ([`System::replay_batch`]). Groups are distributed over
+    /// [`Evaluator::threads`] scoped workers pulling indices from an
+    /// atomic queue. A workload's trace is generated only for its
+    /// groups: streamed into a lone group's functional pass, or shared
+    /// by several for as long as they record. Every group is an
+    /// independent deterministic computation, and its results are placed
+    /// by cell number, so the output is bit-identical to the serial path
+    /// regardless of worker count or scheduling.
     pub fn run_all(&self, workloads: &[WorkloadProfile]) -> Vec<MatrixRow> {
         let _span = nvm_llc_obs::span!("eval_run_all");
         metrics::runs().inc();
@@ -491,57 +541,66 @@ impl Evaluator {
             })
             .collect();
 
-        // Only a workload with a cell left to compute generates its
-        // trace. The trace cache generates each distinct key exactly
-        // once, even when two workers ask for it at the same time.
-        let pending: Vec<usize> = (0..workloads.len())
-            .filter(|&wi| (0..width).any(|mi| slots[cell(wi, mi)].is_none()))
-            .collect();
-        let traces: Vec<Arc<Trace>> = map_indices(threads, pending.len(), |pi| {
-            let w = &workloads[pending[pi]];
-            w.generate_shared(self.seed, w.scaled_accesses(self.base_accesses))
-        });
-
-        // Work items: per pending workload, the still-unserved
-        // technology columns grouped by tape key (insertion-ordered, so
-        // scheduling stays deterministic).
+        // Work items: per workload, the still-unserved technology
+        // columns grouped by tape key (insertion-ordered, so scheduling
+        // stays deterministic). The key derives from the trace id, so
+        // grouping generates nothing.
+        //
+        // A trace lives only as long as its groups read it. A workload
+        // with one group streams its events straight into that group's
+        // functional pass, so no trace exists; one with several shares a
+        // per-call copy, generated by the first of its groups to run and
+        // dropped by the last to finish recording.
         let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (pi, trace) in traces.iter().enumerate() {
-            let wi = pending[pi];
+        let mut shared: Vec<Option<SharedTrace>> = Vec::new();
+        for (wi, w) in workloads.iter().enumerate() {
+            let trace_id = self.trace_id(w);
             let mut by_key: Vec<(TapeKey, Vec<usize>)> = Vec::new();
             for (mi, system) in systems.iter().enumerate() {
                 if slots[cell(wi, mi)].is_some() {
                     continue;
                 }
-                let key = system.tape_key(trace);
+                let key = system.tape_key_for(trace_id);
                 match by_key.iter_mut().find(|(k, _)| *k == key) {
                     Some((_, cols)) => cols.push(mi),
                     None => by_key.push((key, vec![mi])),
                 }
             }
-            groups.extend(by_key.into_iter().map(|(_, cols)| (pi, cols)));
+            shared.push((by_key.len() > 1).then(|| SharedTrace::new(by_key.len())));
+            groups.extend(by_key.into_iter().map(|(_, cols)| (wi, cols)));
         }
 
         // Each group records its tape, batch-replays it and drops it.
         // Its results enter the memo and, with a store attached, are
         // written back.
         let computed = map_indices(threads, groups.len(), |gi| {
-            let (pi, cols) = &groups[gi];
-            let wi = pending[*pi];
+            let (wi, cols) = &groups[gi];
+            let w = &workloads[*wi];
+            let accesses = w.scaled_accesses(self.base_accesses);
             metrics::groups().inc();
             metrics::cells().add(cols.len() as u64);
             let group: Vec<&System> = cols.iter().map(|&mi| &systems[mi]).collect();
-            let results = System::replay_batch(&group, &group[0].record(&traces[*pi]));
+            let tape = match &shared[*wi] {
+                None => group[0].record_events(w.events(self.seed, accesses)),
+                Some(shared) => {
+                    let trace = shared.get(|| w.generate(self.seed, accesses));
+                    let tape = group[0].record(&trace);
+                    drop(trace);
+                    shared.release();
+                    tape
+                }
+            };
+            let results = System::replay_batch(&group, &tape);
             for (&mi, result) in cols.iter().zip(&results) {
-                let key = &keys[cell(wi, mi)];
+                let key = &keys[cell(*wi, mi)];
                 write_back(key, result);
                 result_memo().put(*key, result.clone());
             }
             results
         });
-        for ((pi, cols), results) in groups.iter().zip(computed) {
+        for ((wi, cols), results) in groups.iter().zip(computed) {
             for (&mi, result) in cols.iter().zip(results) {
-                slots[cell(pending[*pi], mi)] = Some(result);
+                slots[cell(*wi, mi)] = Some(result);
             }
         }
 

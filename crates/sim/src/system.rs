@@ -47,7 +47,7 @@
 //!   Instruction fetch is assumed to hit the L1I.
 
 use nvm_llc_cell::units::{Joules, Seconds};
-use nvm_llc_trace::{AccessKind, Trace};
+use nvm_llc_trace::{AccessKind, Trace, TraceEvent};
 
 use crate::cache::{Replacement, SetAssocCache};
 use crate::config::{ArchConfig, LlcWritePolicy};
@@ -614,7 +614,7 @@ impl System {
     pub fn run(&self, trace: &Trace) -> SimResult {
         let mut engine = TimingEngine::new(&self.config);
         let mut endurance = self.endurance_tracker();
-        let stats = self.functional_walk(trace, |rec, sides| {
+        let stats = self.functional_walk(trace.iter().copied(), |rec, sides| {
             engine.apply(
                 rec,
                 &mut sides.endurance().iter(),
@@ -629,10 +629,21 @@ impl System {
     /// tape ([`crate::tape`]) that [`System::replay_batch`] can re-time
     /// for any technology sharing this system's [`TapeKey`] geometry.
     pub fn record(&self, trace: &Trace) -> OutcomeTape {
+        self.record_events(trace.iter().copied())
+    }
+
+    /// [`System::record`] over a trace's events as they arrive, such as
+    /// a [`WorkloadProfile::events`](nvm_llc_trace::WorkloadProfile::events)
+    /// stream: the tape equals the one recorded from the materialized
+    /// trace, and no trace is held while it records.
+    pub(crate) fn record_events(
+        &self,
+        events: impl ExactSizeIterator<Item = TraceEvent>,
+    ) -> OutcomeTape {
         let _span = nvm_llc_obs::span!("tape_record");
-        let roi_events = trace.len() - self.warmup_events(trace);
+        let roi_events = events.len() - self.warmup_events(events.len());
         let mut tape = OutcomeTape::with_capacity(roi_events, self.config.cores);
-        let stats = self.functional_walk(trace, |rec, sides| tape.push(rec, sides));
+        let stats = self.functional_walk(events, |rec, sides| tape.push(rec, sides));
         tape.seal(stats);
         tape
     }
@@ -718,9 +729,17 @@ impl System {
     /// The functional identity of running this system over `trace`: every
     /// knob the outcome tape depends on, and none it doesn't.
     pub fn tape_key(&self, trace: &Trace) -> TapeKey {
+        self.tape_key_for(trace.id())
+    }
+
+    /// [`System::tape_key`] of the trace `trace_id` identifies
+    /// ([`Trace::id`]; for a generated trace,
+    /// [`WorkloadProfile::trace_id`](nvm_llc_trace::WorkloadProfile::trace_id)),
+    /// derived without the trace.
+    pub(crate) fn tape_key_for(&self, trace_id: u128) -> TapeKey {
         let cfg = &self.config;
         TapeKey::new(
-            trace.id(),
+            trace_id,
             cfg.cores,
             (
                 cfg.l1d.capacity_bytes,
@@ -747,18 +766,20 @@ impl System {
             .map(|policy| EnduranceTracker::new(llc_sets, policy))
     }
 
-    fn warmup_events(&self, trace: &Trace) -> usize {
-        ((trace.len() as f64 * self.warmup_fraction) as usize).min(trace.len())
+    /// Events of a `len`-event trace spent warming the caches.
+    fn warmup_events(&self, len: usize) -> usize {
+        ((len as f64 * self.warmup_fraction) as usize).min(len)
     }
 
-    /// Phase A: drives the cache hierarchy over `trace` and hands each
-    /// post-warmup event's outcome (plus its endurance/DRAM side events)
-    /// to `consume`, in trace order. Returns the functional statistics;
-    /// the timing-side fields (`llc_port_stall_cycles`, `dram_row_*`,
-    /// `dram_queue_cycles`) stay zero for [`Self::finalize`] to fill.
+    /// Phase A: drives the cache hierarchy over a trace's `events` and
+    /// hands each post-warmup event's outcome (plus its endurance/DRAM
+    /// side events) to `consume`, in trace order. Returns the functional
+    /// statistics; the timing-side fields (`llc_port_stall_cycles`,
+    /// `dram_row_*`, `dram_queue_cycles`) stay zero for
+    /// [`Self::finalize`] to fill.
     fn functional_walk(
         &self,
-        trace: &Trace,
+        mut events: impl ExactSizeIterator<Item = TraceEvent>,
         mut consume: impl FnMut(TapeEvent, &SideEvents),
     ) -> SimStats {
         let cfg = &self.config;
@@ -785,10 +806,9 @@ impl System {
         let mut bypass = cfg.llc_bypass.then(DeadBlockPredictor::default_table);
 
         // --- Warmup: touch the caches, charge nothing -------------------
-        let events = trace.events();
-        let warmup_events = self.warmup_events(trace);
+        let warmup_events = self.warmup_events(events.len());
         let num_cores = cores.len();
-        for event in &events[..warmup_events] {
+        for event in events.by_ref().take(warmup_events) {
             let core = &mut cores[usize::from(event.tid) % num_cores];
             let block = event.block();
             let is_write = event.kind == AccessKind::Write;
@@ -817,7 +837,7 @@ impl System {
 
         let mut inval_buffer: Vec<u64> = Vec::new();
         let mut sides = SideEvents::default();
-        for event in &events[warmup_events..] {
+        for event in events {
             // Inclusive hierarchy: apply back-invalidations queued by the
             // previous event (one-event delay ≈ the invalidation's real
             // network latency). Without inclusion the queues just drop.

@@ -1,6 +1,14 @@
-//! Process-wide trace cache: fig1, fig4, table5 and the selection study
-//! all replay the same `(profile, seed, accesses per thread)` traces, so
-//! generation is memoized behind shared [`Arc`] handles.
+//! Process-wide trace cache: a memo of generated traces behind shared
+//! [`Arc`] handles, for a caller that reads one trace many times.
+//!
+//! Evaluation no longer takes this path: `Evaluator::run_all` streams
+//! each workload's events into its functional pass, or materializes a
+//! trace for the length of one call when several passes read it.
+//! The cache's one remaining caller outside the tests is the
+//! benchmark's replica of the runner (`perf_ledger/src/replica.rs`).
+//! Deleting this module, [`WorkloadProfile::generate_shared`] and
+//! [`crate::io`] waits until that replica is gone (ROADMAP item 1(b)):
+//! deleting them first would break the benchmark's build.
 //!
 //! The cache is an [`nvm_llc_obs::memo::Memo`]: concurrent fetches of
 //! one key run the generator once and share a pointer-equal
@@ -57,7 +65,6 @@ pub fn fetch(profile: &WorkloadProfile, seed: u64, accesses_per_thread: usize) -
     let key = profile.cache_key(seed, accesses_per_thread);
     memo()
         .get_or_make(&key, || {
-            let _span = nvm_llc_obs::span!("trace_generate");
             Arc::new(profile.generate(seed, accesses_per_thread))
         })
         .0
@@ -107,10 +114,6 @@ pub mod metrics {
         misses();
         evictions();
         resident_bytes();
-        nvm_llc_obs::metrics::histogram(
-            "nvmllc_trace_generate_seconds",
-            "Wall time of the `trace_generate` span.",
-        );
     }
 }
 

@@ -28,8 +28,35 @@ pub mod workloads;
 pub mod zipf;
 
 pub use access::{AccessKind, Trace, TraceEvent, BLOCK_BYTES};
-pub use profile::{WorkloadProfile, WorkloadProfileBuilder, GENERATOR_VERSION};
+pub use profile::{
+    Events, WorkloadProfile, WorkloadProfileBuilder, CHUNK_EVENTS, GENERATOR_VERSION,
+};
 pub use suite::Suite;
+
+/// Trace-generation counters in the process-wide [`nvm_llc_obs`]
+/// registry.
+pub mod metrics {
+    use nvm_llc_obs::metrics::Counter;
+
+    /// `nvmllc_trace_generated_total`
+    pub fn generated() -> &'static Counter {
+        nvm_llc_obs::counter!(
+            "nvmllc_trace_generated_total",
+            "Traces generated, streamed into a functional pass or \
+             materialized.",
+        )
+    }
+
+    /// Pre-registers this crate's metrics so scrapes show zeros before
+    /// the first generation.
+    pub fn register() {
+        generated();
+        nvm_llc_obs::metrics::histogram(
+            "nvmllc_trace_generate_seconds",
+            "Wall time of the `trace_generate` span.",
+        );
+    }
+}
 
 #[cfg(test)]
 mod proptests {

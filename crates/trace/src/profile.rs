@@ -181,27 +181,42 @@ impl WorkloadProfile {
     }
 
     /// Generates an interleaved trace with `accesses_per_thread` events
-    /// per thread, deterministically from `seed`.
+    /// per thread, deterministically from `seed`: the
+    /// [`WorkloadProfile::events`] stream, collected.
     ///
     /// The same `(profile, seed, length)` triple always yields the same
     /// trace, which keeps every experiment in the repository reproducible.
     /// The trace's [id](Trace::id) is the request's,
     /// [`WorkloadProfile::trace_id`]; the events are not hashed.
     pub fn generate(&self, seed: u64, accesses_per_thread: usize) -> Trace {
-        let threads = self.threads.max(1);
-        let mut lanes: Vec<Vec<TraceEvent>> = Vec::with_capacity(usize::from(threads));
-        for tid in 0..threads {
-            lanes.push(self.generate_thread(seed, tid, accesses_per_thread));
+        Trace::with_id(
+            self.events(seed, accesses_per_thread).collect(),
+            self.threads.max(1),
+            self.trace_id(seed, accesses_per_thread),
+        )
+    }
+
+    /// The events of `self.generate(seed, accesses_per_thread)`, in the
+    /// same order, without materializing the trace: each thread's
+    /// generator state advances round-robin (the arrival order a
+    /// symmetric multicore would roughly produce), filling a buffer of
+    /// [`CHUNK_EVENTS`] events at a time. A consumer that reads the
+    /// events once, such as a functional pass, holds one chunk instead of
+    /// the whole trace. Each call counts one generated trace
+    /// ([`crate::metrics::generated`]).
+    pub fn events(&self, seed: u64, accesses_per_thread: usize) -> Events<'_> {
+        crate::metrics::generated().inc();
+        let lanes: Vec<Lane<'_>> = (0..self.threads.max(1))
+            .map(|tid| Lane::new(self, seed, tid))
+            .collect();
+        let remaining = accesses_per_thread * lanes.len();
+        Events {
+            lanes,
+            next_lane: 0,
+            remaining,
+            chunk: Vec::with_capacity(remaining.min(CHUNK_EVENTS)),
+            head: 0,
         }
-        // Round-robin interleave, the arrival order a symmetric multicore
-        // would roughly produce.
-        let mut events = Vec::with_capacity(accesses_per_thread * usize::from(threads));
-        for i in 0..accesses_per_thread {
-            for lane in &lanes {
-                events.push(lane[i]);
-            }
-        }
-        Trace::with_id(events, threads, self.trace_id(seed, accesses_per_thread))
     }
 
     /// The [id](Trace::id) of `self.generate(seed, accesses_per_thread)`,
@@ -273,103 +288,190 @@ impl WorkloadProfile {
     /// Like [`WorkloadProfile::generate`], but memoized through the
     /// process-wide [`crate::cache`]: the first call generates, later
     /// calls with the same `(profile, seed, length)` return a
-    /// pointer-equal `Arc` to the same immutable trace. Experiment
-    /// runners use this so e.g. fig1, fig4, and the selection study
-    /// replay one shared copy of each trace.
+    /// pointer-equal `Arc` to the same immutable trace. Evaluation
+    /// streams [`WorkloadProfile::events`] instead; the cache module
+    /// says who still calls this.
     pub fn generate_shared(&self, seed: u64, accesses_per_thread: usize) -> std::sync::Arc<Trace> {
         crate::cache::fetch(self, seed, accesses_per_thread)
     }
+}
 
-    fn generate_thread(&self, seed: u64, tid: u8, count: usize) -> Vec<TraceEvent> {
+/// Events an [`Events`] stream generates per refill of its buffer.
+pub const CHUNK_EVENTS: usize = 4096;
+
+/// The event stream of one `(profile, seed, length)` request
+/// ([`WorkloadProfile::events`]): an exact-size iterator whose events
+/// equal, one for one, those of the trace
+/// [`WorkloadProfile::generate`] materializes.
+#[derive(Debug)]
+pub struct Events<'a> {
+    lanes: Vec<Lane<'a>>,
+    /// The lane that generates the next event.
+    next_lane: usize,
+    /// Events not yet generated.
+    remaining: usize,
+    chunk: Vec<TraceEvent>,
+    /// The next event of `chunk` to hand out.
+    head: usize,
+}
+
+impl Events<'_> {
+    /// Generates the next chunk, round-robin over the lanes.
+    #[cold]
+    fn refill(&mut self) {
+        let _span = nvm_llc_obs::span!("trace_generate");
+        let take = self.remaining.min(CHUNK_EVENTS);
+        self.chunk.clear();
+        for _ in 0..take {
+            self.chunk.push(self.lanes[self.next_lane].next_event());
+            self.next_lane += 1;
+            if self.next_lane == self.lanes.len() {
+                self.next_lane = 0;
+            }
+        }
+        self.remaining -= take;
+        self.head = 0;
+    }
+}
+
+impl Iterator for Events<'_> {
+    type Item = TraceEvent;
+
+    #[inline]
+    fn next(&mut self) -> Option<TraceEvent> {
+        if self.head == self.chunk.len() {
+            if self.remaining == 0 {
+                return None;
+            }
+            self.refill();
+        }
+        let event = self.chunk[self.head];
+        self.head += 1;
+        Some(event)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self.remaining + (self.chunk.len() - self.head);
+        (len, Some(len))
+    }
+}
+
+impl ExactSizeIterator for Events<'_> {}
+
+impl std::iter::FusedIterator for Events<'_> {}
+
+/// One thread's generator state: its RNG, its region layout and its
+/// streaming cursor.
+#[derive(Debug)]
+struct Lane<'a> {
+    profile: &'a WorkloadProfile,
+    tid: u8,
+    rng: SmallRng,
+    layout: RegionLayout,
+    zipf: Zipf,
+    mean_gap: f64,
+    dwell: u64,
+    stream_cursor: u64,
+    stream_pos: u64,
+}
+
+impl<'a> Lane<'a> {
+    fn new(profile: &'a WorkloadProfile, seed: u64, tid: u8) -> Lane<'a> {
         let mut rng = SmallRng::seed_from_u64(
             seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(u64::from(tid) + 1),
         );
-        let layout = RegionLayout::new(self, tid);
-        let hot_blocks = ((layout.private_blocks as f64 * self.hot_fraction) as u64).max(1);
-        let zipf = Zipf::new(hot_blocks, self.zipf_alpha);
-        let mean_gap = (1.0 / self.mem_ratio - 1.0).max(0.0);
-        let mut stream_cursor: u64 = rng.random_range(0..layout.private_blocks.max(1));
-        let dwell = u64::from(self.stream_dwell.max(1));
-        let mut stream_pos: u64 = 0;
-
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let kind = if rng.random::<f64>() < self.read_fraction {
-                AccessKind::Read
-            } else {
-                AccessKind::Write
-            };
-
-            // Pick a block in region-local coordinates.
-            let r: f64 = rng.random();
-            let (region_private, block_in_region) = if r < self.stream_fraction {
-                // Sequential streaming: dwell inside the block for
-                // `stream_dwell` word-step accesses, then advance.
-                stream_pos += 1;
-                if stream_pos >= dwell {
-                    stream_pos = 0;
-                    stream_cursor = (stream_cursor + 1) % layout.private_blocks.max(1);
-                }
-                (true, stream_cursor)
-            } else if rng.random::<f64>() < self.hot_probability {
-                (self.pick_private(&mut rng, &layout), zipf.sample(&mut rng))
-            } else {
-                let region = self.pick_private(&mut rng, &layout);
-                let span = if region {
-                    layout.private_blocks
-                } else {
-                    layout.shared_blocks
-                };
-                (region, rng.random_range(0..span.max(1)))
-            };
-
-            // Writes are folded into the (often smaller) write footprint,
-            // which is what separates write entropy/footprint from read
-            // entropy/footprint in Table VI.
-            let block_in_region = if kind.is_write() {
-                let span = if region_private {
-                    layout.private_blocks
-                } else {
-                    layout.shared_blocks
-                };
-                let wspan = ((span as f64 * self.write_footprint_fraction) as u64).max(1);
-                block_in_region % wspan
-            } else {
-                block_in_region
-            };
-
-            let block = if region_private {
-                layout.private_base + block_in_region
-            } else {
-                layout.shared_base + block_in_region
-            };
-            let offset = u64::from(rng.random_range(0..8u8)) * 8;
-            let addr = REGION_BASE
-                + block * BLOCK_BYTES
-                + if r < self.stream_fraction {
-                    (stream_pos * 8) % BLOCK_BYTES
-                } else {
-                    offset
-                };
-
-            let gap = sample_geometric(&mut rng, mean_gap);
-            out.push(TraceEvent {
-                tid,
-                addr,
-                kind,
-                gap_instructions: gap,
-            });
+        let layout = RegionLayout::new(profile, tid);
+        let hot_blocks = ((layout.private_blocks as f64 * profile.hot_fraction) as u64).max(1);
+        let stream_cursor = rng.random_range(0..layout.private_blocks.max(1));
+        Lane {
+            profile,
+            tid,
+            rng,
+            layout,
+            zipf: Zipf::new(hot_blocks, profile.zipf_alpha),
+            mean_gap: (1.0 / profile.mem_ratio - 1.0).max(0.0),
+            dwell: u64::from(profile.stream_dwell.max(1)),
+            stream_cursor,
+            stream_pos: 0,
         }
-        out
     }
 
-    /// Whether a non-streaming access lands in this thread's private
-    /// region (vs the shared region). Single-threaded workloads are all
-    /// private.
-    fn pick_private(&self, rng: &mut SmallRng, layout: &RegionLayout) -> bool {
-        layout.shared_blocks == 0 || rng.random::<f64>() >= self.shared_fraction
+    fn next_event(&mut self) -> TraceEvent {
+        let profile = self.profile;
+        let layout = self.layout;
+        let rng = &mut self.rng;
+        let kind = if rng.random::<f64>() < profile.read_fraction {
+            AccessKind::Read
+        } else {
+            AccessKind::Write
+        };
+
+        // Pick a block in region-local coordinates.
+        let r: f64 = rng.random();
+        let (region_private, block_in_region) = if r < profile.stream_fraction {
+            // Sequential streaming: dwell inside the block for
+            // `stream_dwell` word-step accesses, then advance.
+            self.stream_pos += 1;
+            if self.stream_pos >= self.dwell {
+                self.stream_pos = 0;
+                self.stream_cursor = (self.stream_cursor + 1) % layout.private_blocks.max(1);
+            }
+            (true, self.stream_cursor)
+        } else if rng.random::<f64>() < profile.hot_probability {
+            (pick_private(profile, rng, &layout), self.zipf.sample(rng))
+        } else {
+            let region = pick_private(profile, rng, &layout);
+            let span = if region {
+                layout.private_blocks
+            } else {
+                layout.shared_blocks
+            };
+            (region, rng.random_range(0..span.max(1)))
+        };
+
+        // Writes are folded into the (often smaller) write footprint,
+        // which is what separates write entropy/footprint from read
+        // entropy/footprint in Table VI.
+        let block_in_region = if kind.is_write() {
+            let span = if region_private {
+                layout.private_blocks
+            } else {
+                layout.shared_blocks
+            };
+            let wspan = ((span as f64 * profile.write_footprint_fraction) as u64).max(1);
+            block_in_region % wspan
+        } else {
+            block_in_region
+        };
+
+        let block = if region_private {
+            layout.private_base + block_in_region
+        } else {
+            layout.shared_base + block_in_region
+        };
+        let offset = u64::from(rng.random_range(0..8u8)) * 8;
+        let addr = REGION_BASE
+            + block * BLOCK_BYTES
+            + if r < profile.stream_fraction {
+                (self.stream_pos * 8) % BLOCK_BYTES
+            } else {
+                offset
+            };
+
+        TraceEvent {
+            tid: self.tid,
+            addr,
+            kind,
+            gap_instructions: sample_geometric(rng, self.mean_gap),
+        }
     }
+}
+
+/// Whether a non-streaming access lands in its thread's private region
+/// (vs the shared region). Single-threaded workloads are all private.
+fn pick_private(profile: &WorkloadProfile, rng: &mut SmallRng, layout: &RegionLayout) -> bool {
+    layout.shared_blocks == 0 || rng.random::<f64>() >= profile.shared_fraction
 }
 
 /// Block-granular memory layout: `[shared | t0 | t1 | ...]`.

@@ -734,3 +734,64 @@ mod generator_golden {
         );
     }
 }
+
+#[cfg(test)]
+mod stream_identity {
+    use super::*;
+    use crate::{TraceEvent, CHUNK_EVENTS};
+
+    /// Per-thread lengths around the stream's chunk boundaries for a
+    /// profile with `threads` threads: empty, one event per thread, and
+    /// one step either side of one and two whole chunks.
+    fn lengths(threads: usize) -> Vec<usize> {
+        let mut lengths = vec![0, 1];
+        for chunks in [1, 2] {
+            let at = chunks * CHUNK_EVENTS / threads;
+            lengths.extend([at - 1, at, at + 1]);
+        }
+        lengths
+    }
+
+    /// The stream of every profile equals the materialized trace at each
+    /// length, and reports its remaining length exactly at every step.
+    #[test]
+    fn streamed_events_equal_the_generated_trace() {
+        for w in all().into_iter().chain(deep_learning()) {
+            let threads = usize::from(w.threads());
+            for n in lengths(threads) {
+                let trace = w.generate(2019, n);
+                let mut stream = w.events(2019, n);
+                let mut streamed: Vec<TraceEvent> = Vec::new();
+                assert_eq!(stream.len(), n * threads, "{} n={n}", w.name());
+                while let Some(event) = stream.next() {
+                    streamed.push(event);
+                    assert_eq!(
+                        stream.len(),
+                        n * threads - streamed.len(),
+                        "{} n={n}",
+                        w.name()
+                    );
+                }
+                assert!(stream.next().is_none(), "{} n={n}: fused", w.name());
+                assert_eq!(streamed, trace.events(), "{} n={n}", w.name());
+            }
+        }
+    }
+
+    /// Each thread's generator advances on its own, so a longer stream
+    /// begins with every shorter one: the events past a chunk boundary
+    /// continue the ones before it, and the pinned short traces
+    /// ([`super::generator_golden`]) pin the head of every long one.
+    #[test]
+    fn a_longer_stream_extends_a_shorter_one() {
+        for w in all().into_iter().chain(deep_learning()) {
+            let threads = usize::from(w.threads());
+            let longest = *lengths(threads).last().unwrap();
+            let long: Vec<TraceEvent> = w.events(7, longest).collect();
+            for n in lengths(threads) {
+                let short: Vec<TraceEvent> = w.events(7, n).collect();
+                assert_eq!(short, long[..n * threads], "{} n={n}", w.name());
+            }
+        }
+    }
+}

@@ -25,6 +25,17 @@ use rand::Rng;
 pub struct Zipf {
     n: u64,
     alpha: f64,
+    inverse: InverseCdf,
+}
+
+/// The inverse CDF's draw-independent terms, computed once per sampler.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum InverseCdf {
+    /// α = 1: `x = base^u`, with `base = n + 1`.
+    Harmonic { base: f64 },
+    /// α ≠ 1: `x = (scale·u + 1)^exponent`, with
+    /// `scale = (n + 1)^(1 − α) − 1` and `exponent = 1 / (1 − α)`.
+    Power { scale: f64, exponent: f64 },
 }
 
 impl Zipf {
@@ -41,7 +52,17 @@ impl Zipf {
             alpha.is_finite() && alpha >= 0.0,
             "zipf alpha must be finite and non-negative"
         );
-        Zipf { n, alpha }
+        let base = n as f64 + 1.0;
+        let inverse = if (alpha - 1.0).abs() < 1e-9 {
+            InverseCdf::Harmonic { base }
+        } else {
+            let one_minus = 1.0 - alpha;
+            InverseCdf::Power {
+                scale: base.powf(one_minus) - 1.0,
+                exponent: 1.0 / one_minus,
+            }
+        };
+        Zipf { n, alpha, inverse }
     }
 
     /// Number of ranks.
@@ -57,14 +78,11 @@ impl Zipf {
     /// Draws a rank in `0..n`, lower ranks more likely for `alpha > 0`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.random::<f64>().max(1e-12);
-        let n = self.n as f64;
-        let x = if (self.alpha - 1.0).abs() < 1e-9 {
+        let x = match self.inverse {
             // α = 1: inverse CDF of 1/x on [1, n+1] is exponential in u.
-            (n + 1.0).powf(u)
-        } else {
-            let one_minus = 1.0 - self.alpha;
+            InverseCdf::Harmonic { base } => base.powf(u),
             // Continuous power-law inverse CDF on [1, n+1].
-            (((n + 1.0).powf(one_minus) - 1.0) * u + 1.0).powf(1.0 / one_minus)
+            InverseCdf::Power { scale, exponent } => (scale * u + 1.0).powf(exponent),
         };
         ((x.floor() as u64).saturating_sub(1)).min(self.n - 1)
     }

@@ -10,8 +10,8 @@ use nvm_llc::prelude::*;
 use nvm_llc::sim::runner::metrics;
 
 /// An evaluator over SRAM + the ten NVMs, and the matrix width. Each
-/// caller picks its own `base_accesses`, so its traces are fresh keys
-/// in the process-wide trace cache.
+/// caller picks its own `base_accesses`, so its cells are fresh keys in
+/// the process-wide result tier.
 fn evaluator(base_accesses: usize) -> (Evaluator, usize) {
     let models = reference::fixed_capacity();
     let baseline = reference::by_name(&models, "SRAM").unwrap();
@@ -41,7 +41,7 @@ fn run_all_counter_and_histogram_updates_sum_exactly() {
         "nvmllc_trace_generate_seconds",
         "Wall time of the `trace_generate` span.",
     );
-    let trace_misses = nvm_llc::trace::cache::metrics::misses();
+    let generated = nvm_llc::trace::metrics::generated();
 
     for threads in [1, 2, 4, 8] {
         let runs = metrics::runs().get();
@@ -50,10 +50,10 @@ fn run_all_counter_and_histogram_updates_sum_exactly() {
         let run_spans = run_hist.count();
         let replay_spans = batch_hist.count();
         let generate_spans = generate_hist.count();
-        let misses = trace_misses.get();
+        let traces = generated.get();
 
-        // A fresh access count per worker count: every trace below is a
-        // trace-cache miss, generated on the pool.
+        // A fresh access count per worker count: every cell below is a
+        // result-tier miss, and every trace is generated on the pool.
         let (ev, width) = evaluator(4_000 + 100 * threads);
         let rows = ev.threads(threads).run_all(&ws);
         assert_eq!(rows.len(), ws.len());
@@ -80,16 +80,24 @@ fn run_all_counter_and_histogram_updates_sum_exactly() {
             "{threads} workers"
         );
 
-        // Parallel trace generation still generates each workload
-        // exactly once: one miss and one trace_generate sample each.
+        // Parallel evaluation still generates each workload's trace
+        // exactly once, streamed into its one group: one generation each,
+        // and one trace_generate sample per chunk of events.
         assert_eq!(
-            trace_misses.get() - misses,
+            generated.get() - traces,
             ws.len() as u64,
             "{threads} workers"
         );
+        let chunks: usize = ws
+            .iter()
+            .map(|w| {
+                let events = w.scaled_accesses(4_000 + 100 * threads) * usize::from(w.threads());
+                events.div_ceil(nvm_llc::trace::CHUNK_EVENTS)
+            })
+            .sum();
         assert_eq!(
             generate_hist.count() - generate_spans,
-            ws.len() as u64,
+            chunks as u64,
             "{threads} workers"
         );
     }

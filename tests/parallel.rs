@@ -1,14 +1,16 @@
 //! Parallel evaluation engine, end to end: the scoped worker pool must be
-//! bit-identical to the serial path, the process-wide trace cache must
-//! hand every same-key consumer the same `Arc<Trace>`, and the
-//! batched tape replay behind `run_all` must agree exactly with direct
-//! `System::run` at every worker count.
+//! bit-identical to the serial path, an evaluation must generate each
+//! trace it needs once and leave none resident, the process-wide trace
+//! cache must hand every same-key consumer the same `Arc<Trace>`, and
+//! the batched tape replay behind `run_all` must agree exactly with
+//! direct `System::run` at every worker count.
 //!
 //! The result tier is process-wide too, and a run it answers proves
 //! nothing about the pool: the tests comparing runs write-hold
 //! [`exclusive_tier`] and empty the tier before every run they compare,
-//! and every other evaluating test read-holds it ([`evaluating`]), so
-//! none refills the tier in between.
+//! and every other test that evaluates or generates a trace read-holds
+//! it ([`evaluating`]), so none refills the tier or moves the trace
+//! counters in between.
 
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -134,23 +136,102 @@ fn store_backed_matrices_are_worker_count_invariant() {
 #[test]
 fn trace_cache_fetches_are_pointer_equal() {
     let w = workloads::by_name("tonto").unwrap();
+    let _tier = evaluating();
     let a = nvm_llc::trace::cache::fetch(&w, 2019, 4_000);
     let b = nvm_llc::trace::cache::fetch(&w, 2019, 4_000);
     assert!(Arc::ptr_eq(&a, &b));
     assert_eq!(a.events(), w.generate(2019, 4_000).events());
 }
 
-/// Evaluations going through `generate_shared` populate the same cache:
-/// a later direct fetch sees the already-generated trace.
+/// A trace lives only as long as its cells. At every worker count a
+/// `run_all` on fresh keys leaves the trace cache as it found it and
+/// generates exactly one trace per workload: a fixed-capacity row
+/// streams its one group's events, and a fixed-area row's capacity
+/// groups share one generation. Every row equals the fused
+/// `System::run` cells.
 #[test]
-fn evaluator_runs_share_the_trace_cache() {
-    let w = workloads::by_name("leela").unwrap();
-    let accesses = w.scaled_accesses(8_000);
-    let _tier = evaluating();
-    let _ = evaluator().threads(2).run_workload(&w);
-    let cached = nvm_llc::trace::cache::fetch(&w, 2019, accesses);
-    let again = w.generate_shared(2019, accesses);
-    assert!(Arc::ptr_eq(&cached, &again));
+fn evaluations_leave_no_trace_resident() {
+    use nvm_llc::trace::cache;
+    let ws: Vec<_> = ["tonto", "cg"]
+        .iter()
+        .map(|n| workloads::by_name(n).unwrap())
+        .collect();
+    let base = 3_000;
+    let _tier = exclusive_tier();
+    for models in [reference::fixed_capacity(), reference::fixed_area()] {
+        let baseline = reference::by_name(&models, "SRAM").unwrap();
+        let nvms: Vec<_> = models
+            .iter()
+            .filter(|m| m.name != "SRAM")
+            .cloned()
+            .collect();
+        // One group per distinct LLC capacity and workload: one for the
+        // fixed-capacity matrix, several for the fixed-area one.
+        let mut capacities: Vec<_> = models
+            .iter()
+            .map(|m| ArchConfig::gainestown(m.clone()).llc_capacity_bytes())
+            .collect();
+        capacities.sort_unstable();
+        capacities.dedup();
+        let fused: Vec<Vec<SimResult>> = ws
+            .iter()
+            .map(|w| {
+                let trace = w.generate(2019, w.scaled_accesses(base));
+                models
+                    .iter()
+                    .map(|m| {
+                        System::new(ArchConfig::gainestown(m.clone()))
+                            .with_warmup(nvm_llc::sim::runner::DEFAULT_WARMUP)
+                            .run(&trace)
+                    })
+                    .collect()
+            })
+            .collect();
+        for threads in [1, 2, 4] {
+            forget_results();
+            let (len, resident) = (cache::len(), cache::metrics::resident_bytes().get());
+            let generated = nvm_llc::trace::metrics::generated().get();
+            let groups = runner::metrics::groups().get();
+            let rows = Evaluator::new(baseline.clone(), nvms.clone())
+                .base_accesses(base)
+                .threads(threads)
+                .run_all(&ws);
+            assert_eq!(
+                cache::len(),
+                len,
+                "{threads} workers: a trace left resident"
+            );
+            assert_eq!(
+                cache::metrics::resident_bytes().get(),
+                resident,
+                "{threads} workers"
+            );
+            assert_eq!(
+                nvm_llc::trace::metrics::generated().get() - generated,
+                ws.len() as u64,
+                "{threads} workers: one generation per workload"
+            );
+            assert_eq!(
+                runner::metrics::groups().get() - groups,
+                (ws.len() * capacities.len()) as u64,
+                "{threads} workers"
+            );
+            for (row, per_tech) in rows.iter().zip(&fused) {
+                for (model, direct) in models.iter().zip(per_tech) {
+                    let cell = if model.name == "SRAM" {
+                        &row.baseline
+                    } else {
+                        &row.entry(&model.name).expect("row covers model").result
+                    };
+                    assert_eq!(
+                        cell, direct,
+                        "{} on {} with {threads} workers",
+                        model.name, row.workload
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// The functional/timing split behind `run_all`: matrices computed via
@@ -202,6 +283,7 @@ fn batched_and_per_technology_matrices_agree_at_every_worker_count() {
         .map(|n| workloads::by_name(n).unwrap())
         .collect();
     let models = reference::fixed_capacity();
+    let _tier = exclusive_tier();
     let fused: Vec<Vec<SimResult>> = ws
         .iter()
         .map(|w| {
@@ -216,7 +298,6 @@ fn batched_and_per_technology_matrices_agree_at_every_worker_count() {
                 .collect()
         })
         .collect();
-    let _tier = exclusive_tier();
     for threads in [1, 2, 4, 8] {
         forget_results();
         let rows = evaluator().threads(threads).run_all(&ws);
@@ -243,7 +324,8 @@ fn batched_and_per_technology_matrices_agree_at_every_worker_count() {
 #[test]
 fn tape_keys_are_shared_per_geometry() {
     let w = workloads::by_name("ft").unwrap();
-    let trace = w.generate_shared(7, 4_000);
+    let _tier = evaluating();
+    let trace = w.generate(7, 4_000);
     let models = reference::fixed_capacity();
     let sram = System::new(ArchConfig::gainestown(
         reference::by_name(&models, "SRAM").unwrap(),

@@ -3,8 +3,8 @@
 //! read from the store before any trace would be needed.
 //!
 //! This file holds exactly one test so it compiles to its own test
-//! binary: the trace cache, the result tier and their counters are
-//! process-wide, so no concurrent test may move them.
+//! binary: the result tier and the counters are process-wide, so no
+//! concurrent test may move them.
 
 use nvm_llc::serve::{http, ServeConfig, Server};
 
@@ -52,9 +52,7 @@ fn a_restarted_daemon_serves_stored_rows_without_generating_a_trace() {
     let cold = sweep(&first);
     first.shutdown();
 
-    // A restart starts from an empty process: no trace, no remembered
-    // result.
-    nvm_llc::trace::cache::clear();
+    // A restart starts from an empty process: no remembered result.
     nvm_llc::sim::runner::set_result_budget(0);
     nvm_llc::sim::runner::set_result_budget(nvm_llc::sim::runner::RESULT_BUDGET_BYTES);
 
@@ -65,17 +63,23 @@ fn a_restarted_daemon_serves_stored_rows_without_generating_a_trace() {
         let (status, body) = http::get(second.addr(), "/metricsz").unwrap();
         assert_eq!(status, 200);
         (
-            family_sum(&body, "nvmllc_trace_cache_misses_total"),
+            family_sum(&body, "nvmllc_trace_generated_total"),
             family_sum(&body, "nvmllc_eval_groups_total"),
             family_sum(&body, "nvmllc_eval_result_tier_hits_total"),
         )
     };
-    let (misses, groups, hits) = counters();
+    let (generated, groups, hits) = counters();
     let warm = sweep(&second);
-    let (misses_after, groups_after, hits_after) = counters();
+    let (generated_after, groups_after, hits_after) = counters();
     second.shutdown();
     assert_eq!(warm, cold, "a restart must not change a single byte");
-    assert_eq!(misses_after, misses, "no trace generated for a stored row");
+    // The counter is live: the first daemon's cold rows generated one
+    // trace each.
+    assert_eq!(generated, targets.len() as f64, "one trace per cold row");
+    assert_eq!(
+        generated_after, generated,
+        "no trace generated for a stored row"
+    );
     assert_eq!(groups_after, groups, "no group evaluated for a stored row");
     assert_eq!(
         hits_after - hits,

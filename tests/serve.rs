@@ -63,7 +63,7 @@ fn overlapping_identical_requests_coalesce_and_stay_bit_identical() {
 
     // Hammer the daemon with identical requests released together.
     // The expected row is computed only afterwards: evaluating it here
-    // would warm the process-wide trace cache and result tier, making
+    // would warm the process-wide result tier, making
     // the leader's evaluation too fast for the others to overlap with.
     let barrier = Arc::new(Barrier::new(CLIENTS));
     let target = format!("/row?workload=tonto&accesses={ACCESSES}");
@@ -486,7 +486,7 @@ fn metricsz_is_valid_prometheus_with_a_full_inventory() {
         "nvmllc_eval_result_memo_hits_total",
         "nvmllc_tape_record_seconds",
         "nvmllc_tape_replay_batch_seconds",
-        "nvmllc_trace_cache_misses_total",
+        "nvmllc_trace_generated_total",
         "nvmllc_store_hits_total",
         "nvmllc_serve_requests_total",
         "nvmllc_serve_handle_seconds",
