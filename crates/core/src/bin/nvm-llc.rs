@@ -153,7 +153,7 @@ fn log_cache_stats(store: Option<&nvm_llc::store::Store>) {
         "result_hits" => metrics::result_memo_hits().get(),
         "result_evictions" => metrics::result_memo_evictions().get(),
         "result_resident_bytes" => metrics::result_memo_resident_bytes().get(),
-        "functional_passes" => metrics::groups().get(),
+        "functional_passes" => metrics::passes().get(),
     );
     if let Some(store) = store {
         nvm_llc::obs::info!(
@@ -237,17 +237,27 @@ fn main() -> ExitCode {
         "selection" => println!("{}", selection::run(run.clone()).render()),
         "dl" => println!("{}", dl_extension::run(run.clone()).render()),
         "all" => {
+            // Table VI's features feed Figure 4 and the selection study
+            // too: the workloads are characterized once.
+            let table6 = table6::run(scale);
+            let features = &table6.measured;
             println!("{}\n", table2::run().render());
             println!("{}\n", table3::run().render());
             println!("{}\n", table4::render_default());
             println!("{}\n", table5::run(run.clone()).render());
-            println!("{}\n", table6::run(scale).render());
+            println!("{}\n", table6.render());
             println!("{}\n", fig1::run(run.clone()).render());
             println!("{}\n", fig2::run(run.clone()).render());
             println!("{}\n", core_sweep::run(run.clone()).render());
-            println!("{}\n", fig4::run(run.clone()).render());
+            println!(
+                "{}\n",
+                fig4::run_with_features(run.clone(), features).render()
+            );
             println!("{}\n", lifetime::run(run.clone()).render());
-            println!("{}\n", selection::run(run.clone()).render());
+            println!(
+                "{}\n",
+                selection::run_with_features(run.clone(), features).render()
+            );
             println!("{}", dl_extension::run(run.clone()).render());
         }
         "cell" => {

@@ -40,16 +40,24 @@ pub struct Fig4 {
 /// Runs the full correlation study.
 pub fn run(run: impl Into<Run>) -> Fig4 {
     let run = run.into();
-    let characterized = workloads::characterized();
     let features = table6::characterize(run.scale);
+    run_with_features(run, &features)
+}
+
+/// [`run`] over already measured Table VI `features`
+/// ([`table6::characterize`] at the run's scale), so a caller that has
+/// them does not characterize the workloads again.
+pub fn run_with_features(run: impl Into<Run>, features: &[FeatureVector]) -> Fig4 {
+    let run = run.into();
+    let characterized = workloads::characterized();
 
     let mut ai_panels = Vec::new();
     let mut general_panels = Vec::new();
     for configuration in Configuration::ALL {
         let rows = run.evaluator(configuration).run_all(&characterized);
         for nvm in STUDY_NVMS {
-            let all = observations(&rows, &features, nvm, None);
-            let ai = observations(&rows, &features, nvm, Some(&AI_WORKLOADS));
+            let all = observations(&rows, features, nvm, None);
+            let ai = observations(&rows, features, nvm, Some(&AI_WORKLOADS));
             let id = PanelId {
                 nvm: nvm.to_owned(),
                 configuration,

@@ -3,6 +3,7 @@
 //! subset predicts its LLC energy across the characterized workloads?
 
 use nvm_llc_analysis::{forward_select, SelectionStep};
+use nvm_llc_prism::FeatureVector;
 use nvm_llc_trace::workloads;
 
 use crate::experiments::fig4::{observations, STUDY_NVMS};
@@ -19,14 +20,22 @@ pub struct Selection {
 /// configurations.
 pub fn run(run: impl Into<Run>) -> Selection {
     let run = run.into();
-    let characterized = workloads::characterized();
     let features = table6::characterize(run.scale);
+    run_with_features(run, &features)
+}
+
+/// [`run`] over already measured Table VI `features`
+/// ([`table6::characterize`] at the run's scale), so a caller that has
+/// them does not characterize the workloads again.
+pub fn run_with_features(run: impl Into<Run>, features: &[FeatureVector]) -> Selection {
+    let run = run.into();
+    let characterized = workloads::characterized();
 
     let mut traces = Vec::new();
     for configuration in Configuration::ALL {
         let rows = run.evaluator(configuration).run_all(&characterized);
         for nvm in STUDY_NVMS {
-            let observations = observations(&rows, &features, nvm, None);
+            let observations = observations(&rows, features, nvm, None);
             let steps = forward_select(&observations, |o| o.energy, 0.02);
             traces.push((nvm.to_owned(), configuration, steps));
         }

@@ -1034,23 +1034,32 @@ struct PhaseMicros {
     proxy: f64,
 }
 
-/// Sums span durations into request phases by span name. Only
-/// same-level spans contribute to one phase (`tape_replay_chunk` nests
-/// inside `tape_replay_batch` and would double-count, as would the
-/// `trace_generate` chunks of a trace streamed inside `tape_record`).
+/// Sums span durations into request phases by span name. A functional
+/// pass (`tape_record`) streams its trace and replays its groups chunk by
+/// chunk as it walks: the `trace_generate` chunks inside it are already
+/// functional time, and the replay spans directly inside it (each
+/// `tape_replay_chunk`, and the `tape_replay_batch` that finishes each
+/// group) move from the functional phase to the replay phase. Spans
+/// nested deeper (a `tape_replay_chunk` inside a `tape_replay_batch`)
+/// are already counted by their parent.
 fn phase_micros(spans: &[nvm_llc_obs::trace::SpanRecord]) -> PhaseMicros {
-    let records: Vec<u64> = spans
+    let passes: Vec<u64> = spans
         .iter()
         .filter(|span| span.name == "tape_record")
         .map(|span| span.span_id)
         .collect();
     let mut phase = PhaseMicros::default();
     for span in spans {
+        let in_pass = passes.contains(&span.parent_id);
         let bucket = match span.name.as_str() {
             "queue" => &mut phase.queue,
             "parse" => &mut phase.parse,
-            "trace_generate" if records.contains(&span.parent_id) => continue,
-            "tape_record" | "trace_generate" => &mut phase.functional,
+            "tape_record" => &mut phase.functional,
+            "trace_generate" if !in_pass => &mut phase.functional,
+            "tape_replay_chunk" | "tape_replay_batch" if in_pass => {
+                phase.functional -= span.dur_micros;
+                &mut phase.replay
+            }
             "tape_replay_batch" => &mut phase.replay,
             "proxy_upstream" => &mut phase.proxy,
             name if name.starts_with("store_") => &mut phase.store,
@@ -1713,6 +1722,35 @@ mod tests {
         let phase = phase_micros(&spans);
         assert_eq!(phase.functional, 190.0);
         assert_eq!(phase.replay, 20.0);
+    }
+
+    /// A pass's streamed replay (its chunks, and the span finishing each
+    /// group with the chunk inside it) is replay time, taken out of the
+    /// pass's functional time once.
+    #[test]
+    fn phase_micros_moves_streamed_replay_out_of_the_pass() {
+        let span = |name: &str, span_id: u64, parent_id: u64, dur_micros: f64| {
+            nvm_llc_obs::trace::SpanRecord {
+                name: name.to_owned(),
+                span_id,
+                parent_id,
+                start_micros: 0.0,
+                dur_micros,
+                node: None,
+                thread: 0,
+            }
+        };
+        let spans = [
+            span("tape_record", 1, 0, 100.0),
+            span("trace_generate", 2, 1, 30.0),
+            span("tape_replay_chunk", 3, 1, 10.0),
+            span("tape_replay_chunk", 4, 1, 12.0),
+            span("tape_replay_batch", 5, 1, 8.0),
+            span("tape_replay_chunk", 6, 5, 6.0),
+        ];
+        let phase = phase_micros(&spans);
+        assert_eq!(phase.functional, 70.0);
+        assert_eq!(phase.replay, 30.0);
     }
 
     #[test]

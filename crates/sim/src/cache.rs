@@ -7,10 +7,11 @@ use crate::policy::{PolicyState, ReplacementPolicy};
 /// only knew LRU and random).
 pub use crate::policy::PolicyKind as Replacement;
 
-/// Tag-lane value of an empty way. Block addresses are byte addresses
-/// divided by 64, so below 2^58, and no tag (a block address shifted
-/// right) can reach it.
-const EMPTY: u64 = u64::MAX;
+/// Tag-lane value of an empty way. The lane stores each tag plus one,
+/// so a fresh array is one zeroed allocation: its pages are not faulted
+/// in until a block lands there. Block addresses are byte addresses
+/// divided by 64, so below 2^58, and a stored tag never wraps.
+const EMPTY: u64 = 0;
 
 /// A line displaced by an allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,15 +46,80 @@ impl AccessOutcome {
 /// [`ReplacementPolicy::victim`] implementations. Tags and occupancy
 /// live in the array's separate tag lane: policies decide *which way*
 /// dies, not address identity, and only ever see full sets.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Line {
+///
+/// Packed into one `u64`: the recency stamp in the high 62 bits, then
+/// the reused and dirty bits. The stamp is the array's access clock,
+/// which cannot reach 2^62 accesses.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Line(u64);
+
+impl Line {
+    const DIRTY: u64 = 1;
+    const REUSED: u64 = 1 << 1;
+    const STAMP_SHIFT: u32 = 2;
+
+    /// A line just filled at `stamp`, dirty if the fill was a write.
+    fn filled(stamp: u64, dirty: bool) -> Line {
+        Line(stamp << Self::STAMP_SHIFT | u64::from(dirty))
+    }
+
+    /// This line re-referenced at `stamp`, dirtied if `write`.
+    fn touched(self, stamp: u64, write: bool) -> Line {
+        Line(stamp << Self::STAMP_SHIFT | self.0 & Self::DIRTY | u64::from(write) | Self::REUSED)
+    }
+
     /// Whether the block has been written since its fill (a dirty
     /// victim costs a writeback — what the endurance policy avoids).
-    pub dirty: bool,
+    pub fn dirty(self) -> bool {
+        self.0 & Self::DIRTY != 0
+    }
+
     /// Whether the block was re-referenced after its fill.
-    pub reused: bool,
+    pub fn reused(self) -> bool {
+        self.0 & Self::REUSED != 0
+    }
+
     /// Recency stamp (the array's access clock at the last touch).
-    pub stamp: u64,
+    pub fn stamp(self) -> u64 {
+        self.0 >> Self::STAMP_SHIFT
+    }
+}
+
+/// The lines of one full set, in way order, as
+/// [`ReplacementPolicy::victim`] reads them: a view of the array's words,
+/// which stay plain `u64`s so that a fresh array is a zeroed allocation.
+#[derive(Debug, Clone, Copy)]
+pub struct SetLines<'a>(&'a [u64]);
+
+impl<'a> SetLines<'a> {
+    /// The set's way count.
+    pub fn len(self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the set has no way (never, for a built cache).
+    pub fn is_empty(self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The lines, way 0 first.
+    pub fn iter(self) -> impl Iterator<Item = Line> + 'a {
+        self.0.iter().map(|&word| Line(word))
+    }
+}
+
+/// The set count of a capacity/associativity/block geometry: rounded up
+/// to a power of two, at least one.
+fn geometry_sets(capacity_bytes: u64, associativity: u32, block_bytes: u32) -> u64 {
+    (capacity_bytes / (u64::from(block_bytes) * u64::from(associativity)))
+        .max(1)
+        .next_power_of_two()
+}
+
+/// Set `set_idx`'s tag lane and line words in a cache's `words`.
+fn set_lanes(words: &mut [u64], ways: usize, set_idx: usize) -> (&mut [u64], &mut [u64]) {
+    let base = 2 * set_idx * ways;
+    words[base..base + 2 * ways].split_at_mut(ways)
 }
 
 /// A write-back, write-allocate set-associative cache over 64 B block
@@ -62,12 +128,14 @@ pub struct Line {
 /// Purely functional state (no timing): the timing model lives in
 /// [`crate::system`]. Addresses are *block* addresses (byte address / 64).
 ///
-/// State is two flat set-major arrays (`num_sets × ways`): a tag lane
-/// that every lookup scans, and the [`Line`]s that only hits, fills and
-/// victim choice touch. The set index/tag split is a precomputed mask
-/// and shift. The simulator replays hundreds of millions of accesses,
-/// and a 16-way set search reads 128 B of tags instead of 16 whole
-/// lines.
+/// State is one flat set-major array of `u64` words, 16 bytes per way:
+/// each set holds its tag lane, which every lookup scans, followed by
+/// its packed [`Line`]s, which only hits, fills and victim choice touch.
+/// The array is one zeroed allocation, so the pages of sets no block
+/// ever reaches are never faulted in. The set index/tag split is a
+/// precomputed mask and shift. The simulator replays hundreds of
+/// millions of accesses, and a 16-way set search reads 128 B of tags,
+/// next to the lines it then updates.
 ///
 /// # Examples
 ///
@@ -80,13 +148,11 @@ pub struct Line {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    /// Flat set-major tag lane: set `s` occupies
-    /// `tags[s * ways .. (s + 1) * ways]`, and [`EMPTY`] marks a way
-    /// that holds no block.
-    tags: Vec<u64>,
-    /// The lines behind `tags`, same layout. A line's fields are
-    /// meaningful only while its tag is not [`EMPTY`].
-    lines: Vec<Line>,
+    /// Set `s` occupies `words[2 * s * ways ..][.. 2 * ways]`: first
+    /// its tag lane, where each way holds its tag plus one and [`EMPTY`]
+    /// marks a way that holds no block, then the ways' [`Line`] words.
+    /// A line is meaningful only while its tag is not [`EMPTY`].
+    words: Vec<u64>,
     ways: usize,
     set_mask: u64,
     /// `log2(num_sets)`: the tag is the block address shifted right by
@@ -112,10 +178,9 @@ impl SetAssocCache {
     pub fn new(num_sets: u64, ways: u32, replacement: Replacement) -> Self {
         assert!(num_sets.is_power_of_two(), "sets must be a power of two");
         assert!(ways >= 1, "needs at least one way");
-        let len = (num_sets * u64::from(ways)) as usize;
+        let len = (2 * num_sets * u64::from(ways)) as usize;
         SetAssocCache {
-            tags: vec![EMPTY; len],
-            lines: vec![Line::default(); len],
+            words: vec![EMPTY; len],
             ways: ways as usize,
             set_mask: num_sets - 1,
             set_shift: num_sets.trailing_zeros(),
@@ -138,8 +203,37 @@ impl SetAssocCache {
         block_bytes: u32,
         replacement: Replacement,
     ) -> Self {
-        let sets = (capacity_bytes / (u64::from(block_bytes) * u64::from(associativity))).max(1);
-        Self::new(sets.next_power_of_two(), associativity, replacement)
+        let sets = geometry_sets(capacity_bytes, associativity, block_bytes);
+        Self::new(sets, associativity, replacement)
+    }
+
+    /// [`Self::with_geometry`], made from one of `spare`'s caches when one
+    /// has the same sets, ways and policy: it is emptied and handed back
+    /// as new, and its array, already faulted in, is reused instead of
+    /// allocating a fresh one.
+    pub(crate) fn with_geometry_from(
+        spare: &mut Vec<SetAssocCache>,
+        capacity_bytes: u64,
+        associativity: u32,
+        block_bytes: u32,
+        replacement: Replacement,
+    ) -> Self {
+        let sets = geometry_sets(capacity_bytes, associativity, block_bytes);
+        let fits = |c: &SetAssocCache| {
+            c.num_sets() == sets && c.ways() == associativity && c.replacement() == replacement
+        };
+        match spare.iter().position(fits) {
+            Some(i) => {
+                let mut cache = spare.swap_remove(i);
+                cache.words.fill(EMPTY);
+                cache.policy = PolicyState::new(replacement, sets, cache.ways);
+                cache.clock = 0;
+                cache.hits = 0;
+                cache.misses = 0;
+                cache
+            }
+            None => Self::new(sets, associativity, replacement),
+        }
     }
 
     /// The set `block` maps to: the low `log2(num_sets)` block-address
@@ -165,18 +259,12 @@ impl SetAssocCache {
     pub fn access(&mut self, block: u64, is_write: bool) -> AccessOutcome {
         self.clock += 1;
         let set_idx = (block & self.set_mask) as usize;
-        let tag = block >> self.set_shift;
+        let tag = self.stored_tag(block);
         let clock = self.clock;
-        debug_assert_ne!(tag, EMPTY, "block {block:#x} collides with the empty tag");
-        let base = set_idx * self.ways;
-        let tags = &mut self.tags[base..base + self.ways];
-        let set = &mut self.lines[base..base + self.ways];
+        let (tags, set) = set_lanes(&mut self.words, self.ways, set_idx);
 
         if let Some(way) = tags.iter().position(|&t| t == tag) {
-            let line = &mut set[way];
-            line.stamp = clock;
-            line.dirty |= is_write;
-            line.reused = true;
+            set[way] = Line(set[way]).touched(clock, is_write).0;
             self.hits += 1;
             self.policy.touch(set_idx, way);
             return AccessOutcome {
@@ -191,22 +279,18 @@ impl SetAssocCache {
         let (victim_idx, evicted) = match tags.iter().position(|&t| t == EMPTY) {
             Some(i) => (i, None),
             None => {
-                let i = self.policy.victim(set_idx, set);
+                let i = self.policy.victim(set_idx, SetLines(set));
                 self.policy.evict(set_idx, i);
                 let eviction = Eviction {
-                    block: (tags[i] << self.set_shift) | set_idx as u64,
-                    dirty: set[i].dirty,
-                    reused: set[i].reused,
+                    block: ((tags[i] - 1) << self.set_shift) | set_idx as u64,
+                    dirty: Line(set[i]).dirty(),
+                    reused: Line(set[i]).reused(),
                 };
                 (i, Some(eviction))
             }
         };
         tags[victim_idx] = tag;
-        set[victim_idx] = Line {
-            dirty: is_write,
-            reused: false,
-            stamp: clock,
-        };
+        set[victim_idx] = Line::filled(clock, is_write).0;
         self.policy.fill(set_idx, victim_idx, block);
         AccessOutcome {
             hit: false,
@@ -220,16 +304,11 @@ impl SetAssocCache {
     pub fn access_no_alloc(&mut self, block: u64) -> bool {
         self.clock += 1;
         let set_idx = (block & self.set_mask) as usize;
-        let tag = block >> self.set_shift;
+        let tag = self.stored_tag(block);
         let clock = self.clock;
-        let base = set_idx * self.ways;
-        if let Some(way) = self.tags[base..base + self.ways]
-            .iter()
-            .position(|&t| t == tag)
-        {
-            let line = &mut self.lines[base + way];
-            line.stamp = clock;
-            line.reused = true;
+        let (tags, set) = set_lanes(&mut self.words, self.ways, set_idx);
+        if let Some(way) = tags.iter().position(|&t| t == tag) {
+            set[way] = Line(set[way]).touched(clock, false).0;
             self.hits += 1;
             self.policy.touch(set_idx, way);
             true
@@ -281,13 +360,11 @@ impl SetAssocCache {
     /// was dirty. Used for inclusive-hierarchy back-invalidation.
     pub fn invalidate(&mut self, block: u64) -> Option<bool> {
         let set_idx = (block & self.set_mask) as usize;
-        let tag = block >> self.set_shift;
-        let base = set_idx * self.ways;
-        let way = self.tags[base..base + self.ways]
-            .iter()
-            .position(|&t| t == tag)?;
-        self.tags[base + way] = EMPTY;
-        Some(self.lines[base + way].dirty)
+        let tag = self.stored_tag(block);
+        let (tags, set) = set_lanes(&mut self.words, self.ways, set_idx);
+        let way = tags.iter().position(|&t| t == tag)?;
+        tags[way] = EMPTY;
+        Some(Line(set[way]).dirty())
     }
 
     /// All currently resident block addresses, set-major.
@@ -296,22 +373,27 @@ impl SetAssocCache {
     /// and hybrid analyses can sweep residency without materializing a
     /// `Vec` per call (collect if ordering/sorting is needed).
     pub fn resident_blocks(&self) -> impl Iterator<Item = u64> + '_ {
-        self.tags
-            .chunks(self.ways)
+        self.words
+            .chunks(2 * self.ways)
             .enumerate()
-            .flat_map(move |(set_idx, tags)| {
-                tags.iter()
+            .flat_map(move |(set_idx, set)| {
+                set[..self.ways]
+                    .iter()
                     .filter(|&&t| t != EMPTY)
-                    .map(move |&t| (t << self.set_shift) | set_idx as u64)
+                    .map(move |&t| ((t - 1) << self.set_shift) | set_idx as u64)
             })
     }
 
     /// Whether `block` is currently resident (no state change).
     pub fn contains(&self, block: u64) -> bool {
-        let set_idx = (block & self.set_mask) as usize;
-        let tag = block >> self.set_shift;
-        let base = set_idx * self.ways;
-        self.tags[base..base + self.ways].contains(&tag)
+        let base = 2 * (block & self.set_mask) as usize * self.ways;
+        self.words[base..base + self.ways].contains(&self.stored_tag(block))
+    }
+
+    /// `block`'s tag as the tag lane stores it: shifted past the set
+    /// bits, plus one so that no block stores as [`EMPTY`].
+    fn stored_tag(&self, block: u64) -> u64 {
+        (block >> self.set_shift) + 1
     }
 
     /// Demand hits so far.
@@ -508,8 +590,13 @@ mod tests {
     /// `invalidate` / `contains` on a 64-set array, followed by the
     /// demand counters and the sorted resident blocks.
     fn behaviour_digest(policy: Replacement, ways: u32) -> u64 {
+        behaviour_digest_of(SetAssocCache::new(64, ways, policy))
+    }
+
+    /// [`behaviour_digest`] of the stream on `c`, a 64-set array.
+    fn behaviour_digest_of(mut c: SetAssocCache) -> u64 {
         const SETS: u64 = 64;
-        let mut c = SetAssocCache::new(SETS, ways, policy);
+        let ways = c.ways();
         let mut bytes: Vec<u8> = Vec::new();
         let eviction = |bytes: &mut Vec<u8>, e: Option<Eviction>| match e {
             Some(e) => {
@@ -554,6 +641,27 @@ mod tests {
             bytes.extend_from_slice(&block.to_le_bytes());
         }
         nvm_llc_store::fnv1a64(&bytes)
+    }
+
+    /// A cache made from a spare one behaves exactly as a fresh one: the
+    /// spare's blocks, dirty lines, policy state, clock and counters are
+    /// all gone. Only a spare of the same shape and policy is taken.
+    #[test]
+    fn a_reused_cache_behaves_as_a_fresh_one() {
+        for policy in Replacement::ALL {
+            let fresh = behaviour_digest(policy, 8);
+            let mut used = SetAssocCache::with_geometry(64 * 8 * 64, 8, 64, policy);
+            for b in 0..3_000u64 {
+                let _ = used.access(b * 7, b % 3 == 0);
+            }
+            let other = SetAssocCache::with_geometry(32 * 8 * 64, 8, 64, policy);
+            let mut spare = vec![other, used];
+            let reused = SetAssocCache::with_geometry_from(&mut spare, 64 * 8 * 64, 8, 64, policy);
+            assert_eq!(spare.len(), 1, "{policy:?}: the 64-set spare is taken");
+            assert_eq!(spare[0].num_sets(), 32);
+            assert_eq!((reused.hits(), reused.misses()), (0, 0));
+            assert_eq!(behaviour_digest_of(reused), fresh, "{policy:?}");
+        }
     }
 
     /// Way choice, eviction reporting and residency are pinned for every

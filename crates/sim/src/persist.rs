@@ -615,7 +615,6 @@ mod tests {
         assert_eq!(decoded.flags(), tape.flags());
         assert_eq!(decoded.wear_blocks(), tape.wear_blocks());
         assert_eq!(decoded.dram_blocks(), tape.dram_blocks());
-        assert_eq!(decoded.present_cores(), tape.present_cores());
         assert_eq!(decoded.bytes(), tape.bytes());
         // The decisive check: replaying the decoded tape reproduces the
         // original run bit for bit.

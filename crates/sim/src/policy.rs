@@ -27,7 +27,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cache::Line;
+use crate::cache::SetLines;
 
 /// Replacement policy selector: the identity half of the subsystem.
 ///
@@ -134,9 +134,9 @@ pub trait ReplacementPolicy {
     fn fill(&mut self, set_idx: usize, way: usize, block: u64);
     /// The resident line in `way` of `set_idx` is about to be displaced.
     fn evict(&mut self, set_idx: usize, way: usize);
-    /// Chooses the victim way in a full set. `set` holds the set's
+    /// Chooses the victim way in a full set. `set` reads the set's
     /// lines in way order; every way holds a block.
-    fn victim(&mut self, set_idx: usize, set: &[Line]) -> usize;
+    fn victim(&mut self, set_idx: usize, set: SetLines<'_>) -> usize;
 }
 
 /// RRPV ceiling for the 2-bit RRIP family (3 = distant re-reference).
@@ -167,17 +167,17 @@ impl ReplacementPolicy for LruPolicy {
     fn touch(&mut self, _set_idx: usize, _way: usize) {}
     fn fill(&mut self, _set_idx: usize, _way: usize, _block: u64) {}
     fn evict(&mut self, _set_idx: usize, _way: usize) {}
-    fn victim(&mut self, _set_idx: usize, set: &[Line]) -> usize {
+    fn victim(&mut self, _set_idx: usize, set: SetLines<'_>) -> usize {
         min_stamp_way(set)
     }
 }
 
 /// The least-recently-used way (first on ties — `min_by_key` keeps the
 /// earliest minimum, preserving the pre-subsystem eviction order).
-fn min_stamp_way(set: &[Line]) -> usize {
+fn min_stamp_way(set: SetLines<'_>) -> usize {
     set.iter()
         .enumerate()
-        .min_by_key(|(_, l)| l.stamp)
+        .min_by_key(|(_, l)| l.stamp())
         .map(|(i, _)| i)
         .expect("non-empty set")
 }
@@ -203,7 +203,7 @@ impl ReplacementPolicy for RandomPolicy {
     fn touch(&mut self, _set_idx: usize, _way: usize) {}
     fn fill(&mut self, _set_idx: usize, _way: usize, _block: u64) {}
     fn evict(&mut self, _set_idx: usize, _way: usize) {}
-    fn victim(&mut self, _set_idx: usize, set: &[Line]) -> usize {
+    fn victim(&mut self, _set_idx: usize, set: SetLines<'_>) -> usize {
         self.rng.random_range(0..set.len())
     }
 }
@@ -246,7 +246,7 @@ impl ReplacementPolicy for SrripPolicy {
         self.rrpv[set_idx * self.ways + way] = RRPV_LONG;
     }
     fn evict(&mut self, _set_idx: usize, _way: usize) {}
-    fn victim(&mut self, set_idx: usize, _set: &[Line]) -> usize {
+    fn victim(&mut self, set_idx: usize, _set: SetLines<'_>) -> usize {
         let base = set_idx * self.ways;
         rrip_victim(&mut self.rrpv[base..base + self.ways])
     }
@@ -324,7 +324,7 @@ impl ReplacementPolicy for DrripPolicy {
         };
     }
     fn evict(&mut self, _set_idx: usize, _way: usize) {}
-    fn victim(&mut self, set_idx: usize, _set: &[Line]) -> usize {
+    fn victim(&mut self, set_idx: usize, _set: SetLines<'_>) -> usize {
         let base = set_idx * self.ways;
         rrip_victim(&mut self.rrpv[base..base + self.ways])
     }
@@ -394,7 +394,7 @@ impl ReplacementPolicy for ShipPolicy {
             *c = c.saturating_sub(1);
         }
     }
-    fn victim(&mut self, set_idx: usize, _set: &[Line]) -> usize {
+    fn victim(&mut self, set_idx: usize, _set: SetLines<'_>) -> usize {
         let base = set_idx * self.ways;
         rrip_victim(&mut self.rrpv[base..base + self.ways])
     }
@@ -416,11 +416,11 @@ impl ReplacementPolicy for EndurancePolicy {
     fn touch(&mut self, _set_idx: usize, _way: usize) {}
     fn fill(&mut self, _set_idx: usize, _way: usize, _block: u64) {}
     fn evict(&mut self, _set_idx: usize, _way: usize) {}
-    fn victim(&mut self, _set_idx: usize, set: &[Line]) -> usize {
+    fn victim(&mut self, _set_idx: usize, set: SetLines<'_>) -> usize {
         set.iter()
             .enumerate()
-            .filter(|(_, l)| !l.dirty)
-            .min_by_key(|(_, l)| l.stamp)
+            .filter(|(_, l)| !l.dirty())
+            .min_by_key(|(_, l)| l.stamp())
             .map(|(i, _)| i)
             .unwrap_or_else(|| min_stamp_way(set))
     }
@@ -504,7 +504,7 @@ impl ReplacementPolicy for PolicyState {
             p.evict(set_idx, way);
         }
     }
-    fn victim(&mut self, set_idx: usize, set: &[Line]) -> usize {
+    fn victim(&mut self, set_idx: usize, set: SetLines<'_>) -> usize {
         dispatch!(self, p => p.victim(set_idx, set))
     }
 }

@@ -11,32 +11,33 @@
 //! [`Evaluator::run_all`] fans the pending cells of the (workload ×
 //! technology) grid out over one scoped worker pool
 //! (`std::thread::scope` plus an atomic work-index queue — no external
-//! dependencies), grouped by outcome-tape key: cells sharing a trace and
-//! a functional geometry share one functional pass *and* one batched
-//! replay. The pool returns group results in work-item order, they are
-//! placed by cell number, and rows are assembled serially afterwards,
-//! so output is **bit-identical at every worker count**. The worker
-//! count comes from [`Evaluator::threads`], else
-//! [`std::thread::available_parallelism`]; `1` takes the exact serial
-//! path (no threads spawned). Every knob is a builder call: the
-//! evaluator reads no environment variable and no process-wide setting.
+//! dependencies), one work item per functional pass. The pool returns
+//! pass results in work-item order, they are placed by cell number, and
+//! rows are assembled serially afterwards, so output is **bit-identical
+//! at every worker count**. The worker count comes from
+//! [`Evaluator::threads`], else [`std::thread::available_parallelism`];
+//! `1` takes the exact serial path (no threads spawned). Every knob is a
+//! builder call: the evaluator reads no environment variable and no
+//! process-wide setting.
 //!
-//! A trace lives only as long as its cells. There is no trace phase and
-//! no trace cache: a workload whose pending cells form one group (every
-//! fixed-capacity row) streams its events
-//! ([`WorkloadProfile::events`]) straight into that group's functional
-//! pass (`System::record_events`), so its trace never exists. A
-//! workload with several groups (the fixed-area rows, one group per LLC
-//! capacity) generates its trace once per call, when the first of its
-//! groups runs, and the last of them to finish recording drops it.
-//!
-//! Cells share work at two levels. All technologies whose functional
+//! Cells share work at three levels. All technologies whose functional
 //! geometry matches (the whole fixed-capacity matrix, for instance) form
-//! one group per workload, which runs Phase A once ([`System::record`]).
-//! On top of that, every group — singletons included — replays in one
-//! [`System::replay_batch`] pass that drives all of its technologies'
-//! timing engines over the shared tape's lanes. That pass is the tape's
-//! only reader, so the tape is dropped with its group.
+//! one group per workload, with one outcome-tape key. The groups of a
+//! workload whose keys differ only in the LLC (the fixed-area rows, one
+//! group per LLC capacity) share one functional pass: a single walk of
+//! the private L1/L2 levels feeds one LLC stage per group
+//! (`TapeKey::shares_pass`; an inclusive LLC walks alone,
+//! since its victims reach back into the private levels). And each
+//! group's technologies replay together: every chunk of outcomes a stage
+//! emits goes straight into the group's batched timing engines, the
+//! kernels [`System::replay_batch`] runs over a recorded tape.
+//!
+//! A trace lives only as long as its pass, and a tape only as long as
+//! its chunk. There is no trace phase and no trace cache: each pass
+//! streams its workload's events ([`WorkloadProfile::events`]) through
+//! the walk, so a workload computed generates its trace once per pass
+//! (once, unless inclusion splits its groups), and no trace or whole
+//! tape is ever held.
 //!
 //! What the process keeps is finished results. Each cell resolves
 //! through up to three tiers: the persistent store when one is attached
@@ -58,12 +59,12 @@
 //! tier hit never changes a result — only how fast it arrives.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 use nvm_llc_circuit::LlcModel;
 use nvm_llc_obs::memo::{Memo, MemoMetrics};
 use nvm_llc_store::{Key, Store};
-use nvm_llc_trace::{Trace, WorkloadProfile};
+use nvm_llc_trace::WorkloadProfile;
 
 use crate::config::ArchConfig;
 use crate::endurance::WearPolicy;
@@ -117,16 +118,23 @@ pub fn set_result_budget(bytes: u64) {
     result_memo().set_budget(bytes);
 }
 
-/// Computes `f(i)` for every `i` in `0..n` on at most `threads` scoped
-/// workers, each pulling the next index from an atomic counter, and
-/// returns the results in index order. With one worker (or one item)
-/// `f` runs in index order on the caller and no thread is spawned — the
-/// exact serial path. Workers inherit the caller's trace context (if a
-/// request is being traced), so their spans land in its tree.
-fn map_indices<T: Send + Sync>(threads: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+/// Computes `f(i, state)` for every `i` in `0..n` on at most `threads`
+/// scoped workers, each pulling the next index from an atomic counter
+/// and carrying its own `state` from one index to the next, and returns
+/// the results in index order. With one worker (or one item) `f` runs in
+/// index order on the caller and no thread is spawned — the exact serial
+/// path. Every state is dropped before this returns. Workers inherit
+/// the caller's trace context (if a request is being traced), so their
+/// spans land in its tree.
+fn map_indices<T: Send + Sync, S: Default>(
+    threads: usize,
+    n: usize,
+    f: impl Fn(usize, &mut S) -> T + Sync,
+) -> Vec<T> {
     let threads = threads.min(n);
     if threads <= 1 {
-        return (0..n).map(f).collect();
+        let mut state = S::default();
+        return (0..n).map(|i| f(i, &mut state)).collect();
     }
     let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
     let next = AtomicUsize::new(0);
@@ -136,12 +144,13 @@ fn map_indices<T: Send + Sync>(threads: usize, n: usize, f: impl Fn(usize) -> T 
             let (trace, slots, next, f) = (trace.clone(), &slots, &next, &f);
             scope.spawn(move || {
                 let _trace = trace.map(|h| h.attach());
+                let mut state = S::default();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(slot) = slots.get(i) else {
                         break;
                     };
-                    if slot.set(f(i)).is_err() {
+                    if slot.set(f(i, &mut state)).is_err() {
                         unreachable!("index {i} computed twice");
                     }
                 }
@@ -152,42 +161,6 @@ fn map_indices<T: Send + Sync>(threads: usize, n: usize, f: impl Fn(usize) -> T 
         .into_iter()
         .map(|slot| slot.into_inner().expect("every index computed"))
         .collect()
-}
-
-/// One [`Evaluator::run_all`] call's copy of a workload's trace, shared
-/// by the several groups that read it: the first to ask generates it,
-/// and the last to finish with it drops it.
-struct SharedTrace {
-    /// The trace once made, and the readers yet to finish with it.
-    slot: Mutex<(Option<Arc<Trace>>, usize)>,
-}
-
-impl SharedTrace {
-    fn new(readers: usize) -> SharedTrace {
-        SharedTrace {
-            slot: Mutex::new((None, readers)),
-        }
-    }
-
-    /// Every update leaves the slot valid, so a poisoned lock is
-    /// recovered rather than propagated.
-    fn lock(&self) -> std::sync::MutexGuard<'_, (Option<Arc<Trace>>, usize)> {
-        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The trace, made by the first caller while later ones wait.
-    fn get(&self, make: impl FnOnce() -> Trace) -> Arc<Trace> {
-        Arc::clone(self.lock().0.get_or_insert_with(|| Arc::new(make())))
-    }
-
-    /// One reader is done; the last drops the trace.
-    fn release(&self) {
-        let mut slot = self.lock();
-        slot.1 -= 1;
-        if slot.1 == 0 {
-            slot.0 = None;
-        }
-    }
 }
 
 /// Evaluator counters in the process-wide [`nvm_llc_obs`] registry.
@@ -215,8 +188,17 @@ pub mod metrics {
     pub fn groups() -> &'static Counter {
         nvm_llc_obs::counter!(
             "nvmllc_eval_groups_total",
-            "Tape-key groups evaluated (one functional pass each, then one \
-             batched replay).",
+            "Tape-key groups evaluated (one LLC stage of a functional pass \
+             each, and one batched replay).",
+        )
+    }
+
+    /// `nvmllc_eval_passes_total`
+    pub fn passes() -> &'static Counter {
+        nvm_llc_obs::counter!(
+            "nvmllc_eval_passes_total",
+            "Functional passes run: one walk of a workload's events through \
+             the private levels, feeding every LLC geometry it evaluates.",
         )
     }
 
@@ -259,6 +241,7 @@ pub mod metrics {
         runs();
         cells();
         groups();
+        passes();
         result_tier_hits();
         result_memo_hits();
         result_memo_evictions();
@@ -493,14 +476,14 @@ impl Evaluator {
     /// The cells left to compute are grouped by outcome-tape key, which
     /// the trace id and the functional geometry determine: all
     /// technologies sharing a workload's functional geometry form one
-    /// group, replayed in a single batched pass over one tape
-    /// ([`System::replay_batch`]). Groups are distributed over
-    /// [`Evaluator::threads`] scoped workers pulling indices from an
-    /// atomic queue. A workload's trace is generated only for its
-    /// groups: streamed into a lone group's functional pass, or shared
-    /// by several for as long as they record. Every group is an
-    /// independent deterministic computation, and its results are placed
-    /// by cell number, so the output is bit-identical to the serial path
+    /// group, replayed by one batch of timing engines. A workload's
+    /// groups that share the private levels form one functional pass,
+    /// which streams the workload's events once and feeds one LLC stage
+    /// per group. Passes are distributed over [`Evaluator::threads`]
+    /// scoped workers pulling indices from an atomic queue; a trace is
+    /// generated only for a pass. Every pass is an independent
+    /// deterministic computation, and its results are placed by cell
+    /// number, so the output is bit-identical to the serial path
     /// regardless of worker count or scheduling.
     pub fn run_all(&self, workloads: &[WorkloadProfile]) -> Vec<MatrixRow> {
         let _span = nvm_llc_obs::span!("eval_run_all");
@@ -543,16 +526,10 @@ impl Evaluator {
 
         // Work items: per workload, the still-unserved technology
         // columns grouped by tape key (insertion-ordered, so scheduling
-        // stays deterministic). The key derives from the trace id, so
-        // grouping generates nothing.
-        //
-        // A trace lives only as long as its groups read it. A workload
-        // with one group streams its events straight into that group's
-        // functional pass, so no trace exists; one with several shares a
-        // per-call copy, generated by the first of its groups to run and
-        // dropped by the last to finish recording.
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        let mut shared: Vec<Option<SharedTrace>> = Vec::new();
+        // stays deterministic), and the groups whose keys share the
+        // private levels joined into one pass. The key derives from the
+        // trace id, so grouping generates nothing.
+        let mut passes: Vec<(usize, Vec<Vec<usize>>)> = Vec::new();
         for (wi, w) in workloads.iter().enumerate() {
             let trace_id = self.trace_id(w);
             let mut by_key: Vec<(TapeKey, Vec<usize>)> = Vec::new();
@@ -566,41 +543,49 @@ impl Evaluator {
                     None => by_key.push((key, vec![mi])),
                 }
             }
-            shared.push((by_key.len() > 1).then(|| SharedTrace::new(by_key.len())));
-            groups.extend(by_key.into_iter().map(|(_, cols)| (wi, cols)));
+            let mut joined: Vec<(TapeKey, Vec<Vec<usize>>)> = Vec::new();
+            for (key, cols) in by_key {
+                match joined.iter_mut().find(|(k, _)| k.shares_pass(&key)) {
+                    Some((_, groups)) => groups.push(cols),
+                    None => joined.push((key, vec![cols])),
+                }
+            }
+            passes.extend(joined.into_iter().map(|(_, groups)| (wi, groups)));
         }
 
-        // Each group records its tape, batch-replays it and drops it.
-        // Its results enter the memo and, with a store attached, are
-        // written back.
-        let computed = map_indices(threads, groups.len(), |gi| {
-            let (wi, cols) = &groups[gi];
+        // Each pass streams its workload's events once through the
+        // private levels into every group's LLC stage, replaying each
+        // group's outcomes chunk by chunk as they arrive: no trace and no
+        // whole tape is ever held. A worker hands its LLC arrays from one
+        // pass to the next, so a reused array is zero-filled instead of
+        // faulted in afresh. Results enter the memo and, with a store
+        // attached, are written back.
+        let computed = map_indices(threads, passes.len(), |pi, spare| {
+            let (wi, groups) = &passes[pi];
             let w = &workloads[*wi];
+            metrics::passes().inc();
+            metrics::groups().add(groups.len() as u64);
+            metrics::cells().add(groups.iter().map(Vec::len).sum::<usize>() as u64);
+            let members: Vec<Vec<&System>> = groups
+                .iter()
+                .map(|cols| cols.iter().map(|&mi| &systems[mi]).collect())
+                .collect();
             let accesses = w.scaled_accesses(self.base_accesses);
-            metrics::groups().inc();
-            metrics::cells().add(cols.len() as u64);
-            let group: Vec<&System> = cols.iter().map(|&mi| &systems[mi]).collect();
-            let tape = match &shared[*wi] {
-                None => group[0].record_events(w.events(self.seed, accesses)),
-                Some(shared) => {
-                    let trace = shared.get(|| w.generate(self.seed, accesses));
-                    let tape = group[0].record(&trace);
-                    drop(trace);
-                    shared.release();
-                    tape
+            let results = System::run_groups(&members, w.events(self.seed, accesses), spare);
+            for (cols, results) in groups.iter().zip(&results) {
+                for (&mi, result) in cols.iter().zip(results) {
+                    let key = &keys[cell(*wi, mi)];
+                    write_back(key, result);
+                    result_memo().put(*key, result.clone());
                 }
-            };
-            let results = System::replay_batch(&group, &tape);
-            for (&mi, result) in cols.iter().zip(&results) {
-                let key = &keys[cell(*wi, mi)];
-                write_back(key, result);
-                result_memo().put(*key, result.clone());
             }
             results
         });
-        for ((wi, cols), results) in groups.iter().zip(computed) {
-            for (&mi, result) in cols.iter().zip(results) {
-                slots[cell(*wi, mi)] = Some(result);
+        for ((wi, groups), results) in passes.iter().zip(computed) {
+            for (cols, results) in groups.iter().zip(results) {
+                for (&mi, result) in cols.iter().zip(results) {
+                    slots[cell(*wi, mi)] = Some(result);
+                }
             }
         }
 

@@ -12,15 +12,27 @@
 //! [`System::functional_walk`], depending only on trace + geometry) and a
 //! **timing/energy** half ([`TimingEngine`], applying one technology's
 //! latencies, port contention, ROB/MSHR overlap, DRAM model, and energy).
-//! [`System::run`] fuses the two in a single pass and is the oracle;
-//! [`System::record`] captures the functional half as an
+//!
+//! There is one functional walk. Its upper stage (`UpperStage`: every
+//! core's L1D and L2, their writebacks, the next-line prefetcher) never
+//! reads LLC state in the paper's non-inclusive hierarchy, so it drives
+//! any number of LLC stages (`LlcStage`: the LLC array, the dead-block
+//! bypass, LLC writes), one per LLC geometry. An inclusive LLC feeds its
+//! victims back into the private levels, so it always walks alone.
+//!
+//! [`System::run`] fuses the walk with one engine, event by event, and is
+//! the oracle. [`System::record`] captures one stage's outcomes as an
 //! [`OutcomeTape`] that [`System::replay_batch`] re-times for every
-//! technology sharing the geometry. Replay runs two timing kernels:
-//! `TimingEngine::apply`, the same code the fused pass drives, and
-//! `SimpleBank`, which re-times the dominant configuration class in
-//! blocks of engines and is bit-identical to `apply` lane by lane.
-//! A tape lives as long as one evaluation group; the evaluator keeps
-//! finished results instead ([`crate::runner`]).
+//! technology sharing the geometry. The evaluator's pass
+//! (`System::run_groups`) walks once for all of a workload's LLC
+//! geometries and feeds each stage's outcomes, one
+//! [`REPLAY_CHUNK_EVENTS`]-event chunk at a time, straight into that
+//! group's engines: the same `Replayer` that `replay_batch` feeds a whole
+//! tape through. Replay runs two timing kernels: `TimingEngine::apply`,
+//! the same code the fused pass drives, and `SimpleBank`, which re-times
+//! the dominant configuration class in blocks of engines and is
+//! bit-identical to `apply` lane by lane. The evaluator keeps finished
+//! results, not tapes ([`crate::runner`]).
 //!
 //! ## Modeling decisions (and where they come from)
 //!
@@ -61,17 +73,6 @@ use crate::techniques::DeadBlockPredictor;
 /// path: the OoO core overlaps most of a 5–30 cycle hit with independent
 /// work, but longer NVM reads still cost proportionally more.
 pub const LLC_HIT_EXPOSURE: f64 = 0.4;
-
-/// Per-core functional state: the private caches and the queue of LLC
-/// victims awaiting back-invalidation. Never sees a cycle count.
-#[derive(Debug)]
-struct FnCore {
-    l1d: SetAssocCache,
-    l2: SetAssocCache,
-    /// LLC victims evicted while this core held the borrow; drained into
-    /// back-invalidations at the next event when the LLC is inclusive.
-    pending_invalidations: Vec<u64>,
-}
 
 /// Per-core timing state: everything `System::run` used to keep on the
 /// core that depends on the technology's latencies.
@@ -301,7 +302,7 @@ impl TimingEngine {
 /// updates are independent across `k` — a straight-line loop the
 /// compiler can vectorize.
 ///
-/// Multi-core tapes run one pass per core present on the tape: each pass
+/// Multi-core tapes run one pass per core present in a chunk: each pass
 /// loads that core's timing lane of every engine and skips the other
 /// cores' events. This is sound because a simple engine's lanes share no
 /// state — no ports, no DRAM queue, no tracker — so a lane's update
@@ -327,21 +328,21 @@ struct SimpleBank {
     transfer_cycles: Vec<f64>,
     rob: Vec<u64>,
     mshrs: Vec<u32>,
-    /// The cores present on the tape.
-    cores: Vec<u8>,
+    /// Cores per engine: the tape's core count.
+    cores: usize,
     // Lane state, core-major: entry `c * width + k` is engine `k`'s
-    // timing lane for `cores[c]`.
+    // timing lane for core `c`.
     cycles: Vec<f64>,
     shadow_end: Vec<u64>,
     shadow_misses: Vec<u32>,
-    /// Instruction count per present core (identical for every member).
+    /// Instruction count per core (identical for every member).
     instructions: Vec<u64>,
 }
 
 impl SimpleBank {
-    /// Collects every engine that can run in the bank, for the cores
-    /// `present` on the tape.
-    fn gather(bank: &[(TimingEngine, Option<EnduranceTracker>)], present: &[u8]) -> SimpleBank {
+    /// Collects every engine that can run in the bank, each with `cores`
+    /// timing lanes.
+    fn gather(bank: &[(TimingEngine, Option<EnduranceTracker>)], cores: usize) -> SimpleBank {
         let members: Vec<usize> = (0..bank.len())
             .filter(|&slot| bank[slot].0.is_simple() && bank[slot].1.is_none())
             .collect();
@@ -354,7 +355,7 @@ impl SimpleBank {
         let width = members.len().next_multiple_of(4);
         let engine = |k: usize| members.get(k).map(|&slot| &bank[slot].0);
         let mut this = SimpleBank {
-            cores: present.to_vec(),
+            cores,
             ..SimpleBank::default()
         };
         for k in 0..width {
@@ -370,8 +371,8 @@ impl SimpleBank {
             this.rob.push(e.map_or(0, |e| e.rob));
             this.mshrs.push(e.map_or(0, |e| e.mshrs));
         }
-        for &core in present {
-            let lane = |k: usize| engine(k).map(|e| &e.lanes[usize::from(core)]);
+        for core in 0..cores {
+            let lane = |k: usize| engine(k).map(|e| &e.lanes[core]);
             for k in 0..width {
                 this.cycles.push(lane(k).map_or(0.0, |l| l.cycles));
                 this.shadow_end
@@ -388,10 +389,11 @@ impl SimpleBank {
 
     /// Advances every bank member over one chunk of tape lanes.
     ///
-    /// Per present core, members run in constant-width blocks (widest
-    /// first): a compile-time width fully unrolls the per-engine loops
-    /// and keeps the block state in registers or stack slots, which a
-    /// dynamic-width loop over the backing vectors never achieves. The
+    /// Per core present in the chunk (a core with no events there keeps
+    /// its lanes as they are), members run in constant-width blocks
+    /// (widest first): a compile-time width fully unrolls the per-engine
+    /// loops and keeps the block state in registers or stack slots, which
+    /// a dynamic-width loop over the backing vectors never achieves. The
     /// bank is padded to a multiple of four, so only the 4/8/12/16
     /// instantiations exist; each block streams the whole chunk, which
     /// stays resident in L1 across blocks and cores.
@@ -400,7 +402,11 @@ impl SimpleBank {
         if width == 0 {
             return;
         }
-        for c in 0..self.cores.len() {
+        let mut present = [false; 256];
+        for &core in cores {
+            present[usize::from(core)] = true;
+        }
+        for c in (0..self.cores.min(present.len())).filter(|&c| present[c]) {
             let mut end = self.instructions[c];
             let mut base = 0;
             while base < width {
@@ -421,8 +427,8 @@ impl SimpleBank {
     }
 
     /// One `W`-engine block of [`Self::apply_chunk`]: the `W` engines
-    /// from `base` on, over the events of present core `c`. Returns that
-    /// core's instruction count after the chunk.
+    /// from `base` on, over the events of core `c`. Returns that core's
+    /// instruction count after the chunk.
     ///
     /// The event loop is branchless except for the core filter and LLC
     /// read misses: the class/write bits select which per-engine additive
@@ -441,7 +447,7 @@ impl SimpleBank {
         cores: &[u8],
         flags: &[u8],
     ) -> u64 {
-        let core = self.cores[c];
+        let core = c as u8;
         let mut instructions = self.instructions[c];
         let lane = c * self.cpi.len() + base;
         let cpi: [f64; W] = core::array::from_fn(|j| self.cpi[base + j]);
@@ -491,15 +497,112 @@ impl SimpleBank {
     /// Writes the accumulated lane state back into the member engines.
     fn scatter(&self, bank: &mut [(TimingEngine, Option<EnduranceTracker>)]) {
         let width = self.cpi.len();
-        for (c, &core) in self.cores.iter().enumerate() {
+        for c in 0..self.cores {
             for (k, &slot) in self.slots.iter().enumerate() {
-                let lane = &mut bank[slot].0.lanes[usize::from(core)];
+                let lane = &mut bank[slot].0.lanes[c];
                 lane.cycles = self.cycles[c * width + k];
                 lane.instructions = self.instructions[c];
                 lane.miss_shadow_end = self.shadow_end[c * width + k];
                 lane.shadow_misses = self.shadow_misses[c * width + k];
             }
         }
+    }
+}
+
+/// The timing half of one batched replay, fed its tape chunk by chunk:
+/// every engine of the batch, with the [`SimpleBank`] gathered from
+/// them. [`System::replay_batch`] feeds it a recorded tape's lanes, and
+/// a functional pass ([`System::run_groups`]) the chunks it emits as it
+/// walks, so both run the same kernels on the same event sequence.
+struct Replayer {
+    bank: Vec<(TimingEngine, Option<EnduranceTracker>)>,
+    simple: SimpleBank,
+    /// Bank slots outside the simple bank: each applies event by event.
+    others: Vec<usize>,
+}
+
+impl Replayer {
+    /// # Panics
+    ///
+    /// Panics if any system's core count differs from `cores`, the
+    /// tape's.
+    fn new(systems: &[&System], cores: u32) -> Replayer {
+        for system in systems {
+            assert_eq!(
+                cores, system.config.cores,
+                "outcome tape recorded for a different core count"
+            );
+        }
+        let bank: Vec<(TimingEngine, Option<EnduranceTracker>)> = systems
+            .iter()
+            .map(|s| (TimingEngine::new(&s.config), s.endurance_tracker()))
+            .collect();
+        // The dominant configuration class (off-critical-path writes,
+        // analytic DRAM, no endurance tracking) never reads a side-stream
+        // value, so those engines fuse into one `SimpleBank`. Every other
+        // engine streams the events through `apply`.
+        let simple = SimpleBank::gather(&bank, cores as usize);
+        let others = (0..bank.len())
+            .filter(|slot| !simple.slots.contains(slot))
+            .collect();
+        Replayer {
+            bank,
+            simple,
+            others,
+        }
+    }
+
+    /// Times one chunk of tape lanes on every engine before any engine
+    /// sees the next chunk, so the chunk stays resident in L1 across the
+    /// batch. `wear` and `dram` are cursors into the side streams at the
+    /// chunk's first entry. The chunk's flags fix how many entries it
+    /// consumes, the same for every engine, so the per-event engines all
+    /// end at one place, and the cursors move there (the simple bank
+    /// reads no side entry; without per-event engines they stay put).
+    fn feed(
+        &mut self,
+        gaps: &[u32],
+        cores: &[u8],
+        flags: &[u8],
+        wear: &mut std::slice::Iter<'_, u64>,
+        dram: &mut std::slice::Iter<'_, u64>,
+    ) {
+        let _span = nvm_llc_obs::span!("tape_replay_chunk");
+        self.simple.apply_chunk(gaps, cores, flags);
+        let mut end = None;
+        for &slot in &self.others {
+            let (engine, tracker) = &mut self.bank[slot];
+            let (mut w, mut d) = (wear.clone(), dram.clone());
+            for ((&gap, &core), &flags) in gaps.iter().zip(cores).zip(flags) {
+                engine.apply(TapeEvent { gap, core, flags }, &mut w, &mut d, tracker);
+            }
+            end = Some((w, d));
+        }
+        if let Some((w, d)) = end {
+            (*wear, *dram) = (w, d);
+        }
+    }
+
+    /// [`Self::feed`] over a whole tape, or a chunk held as one.
+    fn feed_tape(&mut self, tape: &OutcomeTape) {
+        self.feed(
+            tape.gaps(),
+            tape.core_lane(),
+            tape.flags(),
+            &mut tape.wear_blocks().iter(),
+            &mut tape.dram_blocks().iter(),
+        );
+    }
+
+    /// Every system's result, once the whole tape has been fed; `stats`
+    /// are the tape's functional counters.
+    fn finish(mut self, systems: &[&System], stats: &SimStats) -> Vec<SimResult> {
+        self.simple.scatter(&mut self.bank);
+        systems
+            .iter()
+            .zip(self.bank)
+            .map(|(system, (engine, tracker))| system.finalize(stats.clone(), engine, tracker))
+            .collect()
     }
 }
 
@@ -531,6 +634,321 @@ fn write_timing(
             lane.cycles += write_cycles;
             *port_stall_cycles += write_cycles as u64;
         }
+    }
+}
+
+/// One core's private levels.
+#[derive(Debug)]
+struct PrivateCaches {
+    l1d: SetAssocCache,
+    l2: SetAssocCache,
+}
+
+/// The upper stage of the functional walk: every core's L1D and L2, and
+/// the L2's next-line prefetcher. It never reads LLC state, so one upper
+/// stage drives any number of LLC stages ([`LlcStage`]), one per LLC
+/// geometry. The exception is inclusion: an inclusive LLC's victims
+/// invalidate private copies, so such a walk has exactly one stage.
+#[derive(Debug)]
+struct UpperStage {
+    cores: Vec<PrivateCaches>,
+    prefetch: bool,
+    /// The private levels' counters (the LLC fields stay zero).
+    stats: SimStats,
+}
+
+/// What one trace event asks of the LLC once the private levels have run,
+/// in the order the LLC sees it: the dirty lines they wrote back, then,
+/// on an L2 miss, the prefetch fill and the demand access.
+#[derive(Debug)]
+struct LlcRequests {
+    /// The event's outcome so far: core, gap, write bit, the private
+    /// levels' outcome class and their LLC-write flags.
+    rec: TapeEvent,
+    writes: [u64; 3],
+    writes_len: u8,
+    /// On an L2 miss: the demand block, and the block the prefetcher
+    /// pulled into the L2, if it pulled one.
+    demand: Option<(u64, Option<u64>)>,
+}
+
+impl LlcRequests {
+    fn write(&mut self, block: u64) {
+        self.writes[usize::from(self.writes_len)] = block;
+        self.writes_len += 1;
+    }
+
+    fn writes(&self) -> &[u64] {
+        &self.writes[..usize::from(self.writes_len)]
+    }
+}
+
+impl UpperStage {
+    fn new(system: &System) -> UpperStage {
+        let cfg = &system.config;
+        let level = |level: &crate::config::CacheLevelConfig| {
+            SetAssocCache::with_geometry(
+                level.capacity_bytes,
+                level.associativity,
+                level.block_bytes,
+                system.replacement,
+            )
+        };
+        UpperStage {
+            cores: (0..cfg.cores)
+                .map(|_| PrivateCaches {
+                    l1d: level(&cfg.l1d),
+                    l2: level(&cfg.l2),
+                })
+                .collect(),
+            prefetch: cfg.l2_prefetch,
+            stats: SimStats::default(),
+        }
+    }
+
+    /// Runs `event` through its core's private levels and returns what it
+    /// asks of the LLC. Region-of-interest events (`roi`) count
+    /// statistics and prefetch; warmup events only touch the arrays.
+    fn access(&mut self, event: TraceEvent, roi: bool) -> LlcRequests {
+        let core_idx = usize::from(event.tid) % self.cores.len();
+        let core = &mut self.cores[core_idx];
+        let is_write = event.kind == AccessKind::Write;
+        let block = event.block();
+        let stats = &mut self.stats;
+        let mut req = LlcRequests {
+            rec: TapeEvent::new(core_idx as u8, event.gap_instructions, is_write),
+            writes: [0; 3],
+            writes_len: 0,
+            demand: None,
+        };
+        if roi {
+            stats.accesses += 1;
+            stats.instructions += u64::from(event.gap_instructions) + 1;
+        }
+
+        // --- L1D --------------------------------------------------------
+        let l1_out = core.l1d.access(block, is_write);
+        if l1_out.hit {
+            stats.l1d_hits += u64::from(roi);
+            return req;
+        }
+        stats.l1d_misses += u64::from(roi);
+        // L1 victim writeback sinks into L2; its own eviction cascades
+        // to the LLC as a write.
+        if let Some(wb) = l1_out.writeback() {
+            if let Some(wb2) = core.l2.fill_dirty(wb) {
+                req.write(wb2);
+                req.rec = req.rec.with_l1_writeback_llc_write();
+            }
+        }
+
+        // --- L2 ---------------------------------------------------------
+        let l2_out = core.l2.access(block, false);
+        if l2_out.hit {
+            stats.l2_hits += u64::from(roi);
+            req.rec = req.rec.with_outcome(Outcome::L2Hit);
+            return req;
+        }
+        stats.l2_misses += u64::from(roi);
+        if let Some(wb) = l2_out.writeback() {
+            req.write(wb);
+            req.rec = req.rec.with_l2_writeback_llc_write();
+        }
+
+        // Next-line prefetch: a demand L2 miss pulls block+1 into the L2
+        // off the critical path (region of interest only). Its dirty L2
+        // victim is an LLC write; the LLC stage decides whether the
+        // block also fills the LLC.
+        let mut prefetch = None;
+        if roi && self.prefetch && !core.l2.contains(block + 1) {
+            stats.prefetches += 1;
+            if let Some(e) = core.l2.fill_clean(block + 1) {
+                if e.dirty {
+                    req.write(e.block);
+                    req.rec = req.rec.with_prefetch_evict_llc_write();
+                }
+            }
+            prefetch = Some(block + 1);
+        }
+        req.demand = Some((block, prefetch));
+        req
+    }
+
+    /// Back-invalidates LLC `victims` in every core's private levels
+    /// (inclusive hierarchies).
+    fn invalidate(&mut self, victims: impl Iterator<Item = u64>) {
+        for victim in victims {
+            for c in &mut self.cores {
+                for level in [&mut c.l1d, &mut c.l2] {
+                    if let Some(dirty) = level.invalidate(victim) {
+                        self.stats.inclusion_invalidations += 1;
+                        self.stats.dram_writebacks += u64::from(dirty);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// One LLC geometry of the functional walk: the LLC array, its dead-block
+/// bypass predictor, and the LLC's counters.
+#[derive(Debug)]
+struct LlcStage {
+    llc: SetAssocCache,
+    bypass: Option<DeadBlockPredictor>,
+    /// LLC victims awaiting back-invalidation at the next event: present
+    /// only for an inclusive LLC.
+    victims: Option<Vec<u64>>,
+    /// The LLC's counters (the private-level fields stay zero).
+    stats: SimStats,
+}
+
+impl LlcStage {
+    /// The stage of `system`'s LLC, its array taken from `spare` when one
+    /// there has its shape.
+    fn new(system: &System, spare: &mut Vec<SetAssocCache>) -> LlcStage {
+        let cfg = &system.config;
+        LlcStage {
+            llc: SetAssocCache::with_geometry_from(
+                spare,
+                cfg.llc_capacity_bytes(),
+                16,
+                64,
+                system.replacement,
+            ),
+            bypass: cfg.llc_bypass.then(DeadBlockPredictor::default_table),
+            victims: cfg.inclusive_llc.then(Vec::new),
+            stats: SimStats::default(),
+        }
+    }
+
+    /// A warmup event's LLC traffic: touches the array, counts nothing.
+    fn warm(&mut self, req: &LlcRequests) {
+        for &block in req.writes() {
+            let _ = self.llc.fill_dirty(block);
+        }
+        if let Some((block, _)) = req.demand {
+            let _ = self.llc.access(block, false);
+        }
+    }
+
+    /// A region-of-interest event's LLC traffic: returns the event's
+    /// outcome on this geometry, with its endurance and DRAM side events
+    /// in `sides`.
+    fn serve(&mut self, req: &LlcRequests, sides: &mut SideEvents) -> TapeEvent {
+        sides.clear();
+        for &block in req.writes() {
+            sides.push_endurance(block);
+            self.write(block);
+        }
+        let Some((block, prefetch)) = req.demand else {
+            return req.rec;
+        };
+        let mut rec = req.rec;
+        // A prefetch fill cycles the LLC array (endurance) and moves DRAM
+        // traffic, but charges no core time and — per equation (7) — no
+        // extra LLC dynamic energy, and never perturbs demand hit/miss
+        // statistics.
+        if let Some(next) = prefetch {
+            if !self.llc.contains(next) {
+                if let Some(e) = self.llc.fill_clean(next) {
+                    self.stats.dram_writebacks += u64::from(e.dirty);
+                    self.evicted(e.block);
+                }
+                sides.push_endurance(next);
+                sides.push_dram(next);
+                rec = rec.with_prefetch_llc_fill();
+            }
+        }
+
+        let (llc_hit, llc_filled) = match self.bypass.as_mut() {
+            Some(pred) => {
+                if self.llc.contains(block) {
+                    (self.llc.access(block, false).hit, false)
+                } else if pred.should_bypass(block) {
+                    // Dead-on-arrival: count the miss, skip the fill.
+                    let _ = self.llc.access_no_alloc(block);
+                    self.stats.llc_bypassed_fills += 1;
+                    (false, false)
+                } else {
+                    if let Some(e) = self.llc.access(block, false).evicted {
+                        pred.train(e.block, e.reused);
+                        self.stats.dram_writebacks += u64::from(e.dirty);
+                        self.evicted(e.block);
+                    }
+                    (false, true)
+                }
+            }
+            None => {
+                let out = self.llc.access(block, false);
+                if let Some(e) = out.evicted {
+                    self.stats.dram_writebacks += u64::from(e.dirty);
+                    self.evicted(e.block);
+                }
+                (out.hit, !out.hit)
+            }
+        };
+        if llc_hit {
+            self.stats.llc_hits += 1;
+            return rec.with_outcome(Outcome::LlcHit);
+        }
+        self.stats.llc_misses += 1;
+        // The miss's fill allocates the block; equation (7) charges it
+        // tag energy only (already counted with the miss), so the fill
+        // contributes no E_dyn,write — tracked separately for endurance
+        // analyses (the array still cycles).
+        if llc_filled {
+            self.stats.llc_fills += 1;
+            sides.push_endurance(block);
+            rec = rec.with_llc_filled();
+        }
+        sides.push_dram(block);
+        rec.with_outcome(Outcome::LlcMiss)
+    }
+
+    /// The functional half of an LLC write from a private level's dirty
+    /// writeback: allocates the block dirty and cascades any dirty LLC
+    /// victim to DRAM. The write's `E_dyn,write` count rides in
+    /// `stats.llc_writes`; its timing is the engine's business.
+    fn write(&mut self, block: u64) {
+        self.stats.llc_writes += 1;
+        if let Some(victim) = self.llc.fill_dirty_full(block) {
+            self.stats.dram_writebacks += u64::from(victim.dirty);
+            self.evicted(victim.block);
+        }
+    }
+
+    /// Queues an LLC victim for back-invalidation, if the LLC is
+    /// inclusive.
+    fn evicted(&mut self, block: u64) {
+        if let Some(victims) = self.victims.as_mut() {
+            victims.push(block);
+        }
+    }
+}
+
+/// Field-wise sum of two counter sets: a stage's counters joined with
+/// the other stage's.
+fn joined(a: &SimStats, b: &SimStats) -> SimStats {
+    SimStats {
+        instructions: a.instructions + b.instructions,
+        accesses: a.accesses + b.accesses,
+        l1d_hits: a.l1d_hits + b.l1d_hits,
+        l1d_misses: a.l1d_misses + b.l1d_misses,
+        l2_hits: a.l2_hits + b.l2_hits,
+        l2_misses: a.l2_misses + b.l2_misses,
+        llc_hits: a.llc_hits + b.llc_hits,
+        llc_misses: a.llc_misses + b.llc_misses,
+        llc_writes: a.llc_writes + b.llc_writes,
+        llc_fills: a.llc_fills + b.llc_fills,
+        dram_writebacks: a.dram_writebacks + b.dram_writebacks,
+        llc_port_stall_cycles: a.llc_port_stall_cycles + b.llc_port_stall_cycles,
+        dram_row_hits: a.dram_row_hits + b.dram_row_hits,
+        dram_row_conflicts: a.dram_row_conflicts + b.dram_row_conflicts,
+        dram_queue_cycles: a.dram_queue_cycles + b.dram_queue_cycles,
+        llc_bypassed_fills: a.llc_bypassed_fills + b.llc_bypassed_fills,
+        prefetches: a.prefetches + b.prefetches,
+        inclusion_invalidations: a.inclusion_invalidations + b.inclusion_invalidations,
     }
 }
 
@@ -614,7 +1032,8 @@ impl System {
     pub fn run(&self, trace: &Trace) -> SimResult {
         let mut engine = TimingEngine::new(&self.config);
         let mut endurance = self.endurance_tracker();
-        let stats = self.functional_walk(trace.iter().copied(), |rec, sides| {
+        let events = trace.iter().copied();
+        let stats = Self::functional_walk(&[self], events, &mut Vec::new(), |_, rec, sides| {
             engine.apply(
                 rec,
                 &mut sides.endurance().iter(),
@@ -622,7 +1041,7 @@ impl System {
                 &mut endurance,
             );
         });
-        self.finalize(stats, engine, endurance)
+        self.finalize(one(stats), engine, endurance)
     }
 
     /// Phase A alone: runs the functional pass and captures the outcome
@@ -640,12 +1059,86 @@ impl System {
         &self,
         events: impl ExactSizeIterator<Item = TraceEvent>,
     ) -> OutcomeTape {
+        one(Self::record_stages(&[self], events))
+    }
+
+    /// [`System::record`] for several systems over one walk: one tape per
+    /// system, each equal to that system's own recording of the trace.
+    /// The systems must share their private levels
+    /// ([`TapeKey::shares_pass`]).
+    pub(crate) fn record_stages(
+        systems: &[&System],
+        events: impl ExactSizeIterator<Item = TraceEvent>,
+    ) -> Vec<OutcomeTape> {
         let _span = nvm_llc_obs::span!("tape_record");
-        let roi_events = events.len() - self.warmup_events(events.len());
-        let mut tape = OutcomeTape::with_capacity(roi_events, self.config.cores);
-        let stats = self.functional_walk(events, |rec, sides| tape.push(rec, sides));
-        tape.seal(stats);
-        tape
+        let cores = systems[0].config.cores;
+        let roi_events = events.len() - systems[0].warmup_events(events.len());
+        let mut tapes: Vec<OutcomeTape> = systems
+            .iter()
+            .map(|_| OutcomeTape::with_capacity(roi_events, cores))
+            .collect();
+        let stats = Self::functional_walk(systems, events, &mut Vec::new(), |stage, rec, sides| {
+            tapes[stage].push(rec, sides);
+        });
+        for (tape, stats) in tapes.iter_mut().zip(stats) {
+            tape.seal(stats);
+        }
+        tapes
+    }
+
+    /// The evaluator's functional pass: one walk over `events` for
+    /// several tape groups whose keys share the private levels
+    /// ([`TapeKey::shares_pass`]), one LLC stage per group. Each stage's
+    /// outcomes fill a [`REPLAY_CHUNK_EVENTS`]-event buffer, and each full
+    /// buffer goes straight into the group's batched replay, so no tape
+    /// outlives its chunk. Returns every group's results, equal to
+    /// [`System::replay_batch`] of the group over its recorded tape.
+    ///
+    /// `spare` carries LLC arrays from one pass to the next: the stages
+    /// take theirs from it where the shape matches, and leave theirs in
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the groups' leaders do not share the private levels, or
+    /// if a member's core count differs from its leader's.
+    pub(crate) fn run_groups(
+        groups: &[Vec<&System>],
+        events: impl ExactSizeIterator<Item = TraceEvent>,
+        spare: &mut Vec<SetAssocCache>,
+    ) -> Vec<Vec<SimResult>> {
+        let _span = nvm_llc_obs::span!("tape_record");
+        let leaders: Vec<&System> = groups.iter().map(|group| group[0]).collect();
+        let cores = leaders[0].config.cores;
+        let mut streams: Vec<(OutcomeTape, Replayer)> = groups
+            .iter()
+            .map(|group| {
+                (
+                    OutcomeTape::with_capacity(REPLAY_CHUNK_EVENTS, cores),
+                    Replayer::new(group, cores),
+                )
+            })
+            .collect();
+        let stats = Self::functional_walk(&leaders, events, spare, |stage, rec, sides| {
+            let (chunk, replayer) = &mut streams[stage];
+            chunk.push(rec, sides);
+            if chunk.len() == REPLAY_CHUNK_EVENTS {
+                replayer.feed_tape(chunk);
+                chunk.clear();
+            }
+        });
+        streams
+            .into_iter()
+            .zip(groups)
+            .zip(&stats)
+            .map(|(((chunk, mut replayer), group), stats)| {
+                let _span = nvm_llc_obs::span!("tape_replay_batch");
+                if !chunk.is_empty() {
+                    replayer.feed_tape(&chunk);
+                }
+                replayer.finish(group, stats)
+            })
+            .collect()
     }
 
     /// Phase B for this system alone: a one-member
@@ -658,13 +1151,12 @@ impl System {
     /// Panics if the tape was recorded for a different core count (the
     /// clearest symptom of pairing a tape with the wrong system).
     pub fn replay(&self, tape: &OutcomeTape) -> SimResult {
-        Self::replay_batch(&[self], tape)
-            .pop()
-            .expect("one system in, one result out")
+        one(Self::replay_batch(&[self], tape))
     }
 
     /// Phase B: applies every system's technology timing and energy to a
-    /// recorded tape in one pass over its lanes.
+    /// recorded tape in one pass over its lanes, [`REPLAY_CHUNK_EVENTS`]
+    /// events at a time.
     ///
     /// Results are bit-identical to [`System::run`] on the trace the tape
     /// was recorded from. The systems may differ in any timing-only knob
@@ -676,54 +1168,27 @@ impl System {
     /// Panics if any system's core count differs from the tape's.
     pub fn replay_batch(systems: &[&System], tape: &OutcomeTape) -> Vec<SimResult> {
         let _span = nvm_llc_obs::span!("tape_replay_batch");
-        for system in systems {
-            assert_eq!(
-                tape.cores(),
-                system.config.cores,
-                "outcome tape recorded for a different core count"
-            );
-        }
-        let mut bank: Vec<(TimingEngine, Option<EnduranceTracker>)> = systems
-            .iter()
-            .map(|s| (TimingEngine::new(&s.config), s.endurance_tracker()))
-            .collect();
-        // The dominant configuration class (off-critical-path writes,
-        // analytic DRAM, no endurance tracking) never reads a side-stream
-        // value, so those engines fuse into one `SimpleBank`. Every other
-        // engine streams the events through `apply` with its own running
-        // cursors into the side streams.
-        let mut simple = SimpleBank::gather(&bank, tape.present_cores());
-        let mut others: Vec<_> = (0..bank.len())
-            .filter(|slot| !simple.slots.contains(slot))
-            .map(|slot| (slot, tape.wear_blocks().iter(), tape.dram_blocks().iter()))
-            .collect();
-        // Chunk-major, engine-inner: every engine streams one fixed-size
-        // block of the lanes ([`REPLAY_CHUNK_EVENTS`]) before any engine
-        // moves to the next, so a chunk stays resident in L1 across the
-        // whole batch.
+        Self::replay_chunked(systems, tape, REPLAY_CHUNK_EVENTS)
+    }
+
+    /// [`System::replay_batch`] with the tape fed `chunk_events` events
+    /// at a time: chunk-major, engine-inner.
+    fn replay_chunked(
+        systems: &[&System],
+        tape: &OutcomeTape,
+        chunk_events: usize,
+    ) -> Vec<SimResult> {
+        let mut replayer = Replayer::new(systems, tape.cores());
+        let (mut wear, mut dram) = (tape.wear_blocks().iter(), tape.dram_blocks().iter());
         let chunks = tape
             .gaps()
-            .chunks(REPLAY_CHUNK_EVENTS)
-            .zip(tape.core_lane().chunks(REPLAY_CHUNK_EVENTS))
-            .zip(tape.flags().chunks(REPLAY_CHUNK_EVENTS));
+            .chunks(chunk_events)
+            .zip(tape.core_lane().chunks(chunk_events))
+            .zip(tape.flags().chunks(chunk_events));
         for ((gaps, cores), flags) in chunks {
-            let _span = nvm_llc_obs::span!("tape_replay_chunk");
-            simple.apply_chunk(gaps, cores, flags);
-            for (slot, wear, dram) in &mut others {
-                let (engine, tracker) = &mut bank[*slot];
-                for ((&gap, &core), &flags) in gaps.iter().zip(cores).zip(flags) {
-                    engine.apply(TapeEvent { gap, core, flags }, wear, dram, tracker);
-                }
-            }
+            replayer.feed(gaps, cores, flags, &mut wear, &mut dram);
         }
-        simple.scatter(&mut bank);
-        systems
-            .iter()
-            .zip(bank)
-            .map(|(system, (engine, tracker))| {
-                system.finalize(tape.stats().clone(), engine, tracker)
-            })
-            .collect()
+        replayer.finish(systems, tape.stats())
     }
 
     /// The functional identity of running this system over `trace`: every
@@ -771,241 +1236,81 @@ impl System {
         ((len as f64 * self.warmup_fraction) as usize).min(len)
     }
 
-    /// Phase A: drives the cache hierarchy over a trace's `events` and
-    /// hands each post-warmup event's outcome (plus its endurance/DRAM
-    /// side events) to `consume`, in trace order. Returns the functional
-    /// statistics; the timing-side fields (`llc_port_stall_cycles`,
-    /// `dram_row_*`, `dram_queue_cycles`) stay zero for
-    /// [`Self::finalize`] to fill.
+    /// Phase A: drives the hierarchy over a trace's `events` in one walk,
+    /// the private levels of `systems[0]` feeding one LLC stage per
+    /// system, and hands each post-warmup event's outcome on each stage
+    /// (plus its endurance/DRAM side events) to `consume(stage, ..)`, in
+    /// trace order. Returns each stage's functional statistics; the
+    /// timing-side fields (`llc_port_stall_cycles`, `dram_row_*`,
+    /// `dram_queue_cycles`) stay zero for [`Self::finalize`] to fill.
+    /// The LLC arrays come from `spare` where its shapes match, and the
+    /// walk's own arrays replace its contents when it ends.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every system shares the first one's private levels
+    /// ([`TapeKey::shares_pass`]); an inclusive system walks alone.
     fn functional_walk(
-        &self,
+        systems: &[&System],
         mut events: impl ExactSizeIterator<Item = TraceEvent>,
-        mut consume: impl FnMut(TapeEvent, &SideEvents),
-    ) -> SimStats {
-        let cfg = &self.config;
-        let mut cores: Vec<FnCore> = (0..cfg.cores)
-            .map(|_| FnCore {
-                l1d: SetAssocCache::with_geometry(
-                    cfg.l1d.capacity_bytes,
-                    cfg.l1d.associativity,
-                    cfg.l1d.block_bytes,
-                    self.replacement,
-                ),
-                l2: SetAssocCache::with_geometry(
-                    cfg.l2.capacity_bytes,
-                    cfg.l2.associativity,
-                    cfg.l2.block_bytes,
-                    self.replacement,
-                ),
-                pending_invalidations: Vec::new(),
-            })
-            .collect();
-        let mut llc =
-            SetAssocCache::with_geometry(cfg.llc_capacity_bytes(), 16, 64, self.replacement);
-        let mut stats = SimStats::default();
-        let mut bypass = cfg.llc_bypass.then(DeadBlockPredictor::default_table);
+        spare: &mut Vec<SetAssocCache>,
+        mut consume: impl FnMut(usize, TapeEvent, &SideEvents),
+    ) -> Vec<SimStats> {
+        let leader = systems[0];
+        let key = leader.tape_key_for(0);
+        assert!(
+            systems[1..]
+                .iter()
+                .all(|s| key.shares_pass(&s.tape_key_for(0))),
+            "systems of one functional walk must share their private levels"
+        );
+        let mut upper = UpperStage::new(leader);
+        let mut stages: Vec<LlcStage> = systems.iter().map(|s| LlcStage::new(s, spare)).collect();
 
         // --- Warmup: touch the caches, charge nothing -------------------
-        let warmup_events = self.warmup_events(events.len());
-        let num_cores = cores.len();
+        let warmup_events = leader.warmup_events(events.len());
         for event in events.by_ref().take(warmup_events) {
-            let core = &mut cores[usize::from(event.tid) % num_cores];
-            let block = event.block();
-            let is_write = event.kind == AccessKind::Write;
-            let l1_out = core.l1d.access(block, is_write);
-            if l1_out.hit {
-                continue;
-            }
-            if let Some(wb) = l1_out.writeback() {
-                if let Some(wb2) = core.l2.fill_dirty(wb) {
-                    let _ = llc.fill_dirty(wb2);
-                }
-            }
-            let l2_out = core.l2.access(block, false);
-            if !l2_out.hit {
-                if let Some(wb) = l2_out.writeback() {
-                    let _ = llc.fill_dirty(wb);
-                }
-                let _ = llc.access(block, false);
+            let req = upper.access(event, false);
+            for stage in &mut stages {
+                stage.warm(&req);
             }
         }
         // Warmup's share of the L1 array counters, so the consistency
         // assertion below can cover only the region of interest.
-        let warm_l1: (u64, u64) = cores.iter().fold((0, 0), |acc, c| {
-            (acc.0 + c.l1d.hits(), acc.1 + c.l1d.misses())
-        });
+        let warm_l1: u64 = upper.cores.iter().map(|c| c.l1d.accesses()).sum();
 
-        let mut inval_buffer: Vec<u64> = Vec::new();
         let mut sides = SideEvents::default();
         for event in events {
             // Inclusive hierarchy: apply back-invalidations queued by the
             // previous event (one-event delay ≈ the invalidation's real
-            // network latency). Without inclusion the queues just drop.
-            // Both arms are guarded so the common no-victim event skips
-            // the per-core sweep entirely.
-            if cores.iter().any(|c| !c.pending_invalidations.is_empty()) {
-                if cfg.inclusive_llc {
-                    for c in cores.iter_mut() {
-                        inval_buffer.append(&mut c.pending_invalidations);
-                    }
-                    for victim in inval_buffer.drain(..) {
-                        for c in cores.iter_mut() {
-                            if let Some(dirty) = c.l1d.invalidate(victim) {
-                                stats.inclusion_invalidations += 1;
-                                if dirty {
-                                    stats.dram_writebacks += 1;
-                                }
-                            }
-                            if let Some(dirty) = c.l2.invalidate(victim) {
-                                stats.inclusion_invalidations += 1;
-                                if dirty {
-                                    stats.dram_writebacks += 1;
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    for c in cores.iter_mut() {
-                        c.pending_invalidations.clear();
-                    }
+            // network latency).
+            if let [LlcStage {
+                victims: Some(victims),
+                ..
+            }] = stages.as_mut_slice()
+            {
+                if !victims.is_empty() {
+                    upper.invalidate(victims.drain(..));
                 }
             }
-            let core_idx = usize::from(event.tid) % num_cores;
-            let core = &mut cores[core_idx];
-            let is_write = event.kind == AccessKind::Write;
-            let block = event.block();
-
-            stats.accesses += 1;
-            stats.instructions += u64::from(event.gap_instructions) + 1;
-            sides.clear();
-            let mut rec = TapeEvent::new(core_idx as u8, event.gap_instructions, is_write);
-
-            // --- L1D ----------------------------------------------------
-            let l1_out = core.l1d.access(block, is_write);
-            if l1_out.hit {
-                stats.l1d_hits += 1;
-                consume(rec, &sides);
-                continue;
+            let req = upper.access(event, true);
+            for (i, stage) in stages.iter_mut().enumerate() {
+                let rec = stage.serve(&req, &mut sides);
+                consume(i, rec, &sides);
             }
-            stats.l1d_misses += 1;
-            // L1 victim writeback sinks into L2; its own eviction cascades
-            // to the LLC as a write.
-            if let Some(wb) = l1_out.writeback() {
-                if let Some(wb2) = core.l2.fill_dirty(wb) {
-                    sides.push_endurance(wb2);
-                    rec = rec.with_l1_writeback_llc_write();
-                    llc_write(&mut llc, wb2, &mut stats, &mut core.pending_invalidations);
-                }
-            }
-
-            // --- L2 -----------------------------------------------------
-            let l2_out = core.l2.access(block, false);
-            if l2_out.hit {
-                stats.l2_hits += 1;
-                consume(rec.with_outcome(Outcome::L2Hit), &sides);
-                continue;
-            }
-            stats.l2_misses += 1;
-            if let Some(wb) = l2_out.writeback() {
-                sides.push_endurance(wb);
-                rec = rec.with_l2_writeback_llc_write();
-                llc_write(&mut llc, wb, &mut stats, &mut core.pending_invalidations);
-            }
-
-            // Next-line prefetch: a demand L2 miss pulls block+1 into the
-            // L2 off the critical path. Prefetch fills cycle the LLC
-            // array (endurance) and move DRAM traffic, but charge no core
-            // time and — per equation (7) — no extra LLC dynamic energy,
-            // and never perturb demand hit/miss statistics.
-            if cfg.l2_prefetch {
-                let next = block + 1;
-                if !core.l2.contains(next) {
-                    stats.prefetches += 1;
-                    if let Some(e) = core.l2.fill_clean(next) {
-                        if e.dirty {
-                            sides.push_endurance(e.block);
-                            rec = rec.with_prefetch_evict_llc_write();
-                            llc_write(
-                                &mut llc,
-                                e.block,
-                                &mut stats,
-                                &mut core.pending_invalidations,
-                            );
-                        }
-                    }
-                    if !llc.contains(next) {
-                        if let Some(e) = llc.fill_clean(next) {
-                            if e.dirty {
-                                stats.dram_writebacks += 1;
-                            }
-                            core.pending_invalidations.push(e.block);
-                        }
-                        sides.push_endurance(next);
-                        sides.push_dram(next);
-                        rec = rec.with_prefetch_llc_fill();
-                    }
-                }
-            }
-
-            // --- LLC ----------------------------------------------------
-            let (llc_hit, llc_filled) = match bypass.as_mut() {
-                Some(pred) => {
-                    if llc.contains(block) {
-                        let out = llc.access(block, false);
-                        (out.hit, false)
-                    } else if pred.should_bypass(block) {
-                        // Dead-on-arrival: count the miss, skip the fill.
-                        let _ = llc.access_no_alloc(block);
-                        stats.llc_bypassed_fills += 1;
-                        (false, false)
-                    } else {
-                        let out = llc.access(block, false);
-                        if let Some(e) = out.evicted {
-                            pred.train(e.block, e.reused);
-                            if e.dirty {
-                                stats.dram_writebacks += 1;
-                            }
-                            core.pending_invalidations.push(e.block);
-                        }
-                        (false, true)
-                    }
-                }
-                None => {
-                    let out = llc.access(block, false);
-                    if let Some(e) = out.evicted {
-                        if e.dirty {
-                            stats.dram_writebacks += 1;
-                        }
-                        core.pending_invalidations.push(e.block);
-                    }
-                    (out.hit, !out.hit)
-                }
-            };
-            if llc_hit {
-                stats.llc_hits += 1;
-                consume(rec.with_outcome(Outcome::LlcHit), &sides);
-                continue;
-            }
-            stats.llc_misses += 1;
-            // The miss's fill allocates the block; equation (7) charges
-            // it tag energy only (already counted with the miss), so the
-            // fill contributes no E_dyn,write — tracked separately for
-            // endurance analyses (the array still cycles).
-            if llc_filled {
-                stats.llc_fills += 1;
-                sides.push_endurance(block);
-                rec = rec.with_llc_filled();
-            }
-            sides.push_dram(block);
-            consume(rec.with_outcome(Outcome::LlcMiss), &sides);
         }
 
-        // The per-event counters in `stats` never saw the warmup pass;
-        // nothing to correct, but assert the arrays agree with them.
+        // The per-event counters never saw the warmup pass; nothing to
+        // correct, but assert the arrays agree with them.
         debug_assert_eq!(
-            stats.l1d_hits + stats.l1d_misses + warm_l1.0 + warm_l1.1,
-            cores.iter().map(|c| c.l1d.accesses()).sum::<u64>()
+            upper.stats.l1d_hits + upper.stats.l1d_misses + warm_l1,
+            upper.cores.iter().map(|c| c.l1d.accesses()).sum::<u64>()
         );
+        let stats = stages
+            .iter()
+            .map(|stage| joined(&upper.stats, &stage.stats))
+            .collect();
+        *spare = stages.into_iter().map(|stage| stage.llc).collect();
         stats
     }
 
@@ -1066,18 +1371,10 @@ fn claim_port(ports: &mut [f64], now: f64, occupancy: f64) -> f64 {
     start
 }
 
-/// The functional half of an LLC write from an L2 dirty writeback:
-/// allocates the block dirty and cascades any dirty LLC victim to DRAM.
-/// The write's `E_dyn,write` count rides in `stats.llc_writes`; its
-/// timing is the engine's business.
-fn llc_write(llc: &mut SetAssocCache, block: u64, stats: &mut SimStats, pending: &mut Vec<u64>) {
-    stats.llc_writes += 1;
-    if let Some(victim) = llc.fill_dirty_full(block) {
-        if victim.dirty {
-            stats.dram_writebacks += 1;
-        }
-        pending.push(victim.block);
-    }
+/// The one item of a one-element vector.
+fn one<T>(items: Vec<T>) -> T {
+    let [item]: [T; 1] = items.try_into().ok().expect("exactly one item");
+    item
 }
 
 #[cfg(test)]
@@ -1605,8 +1902,180 @@ mod tests {
         let _ = System::replay_batch(&[&ok, &bad], &tape);
     }
 
+    /// The systems of one shared walk: the fixed-area models whose LLC
+    /// is at most 8 MB (four distinct capacities), picked by `picks` as
+    /// (model, bypass, write policy), around shared private levels.
+    fn stage_systems(
+        picks: &[(usize, u32, usize)],
+        cores: u32,
+        prefetch: bool,
+        warmup: f64,
+        replacement: Replacement,
+    ) -> Vec<System> {
+        let models: Vec<_> = reference::fixed_area()
+            .into_iter()
+            .filter(|m| m.capacity.value() <= 8.0)
+            .collect();
+        picks
+            .iter()
+            .map(|&(model, bypass, policy)| {
+                let mut config = ArchConfig::gainestown(models[model % models.len()].clone())
+                    .with_cores(cores)
+                    .with_llc_write_policy(
+                        [
+                            LlcWritePolicy::OffCriticalPath,
+                            LlcWritePolicy::PortContention,
+                            LlcWritePolicy::Blocking,
+                        ][policy % 3],
+                    );
+                if prefetch {
+                    config = config.with_l2_prefetch();
+                }
+                if bypass == 1 {
+                    config = config.with_llc_bypass();
+                }
+                System::new(config)
+                    .with_warmup(warmup)
+                    .with_replacement(replacement)
+            })
+            .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "share their private levels")]
+    fn an_inclusive_llc_walks_alone() {
+        let llc = reference::sram_baseline();
+        let trace = workloads::by_name("tonto").unwrap().generate(42, 1_000);
+        let plain = System::new(ArchConfig::gainestown(llc.clone()));
+        let inclusive = System::new(ArchConfig::gainestown(llc).with_inclusive_llc());
+        let _ = System::record_stages(&[&plain, &inclusive], trace.iter().copied());
+    }
+
+    #[test]
+    #[should_panic(expected = "share their private levels")]
+    fn a_shared_walk_rejects_different_private_levels() {
+        let llc = reference::sram_baseline();
+        let trace = workloads::by_name("tonto").unwrap().generate(42, 1_000);
+        let plain = System::new(ArchConfig::gainestown(llc.clone()));
+        let prefetching = System::new(ArchConfig::gainestown(llc).with_l2_prefetch());
+        let _ = System::record_stages(&[&plain, &prefetching], trace.iter().copied());
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// The shared pass, fuzzed: one walk of the private levels
+        /// feeding a random set of LLC geometries (capacities, bypass)
+        /// under random timing knobs records, for every one of them, the
+        /// tape its own `System::record` records — every lane, side
+        /// stream and counter — at every replacement policy, warmup and
+        /// prefetch setting, and thread/core count.
+        #[test]
+        fn shared_pass_records_each_systems_own_tape(
+            seed in 0u64..1000,
+            n in 200usize..2500,
+            fp_log2 in 8u32..18,
+            threads in 1u8..5,
+            cores in 1u32..5,
+            warmup_idx in 0usize..4,
+            prefetch in 0u32..2,
+            repl_idx in 0usize..6,
+            picks in proptest::collection::vec((0usize..9, 0u32..2, 0usize..3), 1..7),
+        ) {
+            use nvm_llc_trace::{Suite, WorkloadProfile};
+            let w = WorkloadProfile::builder("prop", Suite::Npb)
+                .footprint_blocks(1 << fp_log2)
+                .threads(threads)
+                .build();
+            let trace = w.generate(seed, n);
+            let systems = stage_systems(
+                &picks,
+                cores,
+                prefetch == 1,
+                [0.0, 0.1, 0.25, 0.5][warmup_idx],
+                Replacement::ALL[repl_idx],
+            );
+            let refs: Vec<&System> = systems.iter().collect();
+            let tapes = System::record_stages(&refs, trace.iter().copied());
+            proptest::prop_assert_eq!(tapes.len(), systems.len());
+            for (system, tape) in systems.iter().zip(&tapes) {
+                let own = system.record(&trace);
+                proptest::prop_assert_eq!(tape.cores(), own.cores());
+                proptest::prop_assert_eq!(tape.gaps(), own.gaps());
+                proptest::prop_assert_eq!(tape.core_lane(), own.core_lane());
+                proptest::prop_assert_eq!(tape.flags(), own.flags());
+                proptest::prop_assert_eq!(tape.wear_blocks(), own.wear_blocks());
+                proptest::prop_assert_eq!(tape.dram_blocks(), own.dram_blocks());
+                proptest::prop_assert_eq!(tape.stats(), own.stats());
+            }
+        }
+
+        /// The streamed replay, fuzzed: feeding a tape to the batched
+        /// engines 1, 7 or [`REPLAY_CHUNK_EVENTS`] events at a time, or
+        /// whole, gives exactly `replay_batch`'s results; and the
+        /// evaluator's pass, which replays each group chunk by chunk as
+        /// its walk emits them, gives every group exactly `replay_batch`
+        /// of its own recorded tape. Lengths straddle the chunk size.
+        #[test]
+        fn streamed_replay_equals_batched_replay_at_any_chunk_size(
+            seed in 0u64..1000,
+            length_idx in 0usize..7,
+            n in 200usize..2200,
+            threads in 1u8..5,
+            warmup_idx in 0usize..3,
+            prefetch in 0u32..2,
+            repl_idx in 0usize..6,
+            picks in proptest::collection::vec((0usize..9, 0u32..2, 0usize..3), 1..9),
+        ) {
+            use nvm_llc_trace::{Suite, WorkloadProfile};
+            const CHUNK: usize = REPLAY_CHUNK_EVENTS;
+            let n = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7, n][length_idx];
+            let w = WorkloadProfile::builder("prop", Suite::Npb)
+                .footprint_blocks(1 << 12)
+                .threads(threads)
+                .build();
+            let trace = w.generate(seed, n);
+            let mut systems = stage_systems(
+                &picks,
+                4,
+                prefetch == 1,
+                [0.0, 0.1, 0.25][warmup_idx],
+                Replacement::ALL[repl_idx],
+            );
+            // Detailed DRAM, MSHRs and wear tracking on some members, so
+            // the per-event kernel and the side-stream cursors run too.
+            for (i, system) in systems.iter_mut().enumerate() {
+                if i % 3 == 1 {
+                    system.config = system.config.clone().with_detailed_dram().with_mshrs(4);
+                }
+                if i % 4 == 2 {
+                    system.endurance = Some(WearPolicy::RotateXor { period: 300 });
+                }
+            }
+            // Group the members by tape key, as the evaluator does.
+            let mut groups: Vec<Vec<&System>> = Vec::new();
+            for system in &systems {
+                let key = system.tape_key(&trace);
+                match groups.iter_mut().find(|g| g[0].tape_key(&trace) == key) {
+                    Some(group) => group.push(system),
+                    None => groups.push(vec![system]),
+                }
+            }
+            let streamed = System::run_groups(&groups, trace.iter().copied(), &mut Vec::new());
+            proptest::prop_assert_eq!(streamed.len(), groups.len());
+            for (group, streamed) in groups.iter().zip(&streamed) {
+                let tape = group[0].record(&trace);
+                let batched = System::replay_batch(group, &tape);
+                for chunk in [1, 7, CHUNK, tape.len().max(1)] {
+                    proptest::prop_assert!(
+                        System::replay_chunked(group, &tape, chunk) == batched,
+                        "chunk {} diverged",
+                        chunk
+                    );
+                }
+                proptest::prop_assert_eq!(streamed, &batched);
+            }
+        }
 
         /// The tentpole invariant, fuzzed: for random traces, geometries,
         /// and flag combinations, recording a tape and replaying it gives

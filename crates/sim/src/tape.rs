@@ -24,10 +24,10 @@
 //! each event in a `u64`, varint-compressed side streams) is no longer
 //! written by the evaluator; `perf_ledger`'s replica is its one caller.
 //!
-//! A tape lives only as long as its evaluation group: the evaluator
-//! records it, replays it for every technology of the group in one
-//! batched pass, and drops it (`crate::runner`). What the process keeps
-//! is the finished results.
+//! The evaluator holds no whole tape. Its functional pass fills one
+//! chunk-sized tape per LLC geometry and hands each full chunk to that
+//! group's batched replay, then reuses the buffer (`crate::runner`).
+//! What the process keeps is the finished results.
 //!
 //! [`System::replay_batch`]: crate::system::System::replay_batch
 
@@ -265,8 +265,6 @@ pub struct OutcomeTape {
     wear_blocks: Vec<u64>,
     /// DRAM access block addresses (detailed-DRAM stream), in order.
     dram_blocks: Vec<u64>,
-    /// Every core that ran at least one event, ascending.
-    present_cores: Vec<u8>,
     /// Functional counters (the timing-side fields stay zero).
     stats: SimStats,
     /// Core count the tape was recorded for (replay must match).
@@ -292,18 +290,23 @@ impl OutcomeTape {
         self.dram_blocks.extend_from_slice(sides.dram());
     }
 
-    /// Finishes a tape: attaches the functional counters, drops the side
-    /// streams' growth slack (the cache charges capacity, so slack would
-    /// cost budget), and notes which cores appear.
+    /// Empties the lanes and side streams, keeping their capacity: a
+    /// functional pass reuses one tape as its chunk buffer.
+    pub(crate) fn clear(&mut self) {
+        self.gaps.clear();
+        self.core_lane.clear();
+        self.flags.clear();
+        self.wear_blocks.clear();
+        self.dram_blocks.clear();
+    }
+
+    /// Finishes a tape: attaches the functional counters and drops the
+    /// side streams' growth slack, so [`Self::bytes`] is what the tape
+    /// needs.
     pub(crate) fn seal(&mut self, stats: SimStats) {
         self.stats = stats;
         self.wear_blocks.shrink_to_fit();
         self.dram_blocks.shrink_to_fit();
-        let mut seen = [false; 256];
-        for &core in &self.core_lane {
-            seen[usize::from(core)] = true;
-        }
-        self.present_cores = (0..=u8::MAX).filter(|&c| seen[usize::from(c)]).collect();
     }
 
     /// Rebuilds a tape from already-validated lanes and side streams
@@ -323,7 +326,6 @@ impl OutcomeTape {
             flags,
             wear_blocks,
             dram_blocks,
-            present_cores: Vec::new(),
             stats: SimStats::default(),
             cores,
         };
@@ -371,11 +373,6 @@ impl OutcomeTape {
     /// The DRAM stream (block addresses, `Dram::access` call order).
     pub(crate) fn dram_blocks(&self) -> &[u64] {
         &self.dram_blocks
-    }
-
-    /// Every core that ran at least one event, ascending.
-    pub(crate) fn present_cores(&self) -> &[u8] {
-        &self.present_cores
     }
 
     /// The functional statistics of the recorded run (timing fields zero).
@@ -458,6 +455,19 @@ impl TapeKey {
             l2_prefetch,
             llc_bypass,
         }
+    }
+
+    /// Whether one functional pass can record both keys' tapes: they
+    /// differ at most in the LLC stage (its capacity and bypass
+    /// predictor), and neither LLC is inclusive — an inclusive LLC's
+    /// victims invalidate private copies, so its pass serves it alone.
+    pub(crate) fn shares_pass(&self, other: &TapeKey) -> bool {
+        let private = |key: &TapeKey| TapeKey {
+            llc_capacity_bytes: 0,
+            llc_bypass: false,
+            ..key.clone()
+        };
+        !self.inclusive_llc && !other.inclusive_llc && private(self) == private(other)
     }
 
     /// The key serialized for content addressing. Two processes
@@ -626,7 +636,6 @@ mod tests {
         assert_eq!(decoded.cores(), 2);
         assert_eq!(decoded.gaps(), &[3, 0, 5]);
         assert_eq!(decoded.core_lane(), &[0, 1, 0]);
-        assert_eq!(decoded.present_cores(), &[0, 1]);
         // The flat side arrays carry the streams in emission order, and
         // the per-event counts partition them: (0, 0) + (1, 0) + (1, 1).
         assert_eq!(decoded.wear_blocks(), &[10, 99]);
@@ -662,7 +671,10 @@ mod tests {
         let exact = 6 * tape.len() + 8 * (tape.wear_blocks().len() + tape.dram_blocks().len());
         assert_eq!(tape.bytes(), exact);
         // ft runs four threads on four cores.
-        assert_eq!(tape.present_cores(), &[0, 1, 2, 3]);
+        let mut cores = tape.core_lane().to_vec();
+        cores.sort_unstable();
+        cores.dedup();
+        assert_eq!(cores, [0, 1, 2, 3]);
     }
 
     #[test]

@@ -237,6 +237,18 @@ fn trace_out_keeps_stdout_and_writes_nested_chrome_lanes() {
         );
     }
 
+    // fig1 at smoke scale evaluates 20 workloads on one LLC geometry:
+    // one functional pass per workload, and one group per pass whose
+    // streamed replay a `tape_replay_batch` finishes inside the pass.
+    let count = |name: &str| {
+        complete
+            .iter()
+            .filter(|e| e.str("name") == Some(name))
+            .count()
+    };
+    assert_eq!(count("tape_record"), 20, "one pass span per work item");
+    assert_eq!(count("tape_replay_batch"), 20, "one replay span per group");
+
     // Lanes are (pid, tid) pairs; the matrix layers run on the workers.
     let mut lanes: BTreeMap<(u64, u64), Vec<Span<'_>>> = BTreeMap::new();
     for event in &complete {
@@ -261,6 +273,18 @@ fn trace_out_keeps_stdout_and_writes_nested_chrome_lanes() {
         worker_lanes.len() >= 2,
         "--threads 2 must show at least two worker lanes: {worker_lanes:?}"
     );
+
+    // Every group's replay closes inside a functional pass on its lane.
+    for (lane, spans) in &lanes {
+        for batch in spans.iter().filter(|s| s.2 == "tape_replay_batch") {
+            assert!(
+                spans.iter().any(|pass| pass.2 == "tape_record"
+                    && pass.0 <= batch.0 + ROUNDING_SLACK_US
+                    && batch.1 <= pass.1 + ROUNDING_SLACK_US),
+                "lane {lane:?}: {batch:?} outside a functional pass"
+            );
+        }
+    }
 
     // Inside one lane, spans either nest or are disjoint.
     for (lane, spans) in &mut lanes {
